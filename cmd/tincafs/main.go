@@ -230,7 +230,7 @@ func run(s *tinca.Stack, cmd string, args []string, rng interface{ Int63n(int64)
 				c.ReadHitFast, c.ReadHitSlow, c.SeqlockRetries)
 			fmt.Printf("views:  %d zero-copy, %d copied, %d deferred frees, %d open\n",
 				c.ZeroCopyViews, c.CopiedViews, c.ViewDeferredFrees, c.OpenViews)
-			if len(c.RingSeals) > 0 {
+			if len(c.RingSeals) > 1 { // one ring: the commits-in-seals line above says it all
 				fmt.Printf("rings:  %d commit rings, %d cross-shard txns, %d seal-lock conflicts\n",
 					len(c.RingSeals), c.CrossShardTxns, c.RingSealConflicts)
 				fmt.Printf("        seals/ring:")

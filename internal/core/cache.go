@@ -173,12 +173,6 @@ type Options struct {
 	// compares against. Functionally identical, slower and allocation-
 	// heavy at large entry counts.
 	SyncMapIndex bool
-	// DisableZeroCopy forces ReadView to return copying views even in
-	// concurrent mode — the baseline for the zero-copy read figure. The
-	// zero value (zero-copy views on) is the redesigned read API's
-	// default. (Serial/ablation modes always copy: they mutate cached
-	// bytes in place, so no stable window exists to alias.)
-	DisableZeroCopy bool
 	// FlightRecorder enables the crash-surviving black box (DESIGN.md
 	// §13): a flight.DefaultSlots-record event ring carved out of the NVM
 	// layout, written crash-consistently at seal, recovery, destage and
@@ -208,7 +202,7 @@ type Options struct {
 	// exists for that proof and for debugging.
 	SerialRecovery bool
 	// CommitRings splits the single commit log ring into this many
-	// independent per-shard rings (DESIGN.md §15): ring r serializes the
+	// independent per-shard rings (DESIGN.md §8): ring r serializes the
 	// blocks of shards congruent to r mod CommitRings, each ring has its
 	// own Head/Tail pointer pair and group-commit leader, records are
 	// stamped with a global commit-point generation, and recovery merges
@@ -403,9 +397,11 @@ type shard struct {
 // the per-block metadata (hash table, LRU) is lock-striped across
 // shardCount shards so data-path reads never serialize on a global lock.
 type Cache struct {
-	// mu is the structural lock: free lists, ring buffer, Head/Tail,
-	// eviction, miss fills, and commit batches all run under it. The
-	// read-hit fast path does not take it.
+	// mu serializes the modes that model a system without a concurrent
+	// commit path — the serial/ablation commit and its reads (c.serial) and
+	// the SerialMiss fill baseline — and nothing else: seals run under
+	// their ring locks, fills, eviction and the allocator under the shard
+	// locks and their own synchronization. Ordered before the ring locks.
 	mu   sync.Mutex
 	mem  *pmem.Device
 	disk blockdev.Store
@@ -451,17 +447,12 @@ type Cache struct {
 	viewPins  []atomic.Int64
 	viewsOpen atomic.Int64
 
-	head, tail uint64 // cached copies of the persistent pointers
-
-	// sealSeq numbers commit-point seals for Options.SealHook; assigned
-	// when a seal starts, reported after its Tail persist. Guarded by mu.
-	sealSeq uint64
-
-	// Multi-ring commit state (nil when CommitRings <= 1; DESIGN.md §15).
-	// rings[r] owns ring r's persistent Head/Tail pair and its group-commit
-	// queue; gen is the global commit-point generation counter every seal
-	// draws from (assigned while holding all participating ring seal locks,
-	// so per-ring generations are strictly increasing).
+	// The commit log (seal.go): R >= 1 rings. rings[r] owns ring r's
+	// persistent Head/Tail pair and its group-commit queue; gen is the
+	// global commit-point generation counter every seal (and every serial
+	// commit) draws from while holding all participating ring seal locks,
+	// so per-ring generations are strictly increasing. It numbers the
+	// commit points Options.SealHook and the flight records report.
 	rings []ringState
 	gen   atomic.Uint64
 
@@ -478,12 +469,6 @@ type Cache struct {
 	// fired mid-operation, so every later caller observes the crash
 	// instead of running on the half-written image.
 	poisoned atomic.Value
-
-	// Group-commit leader/follower state.
-	gcMu    sync.Mutex
-	gcCond  *sync.Cond
-	gcQueue []*commitReq
-	gcBusy  bool
 
 	// Destage queue (nil when DestageDepth == 0).
 	destageCh      chan destageItem
@@ -543,11 +528,13 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	if opts.FlightRecorder {
 		flightSlots = flight.DefaultSlots
 	}
-	rings := 1
-	if opts.CommitRings > 1 {
-		rings = opts.CommitRings
-	}
-	lay, err := ComputeLayoutRings(mem.Size(), opts.RingBytes, ptrSlots, flightSlots, opts.Checkpoint, rings)
+	lay, err := ComputeLayout(mem.Size(), LayoutParams{
+		RingBytes:   opts.RingBytes,
+		PtrSlots:    ptrSlots,
+		FlightSlots: flightSlots,
+		Checkpoint:  opts.Checkpoint,
+		Rings:       opts.CommitRings,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -561,18 +548,15 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		slotSeq:  make([]atomic.Uint32, lay.Capacity),
 		viewPins: make([]atomic.Int64, lay.Capacity),
 		dirtied:  make([]bool, lay.Capacity),
+		rings:    make([]ringState, lay.Rings),
 		serial:   opts.serialOnly(),
 	}
 	if vc, ok := disk.(CleanVictimCache); ok {
 		c.vcache = vc
 	}
 	c.alloc.init(mem.Recorder(), lay.Capacity)
-	c.gcCond = sync.NewCond(&c.gcMu)
-	if rings > 1 {
-		c.rings = make([]ringState, rings)
-		for r := range c.rings {
-			c.rings[r].init(c.rec, r)
-		}
+	for r := range c.rings {
+		c.rings[r].init(c.rec, r)
 	}
 	c.destageWake = sync.NewCond(&c.destageWakeMu)
 	if opts.Observe || opts.Tracer != nil {
@@ -758,23 +742,14 @@ func (c *Cache) poison(pv any) {
 }
 
 func (c *Cache) isFormatted() bool {
-	wantVer := layoutVersion
-	if c.lay.CkptJournalSlots > 0 {
-		wantVer = layoutVersionCkpt
-	}
-	wantRings := uint64(0) // single-ring images predate the field and hold 0
-	if c.lay.Rings > 1 {
-		wantVer = layoutVersionRings
-		wantRings = uint64(c.lay.Rings)
-	}
 	return c.mem.Load8(c.lay.HeaderOff+hdrMagic) == layoutMagic &&
-		c.mem.Load8(c.lay.HeaderOff+hdrVersion) == wantVer &&
+		c.mem.Load8(c.lay.HeaderOff+hdrVersion) == c.lay.version() &&
 		c.mem.Load8(c.lay.HeaderOff+hdrCapacity) == uint64(c.lay.Capacity) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrRingSlot) == uint64(c.lay.RingSlots) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrPtrSlots) == uint64(c.lay.PtrSlots) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrFlight) == uint64(c.lay.FlightSlots) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrCkpt) == uint64(c.lay.CkptJournalSlots) &&
-		c.mem.Load8(c.lay.HeaderOff+hdrRings) == wantRings
+		c.mem.Load8(c.lay.HeaderOff+hdrRings) == c.lay.headerRings()
 }
 
 // loadPointer reads a possibly-rotated pointer: the latest persisted
@@ -820,16 +795,13 @@ func (c *Cache) format() {
 	for s := 0; s < c.lay.FlightSlots; s++ {
 		c.mem.PersistLineSilent(c.lay.FlightOff+s*flight.RecordSize, [pmem.LineSize]byte{})
 	}
-	ver := layoutVersion
 	if c.ckpt != nil {
 		c.formatCheckpoint()
-		ver = layoutVersionCkpt
 	}
-	if c.lay.Rings > 1 {
-		ver = layoutVersionRings
-		c.mem.Store8(c.lay.HeaderOff+hdrRings, uint64(c.lay.Rings))
+	if n := c.lay.headerRings(); n != 0 {
+		c.mem.Store8(c.lay.HeaderOff+hdrRings, n)
 	}
-	c.mem.Store8(c.lay.HeaderOff+hdrVersion, ver)
+	c.mem.Store8(c.lay.HeaderOff+hdrVersion, c.lay.version())
 	c.mem.Store8(c.lay.HeaderOff+hdrCapacity, uint64(c.lay.Capacity))
 	c.mem.Store8(c.lay.HeaderOff+hdrRingSlot, uint64(c.lay.RingSlots))
 	c.mem.Store8(c.lay.HeaderOff+hdrPtrSlots, uint64(c.lay.PtrSlots))
@@ -838,7 +810,6 @@ func (c *Cache) format() {
 	c.mem.CLFlush(c.lay.HeaderOff, pmem.LineSize)
 	c.mem.SFence()
 	c.mem.Persist8(c.lay.HeaderOff+hdrMagic, layoutMagic)
-	c.head, c.tail = 0, 0
 	for b := c.lay.Capacity - 1; b >= 0; b-- {
 		c.alloc.pushBlock(uint32(b))
 		c.alloc.pushSlot(int32(b))
@@ -848,25 +819,12 @@ func (c *Cache) format() {
 // Layout exposes the computed NVM layout (for tests and tooling).
 func (c *Cache) Layout() Layout { return c.lay }
 
-// Pointers returns the cache's view of the persistent Head and Tail ring
-// pointers — after Open they equal the recovered (durable) values, which
-// is what the crash sweep's blackbox oracle compares flight records
-// against.
-func (c *Cache) Pointers() (head, tail uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.head, c.tail
-}
-
 // RingPointers returns the cache's view of every ring's persistent Head
-// and Tail pointers (CommitRings > 1). For the single-ring layout it
-// returns one-element slices equal to Pointers(). The crash sweep's
-// per-ring blackbox oracle compares flight records against these.
+// and Tail pointers (one element per commit ring; a single pair on the
+// paper's layout) — after Open they equal the recovered (durable) values,
+// which is what the crash sweep's per-ring blackbox oracle compares flight
+// records against.
 func (c *Cache) RingPointers() (heads, tails []uint64) {
-	if len(c.rings) == 0 {
-		h, t := c.Pointers()
-		return []uint64{h}, []uint64{t}
-	}
 	heads = make([]uint64, len(c.rings))
 	tails = make([]uint64, len(c.rings))
 	for r := range c.rings {
@@ -945,8 +903,9 @@ func (c *Cache) clearEntry(i int32) {
 // free cache. When the pool is empty it falls back to a direct one-victim
 // eviction (the paper's synchronous behaviour); with the watermark
 // evictor enabled that fallback is the rare slow path. Performs no disk
-// I/O unless the pool is empty. May be called with or without c.mu, but
-// never with a shard lock held (the direct fallback takes shard locks).
+// I/O unless the pool is empty. May be called with or without c.mu and
+// the ring locks, but never with a shard lock held (the direct fallback
+// takes shard locks).
 func (c *Cache) allocBlock(h int) (uint32, error) {
 	if b, ok := c.alloc.popBlock(h); ok {
 		c.maybeWakeEvictor()
@@ -1048,13 +1007,12 @@ func (c *Cache) Read(no uint64, p []byte) error {
 	if c.opts.SerialMiss {
 		// Legacy baseline: the miss path serializes on the global lock
 		// and its disk read happens under it.
-		c.mu.Lock()
-		defer c.mu.Unlock()
+		defer c.lockSerialMiss(no)()
 		if c.closed.Load() {
 			return ErrClosed
 		}
-		// Double-check under the structural lock: a racing miss may have
-		// filled the block already.
+		// Double-check under the locks: a racing miss or a seal's write
+		// miss may have installed the block already.
 		if c.readResident(no, p) {
 			c.rec.Inc(metrics.CacheReadHit)
 			c.rec.Inc(metrics.CacheReadHitSlow)
@@ -1108,9 +1066,27 @@ func (c *Cache) readResident(no uint64, p []byte) bool {
 	return true
 }
 
+// lockSerialMiss takes the locks a SerialMiss fill of block no runs under
+// and returns the matching unlock: c.mu, which serializes the baseline's
+// fills against each other, then the block's ring seal lock, which keeps a
+// seal's write-miss install (phase B, which never takes c.mu) out of the
+// window between the fill's residency check and its install. Seals never
+// take c.mu, so the order is deadlock-free.
+func (c *Cache) lockSerialMiss(no uint64) (unlock func()) {
+	rs := &c.rings[c.ringOf(no)]
+	c.mu.Lock()
+	rs.mu.Lock()
+	return func() {
+		rs.mu.Unlock()
+		c.mu.Unlock()
+	}
+}
+
 // fillSerialLocked reads block no from disk, installs it clean in the
-// cache and copies it to p if non-nil. Caller holds c.mu (serial mode or
-// the SerialMiss baseline), which excludes every concurrent installer.
+// cache and copies it to p if non-nil. The caller has checked that no is
+// not resident and holds what excludes every concurrent installer of it
+// since: c.mu in serial mode (commits and fills all take it), c.mu plus
+// the block's ring seal lock on the SerialMiss baseline (lockSerialMiss).
 func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
@@ -1332,16 +1308,11 @@ func (c *Cache) Close() error {
 		return err
 	}
 	c.closed.Store(true)
-	// Barrier: wait for any in-flight commit batch to finish before the
-	// background workers go away (batches enqueue destage work under c.mu).
-	c.mu.Lock()
-	c.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	for r := range c.rings {
-		// Multi-ring seals run under their ring locks, not c.mu: barrier
-		// over each ring so no seal is mid-flight when the workers stop.
-		c.rings[r].mu.Lock()
-		c.rings[r].mu.Unlock() //nolint:staticcheck // barrier
-	}
+	// Barrier: wait for any in-flight commit to finish before the
+	// background workers go away (every commit, seal or serial, runs and
+	// enqueues its destage work under its ring locks).
+	c.lockRings()
+	c.unlockRings() // the empty critical section is the barrier
 	if c.evictStop != nil {
 		close(c.evictStop)
 		c.evictWG.Wait()

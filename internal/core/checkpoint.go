@@ -50,8 +50,9 @@ type ckptState struct {
 	// while holding one shard lock (different shards' mutators — the
 	// destager and evictor run off c.mu — would otherwise race on the
 	// append position); only the pmem device lock is taken inside.
-	// writeCheckpointLocked additionally holds c.mu and all shard locks,
-	// which quiesces every mutator across its whole frame write.
+	// writeCheckpointLocked additionally holds every ring's seal lock and
+	// all shard locks, which quiesces every mutator across its whole
+	// frame write.
 	mu        sync.Mutex
 	epoch     uint64  // epoch of the active (last written) frame
 	frame     int     // index of the INACTIVE frame, written next
@@ -111,17 +112,32 @@ func (c *Cache) ckptJournal(i int) {
 	c.rec.Inc(metrics.CkptJournalRecs)
 }
 
-// maybeCheckpoint writes a checkpoint if the interval elapsed. Called at
-// commit points (end of commitSerialLocked / runBatch) where the caller
-// holds c.mu and the ring is quiescent (head == tail), so the snapshot is
-// transactionally consistent: no entry is mid-commit in RoleLog state.
+// maybeCheckpoint writes a checkpoint if the interval elapsed. Called
+// after commit points. The quiescence it needs is every ring's seal lock
+// (no seal in flight ⇒ no entry is mid-commit in RoleLog state and every
+// ring has head == tail), so the snapshot is transactionally consistent.
+// Callers must hold NO ring lock — the trigger acquires all of them in
+// index order.
 func (c *Cache) maybeCheckpoint() {
 	k := c.ckpt
 	if k == nil {
 		return
 	}
-	now := int64(c.mem.Clock().Now())
-	if now-k.lastNS < k.interval {
+	due := func() (int64, bool) {
+		now := int64(c.mem.Clock().Now())
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return now, now-k.lastNS >= k.interval
+	}
+	if _, ok := due(); !ok {
+		return
+	}
+	c.lockRings()
+	defer c.unlockRings()
+	// Re-check under the ring locks: a racing committer may have written
+	// the checkpoint while this one waited.
+	now, ok := due()
+	if !ok {
 		return
 	}
 	c.lockAllShards()
@@ -130,32 +146,24 @@ func (c *Cache) maybeCheckpoint() {
 }
 
 // writeCheckpointLocked persists the inactive frame and retires the
-// delta journal. Caller holds the commit exclusion — c.mu on the
-// single-ring layout, every ring's seal lock on the multi-ring one — and
-// all shard locks, so every mutator is quiesced and no entry is in the
-// log role.
+// delta journal. Caller holds every ring's seal lock and all shard locks,
+// so every mutator is quiesced, no entry is in the log role and the cached
+// ring pointers are the persisted ones.
 func (c *Cache) writeCheckpointLocked(now int64) {
 	k := c.ckpt
 	lay := c.lay
 	t0 := int64(c.mem.Clock().Now())
-	c.flEmit(flight.EvCkptBegin, 0, k.epoch+1, c.head, c.tail)
+	head, tail := c.ckptHeaderPointers()
+	c.flEmit(flight.EvCkptBegin, 0, k.epoch+1, head, tail)
 
 	// Snapshot the whole entry region in one bulk load (4 entries/line —
 	// ~4x cheaper than per-entry Load16), then pack the valid entries.
 	raw := make([]byte, lay.Capacity*EntrySize)
 	c.mem.Load(lay.EntryOff, raw)
-	payload := make([]byte, 0, lay.ckptVecBytes()+64*ckptRecSize)
-	if len(c.rings) > 0 {
-		// Multi-ring layout: the payload opens with the per-ring
-		// {head, tail} vector (checksummed with the records). The caller
-		// holds every ring's seal lock, so the cached values are the
-		// persisted ones and every ring is quiescent (head == tail).
-		vec := make([]byte, lay.ckptVecBytes())
-		for r := range c.rings {
-			binary.LittleEndian.PutUint64(vec[r*16:], c.rings[r].head)
-			binary.LittleEndian.PutUint64(vec[r*16+8:], c.rings[r].tail)
-		}
-		payload = append(payload, vec...)
+	payload := make([]byte, lay.ckptVecBytes(), lay.ckptVecBytes()+64*ckptRecSize)
+	for r := 0; r*16 < len(payload); r++ {
+		binary.LittleEndian.PutUint64(payload[r*16:], c.rings[r].head)
+		binary.LittleEndian.PutUint64(payload[r*16+8:], c.rings[r].tail)
 	}
 	count := 0
 	for i := 0; i < lay.Capacity; i++ {
@@ -184,15 +192,11 @@ func (c *Cache) writeCheckpointLocked(now int64) {
 	var hdr [ckptFrameHdr]byte
 	binary.LittleEndian.PutUint64(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	binary.LittleEndian.PutUint64(hdr[16:], c.head)
-	binary.LittleEndian.PutUint64(hdr[24:], c.tail)
-	// The seq field carries the generation counter on the multi-ring
-	// layout (loadMirrorCheckpoint restores whichever the layout uses).
-	seq := c.sealSeq
-	if len(c.rings) > 0 {
-		seq = c.gen.Load()
-	}
-	binary.LittleEndian.PutUint64(hdr[32:], seq)
+	binary.LittleEndian.PutUint64(hdr[16:], head)
+	binary.LittleEndian.PutUint64(hdr[24:], tail)
+	// The generation counter, so SealHook sequences stay monotonic across
+	// a checkpointed restart (loadMirrorCheckpoint restores it).
+	binary.LittleEndian.PutUint64(hdr[32:], c.gen.Load())
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(count))
 	binary.LittleEndian.PutUint64(hdr[48:], ckptSum(payload))
 	binary.LittleEndian.PutUint64(hdr[56:], ckptSum(hdr[:56]))
@@ -219,6 +223,18 @@ func (c *Cache) writeCheckpointLocked(now int64) {
 	}
 }
 
+// Where a frame records the ring pointers is part of the R-dependent image
+// format: the single-ring frame keeps them in its header and has no vector
+// (ckptVecBytes is 0); a multi-ring frame opens its payload with one
+// {head, tail} pair per ring and leaves the header fields zero. Both are
+// diagnostic — recovery takes the pointers from their rotation slots.
+func (c *Cache) ckptHeaderPointers() (head, tail uint64) {
+	if c.lay.Rings > 1 {
+		return 0, 0
+	}
+	return c.rings[0].head, c.rings[0].tail
+}
+
 // formatCheckpoint initializes the checkpoint region during format():
 // zero the journal and BOTH frame headers (a reformat over a previously
 // checkpointed same-geometry device must not leave a stale valid frame
@@ -239,12 +255,11 @@ func (c *Cache) formatCheckpoint() {
 	}
 	c.mem.SFence()
 
-	// On the multi-ring layout even an empty frame carries the per-ring
-	// {head, tail} vector (all zero at format time) — the reader always
-	// expects it ahead of the records and checksums it with them.
-	var payload []byte
-	if len(c.rings) > 0 {
-		payload = make([]byte, lay.ckptVecBytes())
+	// Even an empty frame carries the layout's per-ring {head, tail} vector
+	// (all zero at format time) — the reader always expects it ahead of the
+	// records and checksums it with them.
+	payload := make([]byte, lay.ckptVecBytes())
+	if len(payload) > 0 {
 		c.mem.PersistRange(lay.ckptFrameOff(0)+ckptFrameHdr, payload)
 	}
 	var hdr [ckptFrameHdr]byte

@@ -62,7 +62,7 @@ func mustRead(t *testing.T, c *Cache, no uint64) []byte {
 
 func TestComputeLayoutFits(t *testing.T) {
 	for _, size := range []int{1 << 20, 4 << 20, 64 << 20} {
-		l, err := ComputeLayout(size, 4096, 1)
+		l, err := ComputeLayout(size, LayoutParams{RingBytes: 4096})
 		if err != nil {
 			t.Fatalf("ComputeLayout(%d): %v", size, err)
 		}
@@ -82,13 +82,13 @@ func TestComputeLayoutFits(t *testing.T) {
 }
 
 func TestComputeLayoutTooSmall(t *testing.T) {
-	if _, err := ComputeLayout(8192, 4096, 1); err == nil {
+	if _, err := ComputeLayout(8192, LayoutParams{RingBytes: 4096}); err == nil {
 		t.Fatal("expected error for tiny device")
 	}
 }
 
 func TestComputeLayoutDefaultRing(t *testing.T) {
-	l, err := ComputeLayout(64<<20, 0, 1)
+	l, err := ComputeLayout(64<<20, LayoutParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestComputeLayoutProperties(t *testing.T) {
 		if rotate {
 			ptr = DefaultPtrSlots
 		}
-		l, err := ComputeLayout(size, ring, ptr)
+		l, err := ComputeLayout(size, LayoutParams{RingBytes: ring, PtrSlots: ptr})
 		if err != nil {
 			return size < 2<<20 // only tiny devices may fail
 		}

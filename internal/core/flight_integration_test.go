@@ -72,14 +72,14 @@ func TestFlightBlackboxSurvivesCrash(t *testing.T) {
 // flight region, same entry/data offsets), and turning it on inserts
 // exactly DefaultSlots records between the ring and the entry table.
 func TestFlightLayoutCompatibility(t *testing.T) {
-	off, err := ComputeLayout(8<<20, 0, DefaultPtrSlots)
+	off, err := ComputeLayout(8<<20, LayoutParams{PtrSlots: DefaultPtrSlots})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.FlightSlots != 0 || off.FlightOff != off.EntryOff {
 		t.Fatalf("flight region present with recorder off: %+v", off)
 	}
-	on, err := ComputeLayoutFlight(8<<20, 0, DefaultPtrSlots, flight.DefaultSlots)
+	on, err := ComputeLayout(8<<20, LayoutParams{PtrSlots: DefaultPtrSlots, FlightSlots: flight.DefaultSlots})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,44 +22,26 @@ func (c *Cache) unlockAllShards() {
 // used by the crash-consistency test suite after every recovery; any
 // violation is returned as an error naming the broken invariant.
 func (c *Cache) CheckInvariants() error {
+	// c.mu quiesces the serial modes and the SerialMiss baseline, the ring
+	// seal locks every seal; they nest in the seal path's order.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Ring seal locks nest after c.mu and before the shard locks, matching
-	// the seal path's order.
-	for r := range c.rings {
-		c.rings[r].mu.Lock()
-	}
-	defer func() {
-		for r := range c.rings {
-			c.rings[r].mu.Unlock()
-		}
-	}()
+	c.lockRings()
+	defer c.unlockRings()
 	c.DrainDestage()
 	c.lockAllShards()
 	defer c.unlockAllShards()
 
-	if len(c.rings) > 0 {
-		for r := range c.rings {
-			rst := &c.rings[r]
-			if rst.head != rst.tail {
-				return fmt.Errorf("invariant: ring %d Head (%d) != Tail (%d) while quiescent", r, rst.head, rst.tail)
-			}
-			if h := c.loadPointer(c.lay.ringHeadOff(r)); h != rst.head {
-				return fmt.Errorf("invariant: ring %d persistent Head %d != cached %d", r, h, rst.head)
-			}
-			if t := c.loadPointer(c.lay.ringTailOff(r)); t != rst.tail {
-				return fmt.Errorf("invariant: ring %d persistent Tail %d != cached %d", r, t, rst.tail)
-			}
+	for r := range c.rings {
+		rst := &c.rings[r]
+		if rst.head != rst.tail {
+			return fmt.Errorf("invariant: ring %d Head (%d) != Tail (%d) while quiescent", r, rst.head, rst.tail)
 		}
-	} else {
-		if c.head != c.tail {
-			return fmt.Errorf("invariant: Head (%d) != Tail (%d) while quiescent", c.head, c.tail)
+		if h := c.loadPointer(c.lay.ringHeadOff(r)); h != rst.head {
+			return fmt.Errorf("invariant: ring %d persistent Head %d != cached %d", r, h, rst.head)
 		}
-		if h := c.loadPointer(c.lay.HeadOff); h != c.head {
-			return fmt.Errorf("invariant: persistent Head %d != cached %d", h, c.head)
-		}
-		if t := c.loadPointer(c.lay.TailOff); t != c.tail {
-			return fmt.Errorf("invariant: persistent Tail %d != cached %d", t, c.tail)
+		if t := c.loadPointer(c.lay.ringTailOff(r)); t != rst.tail {
+			return fmt.Errorf("invariant: ring %d persistent Tail %d != cached %d", r, t, rst.tail)
 		}
 	}
 
@@ -160,7 +142,7 @@ func (c *Cache) CheckInvariants() error {
 	// Free monitor, referenced blocks and orphaned (view-held) blocks must
 	// partition the data area. Every allocator push during an eviction
 	// happens under the victim's shard lock, so holding all shard locks
-	// (plus c.mu against commits and fills) makes the snapshot consistent;
+	// (plus the ring locks against commits) makes the snapshot consistent;
 	// pins are stable because the caller is quiescent (no views opening).
 	freeB, freeS := c.alloc.snapshot()
 	if len(freeB)+len(usedBlock)+len(orphaned) != c.lay.Capacity {
@@ -190,6 +172,8 @@ func (c *Cache) CheckInvariants() error {
 func (c *Cache) ResidentBlocks() map[uint64]bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.lockRings()
+	defer c.unlockRings()
 	c.lockAllShards()
 	defer c.unlockAllShards()
 	out := make(map[uint64]bool)

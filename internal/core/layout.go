@@ -17,6 +17,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"tinca/internal/blockdev"
@@ -32,12 +33,14 @@ const EntrySize = 16
 // RingSlotSize is the size of one ring-buffer element (8B, Section 4.4).
 const RingSlotSize = 8
 
-// mrSlotSize is the size of one multi-ring log record (Options.CommitRings
-// > 1): the 8B on-disk block number plus the 8B commit-point generation,
-// persisted together with one failure-atomic Store16. The single-ring
-// layout has no generation (Head order is the commit order), but with R
-// independent rings only the global generation counter totally orders
-// seals, so every record must carry it.
+// mrSlotSize is the size of one log record when the log is split into
+// several rings (Layout.Rings > 1): the 8B on-disk block number plus the 8B
+// commit-point generation, persisted together with one failure-atomic
+// Store16. The single ring keeps the paper's 8B slot and no generation
+// (Head order is the commit order); with R independent rings only the
+// global generation counter totally orders seals, so every record must
+// carry it. writeRecord/readRecord/recordOff below are the only code that
+// knows the difference.
 const mrSlotSize = 16
 
 // DefaultRingBytes is the paper's default ring buffer size (1MB).
@@ -127,52 +130,33 @@ const DefaultPtrSlots = 8
 
 func alignUp(x, a int) int { return (x + a - 1) / a * a }
 
-// ComputeLayout fits the Tinca regions into an NVM device of devSize bytes
-// with the requested ring size and pointer-rotation factor (ptrSlots <= 1
-// keeps the paper's fixed Head/Tail lines). It returns an error when the
-// device is too small to hold even a handful of blocks.
-func ComputeLayout(devSize, ringBytes, ptrSlots int) (Layout, error) {
-	return ComputeLayoutFlight(devSize, ringBytes, ptrSlots, 0)
+// LayoutParams are the knobs of ComputeLayout beyond the device size. The
+// zero value is the paper's Figure 5 layout with the default 1MB ring.
+type LayoutParams struct {
+	RingBytes   int  // ring-buffer bytes, split evenly over Rings (0 = DefaultRingBytes)
+	PtrSlots    int  // wear-leveling rotation lines per Head/Tail pointer (<= 1 keeps one fixed line)
+	FlightSlots int  // 64B flight-recorder records between the ring and the entry table (0 = no region)
+	Checkpoint  bool // carve the checkpoint region (DESIGN.md §14) ahead of the entry table
+	Rings       int  // independent commit rings (<= 1 = the paper's single ring)
 }
 
-// ComputeLayoutFlight is ComputeLayout plus a flight-recorder region of
-// flightSlots 64B records (0 = none). The region sits between the ring and
-// the entry table, so enabling it shifts the entry/data areas and shaves a
-// few blocks off Capacity (256 slots = 16KiB = 4 data blocks).
-func ComputeLayoutFlight(devSize, ringBytes, ptrSlots, flightSlots int) (Layout, error) {
-	return ComputeLayoutExt(devSize, ringBytes, ptrSlots, flightSlots, false)
-}
-
-// ComputeLayoutExt is ComputeLayoutFlight plus an optional checkpoint
-// region (DESIGN.md §14) between the flight region and the entry table:
-// a delta journal of Capacity+8 8B slots and two alternating snapshot
-// frames of one 64B header plus Capacity 24B records each. The region is
-// sized per candidate capacity inside the solve loop, since both the
-// journal and the frames scale with the entry count. With checkpoint off
-// the layout is byte-identical to ComputeLayoutFlight's.
-func ComputeLayoutExt(devSize, ringBytes, ptrSlots, flightSlots int, checkpoint bool) (Layout, error) {
-	return ComputeLayoutRings(devSize, ringBytes, ptrSlots, flightSlots, checkpoint, 1)
-}
-
-// ComputeLayoutRings is ComputeLayoutExt plus the multi-ring split
-// (Options.CommitRings, DESIGN.md §15): with rings > 1 the Head/Tail
-// pointer areas replicate per ring and the ring-buffer bytes divide into
-// rings equal sub-rings of 16B generation-stamped records. rings <= 1
-// yields a layout byte-identical to ComputeLayoutExt's.
-func ComputeLayoutRings(devSize, ringBytes, ptrSlots, flightSlots int, checkpoint bool, rings int) (Layout, error) {
+// ComputeLayout fits the Tinca regions into an NVM device of devSize bytes.
+// Every optional region collapses to nothing when its parameter is zero, so
+// the zero LayoutParams yield the paper's layout byte for byte: the flight
+// region (256 slots = 16KiB = 4 data blocks) and the checkpoint region (a
+// delta journal of Capacity+8 8B slots plus two alternating snapshot
+// frames, sized per candidate capacity inside the solve loop) shift the
+// entry/data areas and shave blocks off Capacity; with Rings > 1 the
+// Head/Tail pointer areas replicate per ring and the ring bytes divide into
+// Rings equal sub-rings of 16B generation-stamped records. It returns an
+// error when the device is too small to hold even a handful of blocks.
+func ComputeLayout(devSize int, p LayoutParams) (Layout, error) {
+	ringBytes := p.RingBytes
 	if ringBytes <= 0 {
 		ringBytes = DefaultRingBytes
 	}
-	if ptrSlots <= 1 {
-		ptrSlots = 1
-	}
-	if flightSlots < 0 {
-		flightSlots = 0
-	}
-	if rings < 1 {
-		rings = 1
-	}
 	ringBytes = alignUp(ringBytes, pmem.LineSize)
+	ptrSlots, flightSlots, rings := max(p.PtrSlots, 1), max(p.FlightSlots, 0), max(p.Rings, 1)
 	var l Layout
 	l.HeaderOff = 0
 	l.PtrSlots = ptrSlots
@@ -180,20 +164,17 @@ func ComputeLayoutRings(devSize, ringBytes, ptrSlots, flightSlots int, checkpoin
 	l.HeadOff = pmem.LineSize
 	l.TailOff = l.HeadOff + rings*ptrSlots*pmem.LineSize
 	l.RingOff = l.TailOff + rings*ptrSlots*pmem.LineSize
+	l.RingSlots = ringBytes / RingSlotSize
 	if rings > 1 {
-		// Per-ring slot count: the ring budget splits evenly, each record
+		// Per-ring record count: the ring budget splits evenly, each record
 		// is 16B, and the per-ring region stays line-aligned (4 records
 		// per line) so sub-ring boundaries never share a cache line.
-		per := ringBytes / (rings * mrSlotSize) / 4 * 4
-		if per < 8 {
+		l.RingSlots = ringBytes / (rings * mrSlotSize) / 4 * 4
+		if l.RingSlots < 8 {
 			return Layout{}, fmt.Errorf("core: %d-byte ring too small for %d commit rings", ringBytes, rings)
 		}
-		l.RingSlots = per
-		l.FlightOff = l.RingOff + rings*per*mrSlotSize
-	} else {
-		l.RingSlots = ringBytes / RingSlotSize
-		l.FlightOff = l.RingOff + ringBytes
 	}
+	l.FlightOff = l.RingOff + rings*l.RingSlots*l.recordSize()
 	l.FlightSlots = flightSlots
 	ckptBase := l.FlightOff + flightSlots*pmem.LineSize
 
@@ -203,12 +184,12 @@ func ComputeLayoutRings(devSize, ringBytes, ptrSlots, flightSlots int, checkpoin
 	// walk down until the exact region sizes (alignment padding included)
 	// fit the device.
 	perBlock := BlockSize + EntrySize
-	if checkpoint {
+	if p.Checkpoint {
 		perBlock += RingSlotSize + 2*ckptRecSize
 	}
 	cap := (devSize - ckptBase) / perBlock
 	for cap > 0 {
-		if checkpoint {
+		if p.Checkpoint {
 			jSlots := cap + 8
 			l.CkptOff = ckptBase
 			l.CkptJournalSlots = jSlots
@@ -228,10 +209,30 @@ func ComputeLayoutRings(devSize, ringBytes, ptrSlots, flightSlots int, checkpoin
 		return Layout{}, fmt.Errorf("core: NVM device too small (%d bytes) for a Tinca layout with a %d-byte ring", devSize, ringBytes)
 	}
 	l.Capacity = cap
-	if checkpoint {
+	if p.Checkpoint {
 		l.CkptJournalSlots = cap + 8
 	}
 	return l, nil
+}
+
+// version returns the on-NVM layout version this geometry is written
+// under, and headerRings the value of the header's ring-count field:
+// single-ring images predate the field and hold 0.
+func (l Layout) version() uint64 {
+	switch {
+	case l.Rings > 1:
+		return layoutVersionRings
+	case l.CkptJournalSlots > 0:
+		return layoutVersionCkpt
+	}
+	return layoutVersion
+}
+
+func (l Layout) headerRings() uint64 {
+	if l.Rings > 1 {
+		return uint64(l.Rings)
+	}
+	return 0
 }
 
 // entryOff returns the NVM offset of entry slot i.
@@ -239,12 +240,6 @@ func (l Layout) entryOff(i int) int { return l.EntryOff + i*EntrySize }
 
 // blockOff returns the NVM offset of data block b.
 func (l Layout) blockOff(b uint32) int { return l.DataOff + int(b)*BlockSize }
-
-// ringSlotOff returns the NVM offset of the ring slot for monotonic
-// position p (slots are used round-robin).
-func (l Layout) ringSlotOff(p uint64) int {
-	return l.RingOff + int(p%uint64(l.RingSlots))*RingSlotSize
-}
 
 // ckptJournalOff returns the NVM offset of checkpoint-journal slot j.
 func (l Layout) ckptJournalOff(j int) int { return l.CkptOff + j*RingSlotSize }
@@ -270,50 +265,68 @@ func (l Layout) ckptFrameOff(k int) int {
 	return l.CkptOff + alignUp(l.CkptJournalSlots*RingSlotSize, pmem.LineSize) + k*l.ckptFrameBytes()
 }
 
-// headSlotOff returns where to store Head value v: with wear leveling the
-// store rotates across PtrSlots cache lines (the value itself selects the
-// slot, so recovery can take the maximum over all slots).
-func (l Layout) headSlotOff(v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.HeadOff
-	}
-	return l.HeadOff + int(v%uint64(l.PtrSlots))*pmem.LineSize
-}
-
-// tailSlotOff is headSlotOff for the Tail pointer.
-func (l Layout) tailSlotOff(v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.TailOff
-	}
-	return l.TailOff + int(v%uint64(l.PtrSlots))*pmem.LineSize
-}
-
 // ringHeadOff returns the base of ring r's Head rotation-slot area
-// (PtrSlots cache lines). Ring 0 coincides with the single-ring HeadOff.
+// (PtrSlots cache lines); ring 0's is HeadOff.
 func (l Layout) ringHeadOff(r int) int { return l.HeadOff + r*l.PtrSlots*pmem.LineSize }
 
 // ringTailOff is ringHeadOff for the Tail pointer.
 func (l Layout) ringTailOff(r int) int { return l.TailOff + r*l.PtrSlots*pmem.LineSize }
 
-// ringHeadSlotOff returns where to store ring r's Head value v, rotating
-// across the ring's PtrSlots lines exactly like headSlotOff.
+// ringHeadSlotOff returns where to store ring r's Head value v: with wear
+// leveling the store rotates across the ring's PtrSlots cache lines (the
+// value itself selects the line, so recovery can take the maximum over all
+// of them).
 func (l Layout) ringHeadSlotOff(r int, v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.ringHeadOff(r)
-	}
 	return l.ringHeadOff(r) + int(v%uint64(l.PtrSlots))*pmem.LineSize
 }
 
 // ringTailSlotOff is ringHeadSlotOff for the Tail pointer.
 func (l Layout) ringTailSlotOff(r int, v uint64) int {
-	if l.PtrSlots <= 1 {
-		return l.ringTailOff(r)
-	}
 	return l.ringTailOff(r) + int(v%uint64(l.PtrSlots))*pmem.LineSize
 }
 
-// mrSlotOff returns the NVM offset of ring r's 16B log record for
-// monotonic per-ring position p (multi-ring layouts only).
-func (l Layout) mrSlotOff(r int, p uint64) int {
-	return l.RingOff + r*l.RingSlots*mrSlotSize + int(p%uint64(l.RingSlots))*mrSlotSize
+// The log record format is the one thing about the commit log that depends
+// on the ring count. A single ring keeps the paper's 8-byte block-number
+// slot: there is one pending window, Head order is the commit order, and
+// readRecord reports generation 0 for every record so the whole window
+// reads as one seal. Several rings hold 16-byte {block number, generation}
+// records, because only the generation orders seals across rings.
+
+// recordSize is the size of one log record.
+func (l Layout) recordSize() int {
+	if l.Rings > 1 {
+		return mrSlotSize
+	}
+	return RingSlotSize
+}
+
+// recordOff returns the NVM offset of ring r's log record for monotonic
+// per-ring position p (records are used round-robin).
+func (l Layout) recordOff(r int, p uint64) int {
+	return l.RingOff + (r*l.RingSlots+int(p%uint64(l.RingSlots)))*l.recordSize()
+}
+
+// writeRecord stores and flushes (no fence) the record naming disk block no
+// under commit-point generation gen at position p of ring r.
+func (l Layout) writeRecord(mem *pmem.Device, r int, p, no, gen uint64) {
+	off := l.recordOff(r, p)
+	if l.Rings > 1 {
+		var rec [mrSlotSize]byte
+		binary.LittleEndian.PutUint64(rec[0:], no)
+		binary.LittleEndian.PutUint64(rec[8:], gen)
+		mem.Store16(off, rec)
+	} else {
+		mem.Store8(off, no)
+	}
+	mem.CLFlush(off, l.recordSize())
+}
+
+// readRecord loads the record at position p of ring r.
+func (l Layout) readRecord(mem *pmem.Device, r int, p uint64) (no, gen uint64) {
+	off := l.recordOff(r, p)
+	if l.Rings > 1 {
+		v := mem.Load16(off)
+		return binary.LittleEndian.Uint64(v[0:8]), binary.LittleEndian.Uint64(v[8:16])
+	}
+	return mem.Load8(off), 0
 }

@@ -22,7 +22,7 @@ func mrOpts() Options {
 // TestMultiRingStress hammers a CommitRings=16 cache with 16 disjoint-
 // shard committers (one private ring each), a cross-shard committer, the
 // watermark evictor, and the checkpoint writer firing at every commit
-// point — the full concurrency matrix of DESIGN.md §15, run under -race
+// point — the full concurrency matrix of DESIGN.md §8, run under -race
 // in CI. Afterwards the per-ring counters must account for every seal,
 // invariants must hold, and a clean reopen must serve the data back.
 func TestMultiRingStress(t *testing.T) {
@@ -162,7 +162,7 @@ func TestMultiRingWrappedBoundarySweep(t *testing.T) {
 	}
 }
 
-// TestMultiRingSerialParallelParity is the §15 determinism contract: for
+// TestMultiRingSerialParallelParity is the §8 determinism contract: for
 // every crash boundary of a checkpointed multi-ring workload, recovering
 // with SerialRecovery and with the default parallel fan-out must produce
 // bit-identical persistent images, identical block contents, the same
@@ -240,41 +240,5 @@ func TestMultiRingSerialParallelParity(t *testing.T) {
 		if k > 500 {
 			k += 23
 		}
-	}
-}
-
-// TestMultiRingSingleRingIdentity pins the compatibility contract:
-// CommitRings=1 must produce a layout and commit path byte-identical to
-// leaving the option unset — same persistent image, same simulated clock
-// — so existing deterministic figures and crash images are unaffected.
-func TestMultiRingSingleRingIdentity(t *testing.T) {
-	run := func(opts Options) ([]byte, uint64) {
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(4<<20, pmem.NVDIMM, clock, rec)
-		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := Open(mem, disk, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 12; i++ {
-			fill := byte('A' + i)
-			blocks := []uint64{uint64(i), uint64(i + 7), uint64(i + 19)}
-			if err := c.CommitBlocks(blocks, [][]byte{blockOf(fill), blockOf(fill), blockOf(fill)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return mem.SnapshotPersist(), uint64(clock.Now())
-	}
-	defImg, defNow := run(Options{RingBytes: 4096})
-	oneImg, oneNow := run(Options{RingBytes: 4096, CommitRings: 1})
-	if defNow != oneNow {
-		t.Fatalf("CommitRings=1 charged different simulated time: %d vs %d", oneNow, defNow)
-	}
-	if !bytes.Equal(defImg, oneImg) {
-		t.Fatal("CommitRings=1 persistent image differs from the default single-ring layout")
 	}
 }

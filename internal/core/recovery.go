@@ -112,12 +112,12 @@ func mirrorSet(mirror []byte, i int32, e entry) {
 // switches (redo); if none has switched, recovery revokes them all (undo).
 // Both directions restore all-or-nothing semantics.
 //
-// Group commit (group.go) needs no changes here: a coalesced seal keeps
+// Group commit (seal.go) needs no changes here: a coalesced seal keeps
 // the same persist order, so recovery sees it as one larger interrupted
 // transaction and replays it exactly as it would N sequential seals —
 // either the whole batch redone or the whole batch revoked, which is
 // correct because no transaction in the batch was acknowledged before the
-// batch's single Tail flip.
+// batch's last Tail flip.
 //
 // Restart-time shape (DESIGN.md §14): the entry table reaches DRAM either
 // via a striped bulk load (checkpoint off — O(capacity) NVM reads) or via
@@ -142,39 +142,24 @@ func (c *Cache) recover() error {
 	}
 	c.flEmit(flight.EvRecoverBegin, 0, 0, 0, 0)
 
-	if len(c.rings) > 0 {
-		// Multi-ring layout: each ring's pointer pair recovers independently
-		// (max over its own rotation slots); RingSpan sums the pending
-		// windows. The global head/tail stay zero — nothing reads them.
-		span := uint64(0)
-		for r := range c.rings {
-			rst := &c.rings[r]
-			rst.head = c.loadPointer(c.lay.ringHeadOff(r))
-			rst.tail = c.loadPointer(c.lay.ringTailOff(r))
-			if rst.head < rst.tail {
-				return c.recoverFail(recFailHeadBehindTail, rst.tail,
-					fmt.Errorf("core: recovery found ring %d Head %d behind Tail %d", r, rst.head, rst.tail))
-			}
-			if rst.head-rst.tail > uint64(c.lay.RingSlots) {
-				return c.recoverFail(recFailRingSpan, rst.head-rst.tail,
-					fmt.Errorf("core: recovery found ring %d span %d beyond capacity %d", r, rst.head-rst.tail, c.lay.RingSlots))
-			}
-			span += rst.head - rst.tail
+	// Each ring's pointer pair recovers independently (max over its own
+	// rotation slots); RingSpan sums the pending windows.
+	span := uint64(0)
+	for r := range c.rings {
+		rst := &c.rings[r]
+		rst.head = c.loadPointer(c.lay.ringHeadOff(r))
+		rst.tail = c.loadPointer(c.lay.ringTailOff(r))
+		if rst.head < rst.tail {
+			return c.recoverFail(recFailHeadBehindTail, rst.tail,
+				fmt.Errorf("core: recovery found ring %d Head %d behind Tail %d", r, rst.head, rst.tail))
 		}
-		rs.RingSpan = int64(span)
-	} else {
-		c.head = c.loadPointer(c.lay.HeadOff)
-		c.tail = c.loadPointer(c.lay.TailOff)
-		if c.head < c.tail {
-			return c.recoverFail(recFailHeadBehindTail, c.tail,
-				fmt.Errorf("core: recovery found Head %d behind Tail %d", c.head, c.tail))
+		if rst.head-rst.tail > uint64(c.lay.RingSlots) {
+			return c.recoverFail(recFailRingSpan, rst.head-rst.tail,
+				fmt.Errorf("core: recovery found ring %d span %d beyond capacity %d", r, rst.head-rst.tail, c.lay.RingSlots))
 		}
-		if c.head-c.tail > uint64(c.lay.RingSlots) {
-			return c.recoverFail(recFailRingSpan, c.head-c.tail,
-				fmt.Errorf("core: recovery found ring span %d beyond capacity %d", c.head-c.tail, c.lay.RingSlots))
-		}
-		rs.RingSpan = int64(c.head - c.tail)
+		span += rst.head - rst.tail
 	}
+	rs.RingSpan = int64(span)
 
 	// Bring the entry table into DRAM: bulk-striped from NVM, or from the
 	// newest checkpoint frame plus the delta journal.
@@ -229,55 +214,8 @@ func (c *Cache) recover() error {
 	}
 	c.flEmit(flight.EvRecoverScan, 0, 0, 0, uint64(rs.EntriesScanned))
 
-	if len(c.rings) > 0 {
-		if err := c.recoverMultiRing(mirror, &byDisk, rs); err != nil {
-			return err
-		}
-	} else if c.head != c.tail {
-		// Collect the interrupted transaction's entries.
-		slots := make([]int32, 0, c.head-c.tail)
-		redo := false
-		for p := c.tail; p < c.head; p++ {
-			no := c.mem.Load8(c.lay.ringSlotOff(p))
-			i, ok := byDisk[shardIdx(no)][no]
-			if !ok {
-				// The entry is persisted and flushed before the ring slot,
-				// so a recorded block always has an entry.
-				return c.recoverFail(recFailUnmappedBlock, no,
-					fmt.Errorf("core: ring names disk block %d with no cache entry", no))
-			}
-			if mirrorEntry(mirror, i).role == RoleBuffer {
-				redo = true
-			}
-			slots = append(slots, i)
-		}
-		if redo {
-			rs.Redo = true
-			for _, i := range slots {
-				if e := mirrorEntry(mirror, i); e.role == RoleLog {
-					c.recoverSwitch(mirror, i, e)
-					rs.EntriesRedone++
-				}
-			}
-			c.setTail(c.head)
-		} else {
-			// Undo. Persist Tail over the range *before* revoking: Tail
-			// only moves forward, so the wear-leveled pointer slots make
-			// it durable, and if recovery itself crashes mid-revocation
-			// the next pass sees Head == Tail and the stray-log sweep
-			// below finishes the undo. Revoking first would be misread
-			// by that re-run: a half-revoked range contains buffer-role
-			// entries, indistinguishable from a half-switched commit,
-			// and the remaining log entries would be wrongly redone —
-			// resurrecting half of a transaction that was being revoked.
-			c.setTail(c.head)
-			for _, i := range slots {
-				if e := mirrorEntry(mirror, i); e.role == RoleLog {
-					c.recoverRevoke(mirror, i, e, &byDisk)
-					rs.EntriesUndone++
-				}
-			}
-		}
+	if err := c.recoverMultiRing(mirror, &byDisk, rs); err != nil {
+		return err
 	}
 	tBranch := int64(clock.Now())
 	// Satellite fix: the redo span and flight record are emitted only when
@@ -329,8 +267,10 @@ func (c *Cache) recover() error {
 	return nil
 }
 
-// recoverMultiRing replays the per-ring pending windows of a multi-ring
-// layout (CommitRings > 1) — the k-way generation merge of DESIGN.md §15.
+// recoverMultiRing replays the per-ring pending windows — the k-way
+// generation merge of DESIGN.md §8. On the single-ring layout readRecord
+// reports generation 0 for every record, so the one pending window is one
+// seal and the merge degenerates to the paper's Head-vs-Tail rule.
 //
 // Structure of the pending state: a ring's Head advances only in seal
 // phase C and its Tail only in phase E, both under the ring's seal lock,
@@ -355,9 +295,14 @@ func (c *Cache) recover() error {
 // emitted after the last flip, so the transaction was never acknowledged
 // and either outcome is legal. If no entry switched, the whole
 // transaction is revoked: the participating Tails are persisted over the
-// pending records FIRST (same re-crash argument as the single-ring undo
-// — a half-revoked range must not be misread as a half-switched commit
-// by a recovery re-run), then each entry rolls back. Records that never
+// pending records FIRST, then each entry rolls back: Tail only moves
+// forward, so the wear-leveled pointer slots make it durable, and if
+// recovery itself crashes mid-revocation the next pass sees Head == Tail
+// and the stray-log sweep finishes the undo. Revoking first would be
+// misread by that re-run: a half-revoked range contains buffer-role
+// entries, indistinguishable from a half-switched commit, and the
+// remaining log entries would be wrongly redone — resurrecting half of a
+// transaction that was being revoked. Records that never
 // made it into any pending window (a crash before that ring's Head
 // persist) leave stray log-role entries for the sweep that follows.
 func (c *Cache) recoverMultiRing(mirror []byte, byDisk *[shardCount]map[uint64]int32, rs *RecoveryStats) error {
@@ -366,15 +311,12 @@ func (c *Cache) recoverMultiRing(mirror []byte, byDisk *[shardCount]map[uint64]i
 		slots []int32
 		rings []int // participating rings, ascending by construction
 	}
-	var seals []*pendingSeal
-	byGen := make(map[uint64]*pendingSeal)
+	var seals []*pendingSeal // at most one pending generation per ring
 	maxGen := uint64(0)
 	for r := range c.rings {
 		rst := &c.rings[r]
 		for p := rst.tail; p < rst.head; p++ {
-			v := c.mem.Load16(c.lay.mrSlotOff(r, p))
-			no := binary.LittleEndian.Uint64(v[0:8])
-			gen := binary.LittleEndian.Uint64(v[8:16])
+			no, gen := c.lay.readRecord(c.mem, r, p)
 			i, ok := byDisk[shardIdx(no)][no]
 			if !ok {
 				// Entries persist (phase B, fenced) before ring records
@@ -382,10 +324,15 @@ func (c *Cache) recoverMultiRing(mirror []byte, byDisk *[shardCount]map[uint64]i
 				return c.recoverFail(recFailUnmappedBlock, no,
 					fmt.Errorf("core: ring %d names disk block %d with no cache entry", r, no))
 			}
-			ps := byGen[gen]
+			var ps *pendingSeal
+			for _, s := range seals {
+				if s.gen == gen {
+					ps = s
+					break
+				}
+			}
 			if ps == nil {
 				ps = &pendingSeal{gen: gen}
-				byGen[gen] = ps
 				seals = append(seals, ps)
 			}
 			ps.slots = append(ps.slots, i)
@@ -440,10 +387,9 @@ func (c *Cache) recoverMultiRing(mirror []byte, byDisk *[shardCount]map[uint64]i
 	// A checkpointed restart restored the counter from the frame header
 	// (every generation sealed before the checkpoint is ≤ that value);
 	// pending generations postdate it and are folded in here. Without a
-	// checkpoint the counter restarts above the pending window only — the
-	// same "reset unless checkpointed" semantics the single-ring seal
-	// sequence has always had, and safe because recovery and the oracles
-	// only ever compare generations within one crash epoch.
+	// checkpoint the counter restarts above the pending window only — safe
+	// because recovery and the oracles only ever compare generations within
+	// one crash epoch.
 	if maxGen > c.gen.Load() {
 		c.gen.Store(maxGen)
 	}
@@ -500,12 +446,9 @@ func (c *Cache) loadMirrorCheckpoint(mirror []byte, rs *RecoveryStats, now int64
 	// Striped bulk load of the frame payload, checksum-verified in DRAM.
 	// On the multi-ring layout the payload opens with the per-ring
 	// {head, tail} vector (diagnostic — the pointers themselves recover
-	// from their rotation slots); it is loaded serially, then the records
-	// stripe exactly as on the single-ring layout.
-	vecBytes := 0
-	if len(c.rings) > 0 {
-		vecBytes = lay.ckptVecBytes()
-	}
+	// from their rotation slots; zero bytes on the single-ring layout); it
+	// is loaded serially, then the records stripe.
+	vecBytes := lay.ckptVecBytes()
 	payload := make([]byte, vecBytes+count*ckptRecSize)
 	base := lay.ckptFrameOff(best) + ckptFrameHdr
 	if vecBytes > 0 {
@@ -576,15 +519,9 @@ func (c *Cache) loadMirrorCheckpoint(mirror []byte, rs *RecoveryStats, now int64
 			k.marks = append(k.marks, s)
 		}
 	}
-	// Seal numbering resumes from the checkpoint so SealHook sequences
-	// stay monotonic across a checkpointed restart. On the multi-ring
-	// layout the header's seq field carries the generation counter
-	// instead (writeCheckpointLocked stores whichever the layout uses).
-	if len(c.rings) > 0 {
-		c.gen.Store(binary.LittleEndian.Uint64(bestH[32:]))
-	} else {
-		c.sealSeq = binary.LittleEndian.Uint64(bestH[32:])
-	}
+	// The generation counter resumes from the checkpoint so SealHook
+	// sequences stay monotonic across a checkpointed restart.
+	c.gen.Store(binary.LittleEndian.Uint64(bestH[32:]))
 
 	rs.FromCheckpoint = true
 	rs.CkptEpoch = bestEpoch
@@ -625,10 +562,11 @@ func (c *Cache) recoverRevoke(mirror []byte, i int32, e entry, byDisk *[shardCou
 // Tail past the range first (see the abort path in commit): Head is never
 // rolled back, because the wear-leveled pointer slots recover via max, so
 // a smaller Head could not be made durable — the consumed ring slots are
-// simply wasted and reused on the ring's next lap. Caller holds c.mu.
+// simply wasted and reused on the ring's next lap. Serial path only (one
+// ring); caller holds c.mu.
 func (c *Cache) revokeRange(from, to uint64) {
 	for p := from; p < to; p++ {
-		no := c.mem.Load8(c.lay.ringSlotOff(p))
+		no, _ := c.lay.readRecord(c.mem, 0, p)
 		sh := c.shardOf(no)
 		sh.mu.Lock()
 		i, ok := sh.slot(no)

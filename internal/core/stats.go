@@ -25,7 +25,7 @@ type CacheStats struct {
 
 	// Zero-copy read views (view.go). ZeroCopyViews alias pinned NVM
 	// bytes; CopiedViews fell back to a private copy (serial/ablation
-	// modes, DisableZeroCopy, mid-seal fresh blocks). ViewDeferredFrees
+	// modes, mid-seal fresh blocks). ViewDeferredFrees
 	// counts block frees handed off to a view's last unpin; OpenViews is
 	// the live gauge of unclosed views.
 	ZeroCopyViews     int64
@@ -59,11 +59,12 @@ type CacheStats struct {
 	GroupedTxns    int64 // transactions absorbed into those seals
 	AbsorbedBlocks int64 // duplicate blocks absorbed within seals
 
-	// Multi-ring commit (CommitRings > 1; nil/zero otherwise).
-	// RingSeals[r] counts seals ring r participated in (a cross-shard
-	// seal counts once per participating ring); RingQueueDepth[r] is the
-	// live per-ring commit-queue gauge. RingSealConflicts counts ring
-	// locks a cross-shard committer found contended.
+	// Per-ring commit counters; both slices have one element per commit
+	// ring (length max(CommitRings, 1), so never empty). RingSeals[r]
+	// counts seals ring r participated in (a cross-shard seal counts once
+	// per participating ring); RingQueueDepth[r] is the live per-ring
+	// commit-queue gauge. CrossShardTxns and RingSealConflicts (ring locks
+	// a cross-shard committer found contended) stay zero on one ring.
 	RingSeals         []int64
 	RingQueueDepth    []int64
 	CrossShardTxns    int64
@@ -196,21 +197,19 @@ func (c *Cache) Stats() CacheStats {
 		CopiedViews:           r.Get(metrics.CacheViewCopied),
 		ViewDeferredFrees:     r.Get(metrics.CacheViewDeferFree),
 		OpenViews:             c.viewsOpen.Load(),
+		CrossShardTxns:        r.Get(metrics.TxnCrossShard),
+		RingSealConflicts:     r.Get(metrics.TxnRingSealConflicts),
 	}
 	for s := range c.shards {
 		if idx := c.shards[s].idx; idx != nil {
 			st.IndexGrows += idx.Grows()
 		}
 	}
-	if len(c.rings) > 0 {
-		st.CrossShardTxns = r.Get(metrics.TxnCrossShard)
-		st.RingSealConflicts = r.Get(metrics.TxnRingSealConflicts)
-		st.RingSeals = make([]int64, len(c.rings))
-		st.RingQueueDepth = make([]int64, len(c.rings))
-		for i := range c.rings {
-			st.RingSeals[i] = c.rings[i].seals.Load()
-			st.RingQueueDepth[i] = c.rings[i].depth.Load()
-		}
+	st.RingSeals = make([]int64, len(c.rings))
+	st.RingQueueDepth = make([]int64, len(c.rings))
+	for i := range c.rings {
+		st.RingSeals[i] = c.rings[i].seals.Load()
+		st.RingQueueDepth[i] = c.rings[i].depth.Load()
 	}
 	if c.obs != nil {
 		st.CommitLatency = c.obs.total.Snapshot().Summary()

@@ -19,8 +19,9 @@ type Txn struct {
 	order  []uint64
 	done   bool
 
-	// sealSeq is the sequence number of the seal this transaction was
-	// committed under (0 until a seal claims it). Written under c.mu.
+	// sealSeq is the generation of the seal this transaction was
+	// committed under (0 until a seal claims it). Written under the seal
+	// locks of the transaction's rings.
 	sealSeq uint64
 }
 
@@ -90,7 +91,7 @@ func (t *Txn) Abort() {
 //  4. set Tail = Head; this atomic store is the commit point.
 //
 // In the default configuration concurrently arriving Commits coalesce
-// into a single seal (see group.go): the protocol's persist order is kept
+// into a single seal (see seal.go): the protocol's persist order is kept
 // but its fences and pointer flips are paid once per batch. Ablation
 // configurations keep the paper's one-transaction-at-a-time commit.
 //
@@ -109,40 +110,42 @@ func (t *Txn) Commit() error {
 		t.done = true
 		return nil
 	}
-	if len(c.rings) > 0 {
-		// Multi-ring commit (CommitRings > 1): per-ring capacity checks and
-		// routing live in commitMultiRing — RingSlots is per ring there.
+	if !c.serial {
+		// Per-ring capacity checks and routing live in commitMultiRing.
 		return c.commitMultiRing(t)
 	}
 	if len(t.order) > c.lay.RingSlots {
 		return ErrTxnTooLarge
 	}
-	if c.serial {
-		var t0 int64
-		if c.obs != nil {
-			t0 = c.obs.now()
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.closed.Load() {
-			return ErrClosed
-		}
-		err := c.commitSerialLocked(t)
-		t.done = true
-		if c.obs != nil {
-			c.obs.phase(c.obs.total, 0, spanSerial, t0, c.obs.gid())
-		}
-		return err
+	var t0 int64
+	if c.obs != nil {
+		t0 = c.obs.now()
 	}
-	return c.groupCommit(t)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	err := c.commitSerialLocked(t)
+	if err == nil {
+		c.maybeCheckpoint() // takes the ring lock the commit just released
+	}
+	t.done = true
+	if c.obs != nil {
+		c.obs.phase(c.obs.total, 0, spanSerial, t0, c.obs.gid())
+	}
+	return err
 }
 
-// commitSerialLocked is the paper's one-transaction-at-a-time commit. It
-// serves the ablation configurations and the group path's fallback when a
-// merged batch cannot be allocated. Caller holds c.mu.
+// commitSerialLocked is the paper's one-transaction-at-a-time commit, kept
+// as the reference protocol the ablation configurations run — always on a
+// single ring, whose lock it holds throughout so the ring's cached pointers
+// have one guard in every mode. Caller holds c.mu.
 func (c *Cache) commitSerialLocked(t *Txn) error {
-	c.sealSeq++
-	t.sealSeq = c.sealSeq
+	rs := &c.rings[0]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	t.sealSeq = c.gen.Add(1)
 	c.flEmit(flight.EvSerialBegin, 0, t.sealSeq, uint64(len(t.order)), 0)
 	// Every slot this commit touches stays pinned (in its block's shard)
 	// until the Tail flip below is durable: after the role switch an
@@ -161,7 +164,7 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 		}
 	}
 	for _, no := range t.order {
-		slot, err := c.commitBlock(no, t.blocks[no])
+		slot, err := c.commitBlock(rs, no, t.blocks[no])
 		if err != nil {
 			// Allocation failure mid-commit: the blocks committed so far
 			// carry the log role. Persist Tail over the consumed ring
@@ -172,10 +175,10 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 			// through the max-recovered pointer slots, and a stale
 			// larger Head over revoked entries would fail recovery.
 			unpin()
-			start := c.tail
-			c.setTail(c.head)
-			c.revokeRange(start, c.head)
-			c.flEmit(flight.EvSealAbort, 0, t.sealSeq, c.head, uint64(c.head-start))
+			start := rs.tail
+			c.setTail(rs)
+			c.revokeRange(start, rs.head)
+			c.flEmit(flight.EvSealAbort, 0, t.sealSeq, rs.head, uint64(rs.head-start))
 			c.rec.Inc(metrics.TxnAbort)
 			return err
 		}
@@ -204,10 +207,10 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 	}
 
 	// Step 5: Tail catches up with Head; this ends the transaction.
-	c.setTail(c.head)
+	c.setTail(rs)
 	// After the flip, so this record durable implies the commit durable
 	// (the invariant the crash oracle checks against the recovered Tail).
-	c.flEmit(flight.EvSerialCommit, 0, t.sealSeq, c.head, uint64(len(t.order)))
+	c.flEmit(flight.EvSerialCommit, 0, t.sealSeq, rs.head, uint64(len(t.order)))
 	if c.opts.SealHook != nil {
 		c.opts.SealHook(t.sealSeq)
 	}
@@ -228,14 +231,13 @@ func (c *Cache) commitSerialLocked(t *Txn) error {
 
 	c.rec.Inc(metrics.TxnCommit)
 	c.rec.Add(metrics.TxnBlocks, int64(len(t.order)))
-	c.maybeCheckpoint()
 	return nil
 }
 
 // commitBlock writes one block of the committing transaction (steps 1-3 of
 // the protocol) and returns the entry slot used. Serial path only; caller
-// holds c.mu.
-func (c *Cache) commitBlock(no uint64, data []byte) (int32, error) {
+// holds c.mu and rs.mu.
+func (c *Cache) commitBlock(rs *ringState, no uint64, data []byte) (int32, error) {
 	var slot int32
 	h := shardIdx(no)
 	sh := c.shardOf(no)
@@ -354,9 +356,10 @@ func (c *Cache) commitBlock(no uint64, data []byte) (int32, error) {
 
 	// Record the block number in the ring and move Head (8B atomic writes
 	// each followed by clflush+sfence).
-	c.mem.Persist8(c.lay.ringSlotOff(c.head), no)
-	c.head++
-	c.mem.Persist8(c.lay.headSlotOff(c.head), c.head)
+	c.lay.writeRecord(c.mem, 0, rs.head, no, 0)
+	c.mem.SFence()
+	rs.head++
+	c.mem.Persist8(c.lay.ringHeadSlotOff(0, rs.head), rs.head)
 	return slot, nil
 }
 
@@ -403,10 +406,11 @@ func (c *Cache) persistBlockData(off int, data []byte) {
 	c.mem.PersistRange(off, data)
 }
 
-// setTail persists Tail = p. Caller holds c.mu.
-func (c *Cache) setTail(p uint64) {
-	c.tail = p
-	c.mem.Persist8(c.lay.tailSlotOff(p), p)
+// setTail persists ring rs's Tail = Head. Serial path only (ring 0);
+// caller holds rs.mu.
+func (c *Cache) setTail(rs *ringState) {
+	rs.tail = rs.head
+	c.mem.Persist8(c.lay.ringTailSlotOff(0, rs.tail), rs.tail)
 }
 
 // CommitBlocks is a convenience wrapper committing the given blocks as one

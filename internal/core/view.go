@@ -48,8 +48,7 @@ import (
 // Views over a mid-seal (log-role) block take the locked path and pin the
 // previous sealed version; the role switch's free of that version goes
 // through freeDataBlock too. Serial/ablation modes mutate cached bytes in
-// place (UBJ), so there ReadView degrades to a private copy, as it does
-// under Options.DisableZeroCopy.
+// place (UBJ), so there ReadView degrades to a private copy.
 
 // View is a read-only window onto one cached disk block, returned by
 // ReadView. Bytes() stays valid — a stable snapshot of the block's
@@ -80,8 +79,7 @@ func (v *View) Bytes() []byte {
 func (v *View) BlockNo() uint64 { return v.no }
 
 // ZeroCopy reports whether the view aliases pinned NVM bytes (false for
-// the private-copy fallbacks: serial mode, DisableZeroCopy, mid-seal
-// fresh blocks).
+// the private-copy fallbacks: serial mode, mid-seal fresh blocks).
 func (v *View) ZeroCopy() bool { return v.pinned }
 
 // Close releases the view: the pin is dropped (completing any free the
@@ -146,8 +144,8 @@ func (c *Cache) OpenViews() int64 { return c.viewsOpen.Load() }
 // disk block no, populating the cache on a miss exactly like Read. In
 // concurrent mode a hit pins the NVM block and aliases its bytes — the
 // simulated NVM cost matches Read's, but the host-side 4 KiB copy and
-// its allocation disappear; serial/ablation modes and DisableZeroCopy
-// fall back to a private copy with identical semantics. The caller must
+// its allocation disappear; serial/ablation modes fall back to a private
+// copy with identical semantics. The caller must
 // Close the view; until then the bytes are a stable snapshot even across
 // concurrent commits (COW) and evictions (deferred free).
 func (c *Cache) ReadView(no uint64) (View, error) {
@@ -159,7 +157,7 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 		return View{}, fmt.Errorf("core: ReadView of block %d beyond disk (%d blocks): %w",
 			no, c.disk.Blocks(), ErrOutOfRange)
 	}
-	if c.serial || c.opts.DisableZeroCopy {
+	if c.serial {
 		return c.readViewCopy(no)
 	}
 	for {
@@ -179,8 +177,7 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 		c.rec.Inc(metrics.CacheReadMiss)
 		if c.opts.SerialMiss {
 			err = func() error {
-				c.mu.Lock()
-				defer c.mu.Unlock()
+				defer c.lockSerialMiss(no)()
 				if c.closed.Load() {
 					return ErrClosed
 				}
@@ -199,9 +196,9 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 }
 
 // readViewCopy serves ReadView as a private copy through the ordinary
-// Read path: the serial/ablation modes (which mutate cached bytes in
-// place, leaving no stable window to alias) and the DisableZeroCopy
-// baseline. The copy lives in a bufpool buffer owned by the view.
+// Read path: the serial/ablation modes, which mutate cached bytes in
+// place, leaving no stable window to alias. The copy lives in a bufpool
+// buffer owned by the view.
 func (c *Cache) readViewCopy(no uint64) (View, error) {
 	buf := bufpool.Get()
 	if err := c.Read(no, buf); err != nil {

@@ -104,14 +104,13 @@ func TestReadViewBasics(t *testing.T) {
 }
 
 // TestReadViewCopyModes checks the configurations that must degrade to
-// private-copy views: DisableZeroCopy, and the serial ablations (which
-// mutate cached bytes in place, so aliasing would expose torn state).
+// private-copy views: the serial ablations, which mutate cached bytes in
+// place, so aliasing would expose torn state.
 func TestReadViewCopyModes(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
 		opts Options
 	}{
-		{"disable-zero-copy", Options{RingBytes: 4096, DisableZeroCopy: true}},
 		{"serial-double-write", Options{RingBytes: 4096, Ablation: AblationDoubleWrite}},
 		{"serial-ubj", Options{RingBytes: 4096, Ablation: AblationUBJ}},
 	} {

@@ -49,8 +49,8 @@ type EventType uint16
 const (
 	EvNone EventType = iota
 
-	// Group-commit seal lifecycle (core/group.go runBatch). Gen is the
-	// seal sequence number.
+	// Group-commit seal lifecycle (core/seal.go sealRings). Gen is the
+	// seal generation.
 	EvSealBegin    // Block = planned log entries, Arg = batch size (txns)
 	EvSealPersist  // Block = ring Head after the seal; emitted after the Tail flip (commit point)
 	EvSealComplete // volatile epilogue done (unpin, LRU, destage enqueue)
