@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -36,16 +35,8 @@ func main() {
 	observe := flag.Bool("observe", false, "enable latency histograms in every stack (DESIGN.md §9)")
 	traceOut := flag.String("trace-out", "", "write commit spans as Chrome trace_event JSON to this file (implies -observe)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address while running (implies -observe)")
-	benchJSON := flag.String("bench-json", "", "write each experiment's machine-readable metrics as JSON to this file (e.g. BENCH_core.json)")
-	maxDirectEvict := flag.Float64("max-direct-evict-pct", -1, "fail (exit 1) if any experiment reports a direct_evict_pct above this percentage; <0 disables")
-	minFastHit := flag.Float64("min-fast-hit-ratio", -1, "fail (exit 1) if any experiment reports a fast_hit_ratio below this fraction; <0 disables")
-	maxAllocs := flag.Float64("max-allocs-per-op", -1, "fail (exit 1) if any experiment reports an *_allocs_per_op metric above this value; <0 disables")
-	maxRecoveryGrowth := flag.Float64("max-recovery-growth", -1, "fail (exit 1) if recoveryscale reports recovery_scale_on_growth above this ratio (checkpointed restart must stay flat); <0 disables")
-	minWriterSpeedup := flag.Float64("min-writer-speedup", -1, "fail (exit 1) if writerscaling reports writer_speedup_8 below this factor (multi-ring commit at 8 disjoint committers); <0 disables")
-	minPrefetchSpeedup := flag.Float64("min-prefetch-speedup", -1, "fail (exit 1) if coldstart reports prefetch_speedup_x below this factor (read-ahead on a cold sequential scan from the object tier); <0 disables")
 	flag.Parse()
 	outputCSV = *format == "csv"
-	defer finish(*benchJSON, *maxDirectEvict, *minFastHit, *maxAllocs, *maxRecoveryGrowth, *minWriterSpeedup, *minPrefetchSpeedup)
 
 	var tracer *metrics.Tracer
 	if *traceOut != "" {
@@ -82,91 +73,6 @@ func main() {
 }
 
 var outputCSV bool
-
-// benchMetrics accumulates each experiment's Table.Metrics for the
-// -bench-json export and the -max-direct-evict-pct gate.
-var benchMetrics = make(map[string]map[string]float64)
-
-// finish writes the accumulated metrics and enforces the direct-eviction,
-// fast-hit, allocation, recovery-flatness, writer-scaling and tiering
-// prefetch gates. Runs deferred from main so both -fig and -all paths
-// share it.
-func finish(benchJSON string, maxDirectEvict, minFastHit, maxAllocs, maxRecoveryGrowth, minWriterSpeedup, minPrefetchSpeedup float64) {
-	if benchJSON != "" {
-		data, err := json.MarshalIndent(benchMetrics, "", "  ")
-		if err == nil {
-			err = os.WriteFile(benchJSON, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tincabench: -bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tincabench: wrote metrics for %d experiments to %s\n", len(benchMetrics), benchJSON)
-	}
-	if maxDirectEvict >= 0 {
-		for name, m := range benchMetrics {
-			if pct, ok := m["direct_evict_pct"]; ok && pct > maxDirectEvict {
-				fmt.Fprintf(os.Stderr,
-					"tincabench: %s: direct evictions were %.2f%% of evictions (max allowed %.2f%%) — the watermark evictor fell behind\n",
-					name, pct, maxDirectEvict)
-				os.Exit(1)
-			}
-		}
-	}
-	if minFastHit >= 0 {
-		for name, m := range benchMetrics {
-			if r, ok := m["fast_hit_ratio"]; ok && r < minFastHit {
-				fmt.Fprintf(os.Stderr,
-					"tincabench: %s: fast-hit ratio %.3f below the required %.3f — hits are falling back to the locked path\n",
-					name, r, minFastHit)
-				os.Exit(1)
-			}
-		}
-	}
-	if maxRecoveryGrowth >= 0 {
-		for name, m := range benchMetrics {
-			if g, ok := m["recovery_scale_on_growth"]; ok && g > maxRecoveryGrowth {
-				off := m["recovery_scale_off_growth"]
-				fmt.Fprintf(os.Stderr,
-					"tincabench: %s: checkpointed restart grew %.2fx from the smallest to the largest NVM size (max allowed %.2fx; full-scan baseline grew %.2fx) — recovery is scanning instead of loading the frame\n",
-					name, g, maxRecoveryGrowth, off)
-				os.Exit(1)
-			}
-		}
-	}
-	if minWriterSpeedup >= 0 {
-		for name, m := range benchMetrics {
-			if s, ok := m["writer_speedup_8"]; ok && s < minWriterSpeedup {
-				fmt.Fprintf(os.Stderr,
-					"tincabench: %s: multi-ring speedup at 8 disjoint committers was %.2fx (min required %.2fx) — per-shard rings are not overlapping seals\n",
-					name, s, minWriterSpeedup)
-				os.Exit(1)
-			}
-		}
-	}
-	if minPrefetchSpeedup >= 0 {
-		for name, m := range benchMetrics {
-			if s, ok := m["prefetch_speedup_x"]; ok && s < minPrefetchSpeedup {
-				fmt.Fprintf(os.Stderr,
-					"tincabench: %s: cold-scan prefetch speedup was %.2fx (min required %.2fx) — read-ahead is not overlapping object fetches\n",
-					name, s, minPrefetchSpeedup)
-				os.Exit(1)
-			}
-		}
-	}
-	if maxAllocs >= 0 {
-		for name, m := range benchMetrics {
-			for key, v := range m {
-				if strings.HasSuffix(key, "allocs_per_op") && v > maxAllocs {
-					fmt.Fprintf(os.Stderr,
-						"tincabench: %s: %s was %.3f (max allowed %.3f) — a warm read is allocating\n",
-						name, key, v, maxAllocs)
-					os.Exit(1)
-				}
-			}
-		}
-	}
-}
 
 // serveMetrics exposes the process-wide published recorders (each stack an
 // experiment brings up publishes its own) plus net/http/pprof. The server
@@ -219,9 +125,6 @@ func runOne(name string, o exp.Options) {
 			fmt.Print(t)
 		}
 		os.Exit(1)
-	}
-	if len(t.Metrics) > 0 {
-		benchMetrics[name] = t.Metrics
 	}
 	if outputCSV {
 		fmt.Printf("# %s\n%s\n", t.Title, t.CSV())

@@ -150,29 +150,12 @@ type Options struct {
 	// reclaims (the hysteresis above the low watermark). Zero picks a
 	// default; meaningless without EvictLowWater.
 	EvictBatch int
-	// SerialMiss forces read-miss fills through the legacy globally-locked
-	// path even in concurrent mode (misses on distinct blocks then
-	// serialize, and the fill's disk read happens under the global lock).
-	// This is the pre-concurrent-pipeline behaviour, kept as the baseline
-	// the miss-path scaling figure compares against.
-	SerialMiss bool
-	// LockedReadHit forces read hits through the shard-locked path even in
-	// concurrent mode, disabling the per-slot seqlock fast path (see
-	// readfast.go). This is the pre-seqlock behaviour, kept as the
-	// baseline the read-hit scaling figure compares against and as the
-	// reference image for the fast-path crash-parity sweep.
-	LockedReadHit bool
 	// IndexBuckets sets the initial per-shard capacity (in 16B cells) of
 	// the open-addressed block index. Zero pre-sizes each shard for the
 	// cache capacity so the steady state never resizes; small values force
 	// the incremental grow path (used by the resize stress tests). Rounded
 	// up to a power of two.
 	IndexBuckets int
-	// SyncMapIndex retains the legacy sync.Map block index instead of the
-	// open-addressed bucket table — the baseline the index-scale figure
-	// compares against. Functionally identical, slower and allocation-
-	// heavy at large entry counts.
-	SyncMapIndex bool
 	// FlightRecorder enables the crash-surviving black box (DESIGN.md
 	// §13): a flight.DefaultSlots-record event ring carved out of the NVM
 	// layout, written crash-consistently at seal, recovery, destage and
@@ -196,11 +179,6 @@ type Options struct {
 	// Checkpoint. The crash sweeps set it to 1 so every commit point
 	// writes a checkpoint and the sweep visits every checkpoint boundary.
 	CheckpointIntervalNS int64
-	// SerialRecovery forces the shard-parallel recovery phases to run
-	// their striped work items on one goroutine. The recovered image is
-	// bit-identical either way (the parity sweep proves it); the knob
-	// exists for that proof and for debugging.
-	SerialRecovery bool
 	// CommitRings splits the single commit log ring into this many
 	// independent per-shard rings (DESIGN.md §8): ring r serializes the
 	// blocks of shards congruent to r mod CommitRings, each ring has its
@@ -213,6 +191,17 @@ type Options struct {
 	// concurrent commit path. 0 or 1 keeps the paper's single ring and a
 	// byte-identical layout.
 	CommitRings int
+
+	// lockedReadHit forces read hits through the shard-locked path,
+	// disabling the per-slot seqlock fast path (readfast.go). Unexported:
+	// it exists only as the reference implementation
+	// TestCrashSweepFastPathParity compares the fast path against.
+	lockedReadHit bool
+	// serialRecovery runs the shard-parallel recovery phases' striped work
+	// items on one goroutine. Unexported: it exists only as the reference
+	// implementation TestRecoverySerialParallelParity and
+	// TestMultiRingSerialParallelParity compare the fan-out against.
+	serialRecovery bool
 }
 
 // Validate reports a descriptive error for a nonsensical configuration
@@ -265,9 +254,6 @@ func (o Options) Validate() error {
 	}
 	if o.IndexBuckets < 0 {
 		return fmt.Errorf("core: IndexBuckets %d is negative", o.IndexBuckets)
-	}
-	if o.IndexBuckets > 0 && o.SyncMapIndex {
-		return errors.New("core: IndexBuckets is meaningless with the SyncMapIndex baseline")
 	}
 	if o.CheckpointIntervalNS < 0 {
 		return fmt.Errorf("core: CheckpointIntervalNS %d is negative", o.CheckpointIntervalNS)
@@ -351,12 +337,7 @@ type shard struct {
 	// re-validates against the entry's disk field and the slot seqlock
 	// (or simply re-checks under mu on the locked path).
 	idx *index.Table
-	// hash is the legacy sync.Map index, kept as a switchable baseline
-	// (Options.SyncMapIndex) for the index-scale figure. Exactly one of
-	// idx/hash is live, chosen at Open.
-	hash   sync.Map
-	useMap bool
-	lru    *lruList // per-shard LRU over entry slots
+	lru *lruList // per-shard LRU over entry slots
 
 	// touches is the MPSC ring of entry slots awaiting LRU promotion:
 	// fast-path hits push lock-free, locked-path entrants and the evictor
@@ -397,11 +378,11 @@ type shard struct {
 // the per-block metadata (hash table, LRU) is lock-striped across
 // shardCount shards so data-path reads never serialize on a global lock.
 type Cache struct {
-	// mu serializes the modes that model a system without a concurrent
-	// commit path — the serial/ablation commit and its reads (c.serial) and
-	// the SerialMiss fill baseline — and nothing else: seals run under
-	// their ring locks, fills, eviction and the allocator under the shard
-	// locks and their own synchronization. Ordered before the ring locks.
+	// mu serializes the mode that models a system without a concurrent
+	// commit path — the serial/ablation commit and its reads and fills
+	// (c.serial) — and nothing else: seals run under their ring locks,
+	// fills, eviction and the allocator under the shard locks and their own
+	// synchronization. Ordered before the ring locks.
 	mu   sync.Mutex
 	mem  *pmem.Device
 	disk blockdev.Store
@@ -573,10 +554,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.useMap = opts.SyncMapIndex
-		if !sh.useMap {
-			sh.idx = index.New(buckets)
-		}
+		sh.idx = index.New(buckets)
 		sh.lru = newLRU(lay.Capacity)
 		sh.pinned = make(map[int32]bool)
 		sh.wb = make(map[int32]bool)
@@ -589,7 +567,8 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		}
 		c.ckpt = &ckptState{interval: iv, journaled: make([]bool, lay.Capacity)}
 	}
-	if c.isFormatted() {
+	hasImage := c.mem.Load8(lay.HeaderOff+hdrMagic) == layoutMagic
+	if hasImage && c.sameGeometry() {
 		if opts.FlightRecorder {
 			// Attach before recovery runs: recovery extends the surviving
 			// pre-crash timeline with its own phase events.
@@ -599,7 +578,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 			return nil, err
 		}
 	} else {
-		c.format()
+		c.format(hasImage)
 		if opts.FlightRecorder {
 			c.fl = flight.New(mem, mem.Clock(), lay.FlightOff, lay.FlightSlots)
 		}
@@ -644,70 +623,6 @@ func (c *Cache) shardOf(no uint64) *shard {
 	return &c.shards[no&(shardCount-1)]
 }
 
-// slot returns the entry slot the shard's index maps for disk block no.
-// Safe to call without sh.mu, but then the answer may be stale: lock-free
-// callers re-validate against the entry and the slot seqlock.
-func (sh *shard) slot(no uint64) (int32, bool) {
-	if sh.useMap {
-		v, ok := sh.hash.Load(no)
-		if !ok {
-			return 0, false
-		}
-		return v.(int32), true
-	}
-	return sh.idx.Get(no)
-}
-
-// mapStore publishes the no → slot mapping. Caller holds sh.mu; on the
-// bucket index this also carries a quantum of any in-flight resize.
-func (sh *shard) mapStore(no uint64, i int32) {
-	if sh.useMap {
-		sh.hash.Store(no, i)
-		return
-	}
-	sh.idx.Put(no, i)
-}
-
-// mapDelete removes the mapping for no. Caller holds sh.mu.
-func (sh *shard) mapDelete(no uint64) {
-	if sh.useMap {
-		sh.hash.Delete(no)
-		return
-	}
-	sh.idx.Delete(no)
-}
-
-// mapRange iterates the shard's live mappings. Caller holds sh.mu (or is
-// otherwise the sole mutator, e.g. recovery).
-func (sh *shard) mapRange(fn func(no uint64, i int32) bool) {
-	if sh.useMap {
-		sh.hash.Range(func(k, v any) bool { return fn(k.(uint64), v.(int32)) })
-		return
-	}
-	sh.idx.Range(fn)
-}
-
-// mapReset discards every mapping (recovery rebuild; single-threaded).
-func (sh *shard) mapReset() {
-	if sh.useMap {
-		// sync.Map cannot be reassigned (the cond/locks alias the shard),
-		// so clear it key by key.
-		sh.hash.Range(func(k, _ any) bool { sh.hash.Delete(k); return true })
-		return
-	}
-	sh.idx.Reset()
-}
-
-// mapLen counts live mappings. Caller holds sh.mu.
-func (sh *shard) mapLen() int {
-	if sh.useMap {
-		n := 0
-		sh.hash.Range(func(_, _ any) bool { n++; return true })
-		return n
-	}
-	return sh.idx.Len()
-}
-
 // touchLocked stamps slot i with a fresh access tick and moves it to its
 // shard's MRU end, after applying any promotions fast-path hits queued
 // before this tick (FIFO, so list order tracks stamp order exactly in a
@@ -741,9 +656,10 @@ func (c *Cache) poison(pv any) {
 	c.poisoned.CompareAndSwap(nil, pv)
 }
 
-func (c *Cache) isFormatted() bool {
-	return c.mem.Load8(c.lay.HeaderOff+hdrMagic) == layoutMagic &&
-		c.mem.Load8(c.lay.HeaderOff+hdrVersion) == c.lay.version() &&
+// sameGeometry reports whether the image whose header magic Open found was
+// laid out with this Open's geometry; anything else is reformatted.
+func (c *Cache) sameGeometry() bool {
+	return c.mem.Load8(c.lay.HeaderOff+hdrVersion) == c.lay.version() &&
 		c.mem.Load8(c.lay.HeaderOff+hdrCapacity) == uint64(c.lay.Capacity) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrRingSlot) == uint64(c.lay.RingSlots) &&
 		c.mem.Load8(c.lay.HeaderOff+hdrPtrSlots) == uint64(c.lay.PtrSlots) &&
@@ -768,16 +684,26 @@ func (c *Cache) loadPointer(base int) uint64 {
 	return max
 }
 
-func (c *Cache) format() {
+// format lays out a fresh cache. overImage says the device holds a Tinca
+// image of another geometry rather than the zeroes of a fresh device.
+func (c *Cache) format(overImage bool) {
 	// A fresh pmem device is zeroed, so the entry table (all-invalid) and
 	// the Head/Tail pointers (both zero) need no explicit pass. Persist
 	// the header last so a crash mid-format is just an unformatted device.
+	if overImage {
+		// An old image is not zeroes. Its header goes first, so a crash
+		// mid-format cannot remount it half scrubbed; then every byte the
+		// new entry table sits on, which would otherwise decode as entries.
+		c.mem.Persist8(c.lay.HeaderOff+hdrMagic, 0)
+		c.mem.PersistRange(c.lay.EntryOff, make([]byte, c.lay.Capacity*EntrySize))
+	}
 	c.mem.Persist8(c.lay.HeadOff, 0)
 	c.mem.Persist8(c.lay.TailOff, 0)
-	if c.lay.Rings > 1 {
-		// A reformat over a previous multi-ring image must not leave stale
-		// rotation slots whose max would resurrect old pointers; clear
-		// every slot of every ring (ring 0 slot 0 was cleared above).
+	if overImage || c.lay.Rings > 1 {
+		// Stale rotation slots' max would resurrect old pointers; clear
+		// every slot of every ring (ring 0 slot 0 was cleared above). A
+		// fresh multi-ring device takes the pass too: its persist count is
+		// part of the pinned format sequence.
 		for r := 0; r < c.lay.Rings; r++ {
 			for s := 0; s < c.lay.PtrSlots; s++ {
 				if r == 0 && s == 0 {
@@ -996,7 +922,7 @@ func (c *Cache) Read(no uint64, p []byte) error {
 		c.rec.Inc(metrics.CacheReadMiss)
 		return c.fillSerialLocked(no, p)
 	}
-	if !c.opts.LockedReadHit && c.readFast(no, p) {
+	if !c.opts.lockedReadHit && c.readFast(no, p) {
 		return nil // counted inside readFast (hit + fast)
 	}
 	if c.readResident(no, p) {
@@ -1004,30 +930,13 @@ func (c *Cache) Read(no uint64, p []byte) error {
 		c.rec.Inc(metrics.CacheReadHitSlow)
 		return nil
 	}
-	if c.opts.SerialMiss {
-		// Legacy baseline: the miss path serializes on the global lock
-		// and its disk read happens under it.
-		defer c.lockSerialMiss(no)()
-		if c.closed.Load() {
-			return ErrClosed
-		}
-		// Double-check under the locks: a racing miss or a seal's write
-		// miss may have installed the block already.
-		if c.readResident(no, p) {
-			c.rec.Inc(metrics.CacheReadHit)
-			c.rec.Inc(metrics.CacheReadHitSlow)
-			return nil
-		}
-		c.rec.Inc(metrics.CacheReadMiss)
-		return c.fillSerialLocked(no, p)
-	}
 	c.rec.Inc(metrics.CacheReadMiss)
 	return c.fillConcurrent(no, p)
 }
 
 // readResident serves no from the cache if resident, without touching any
 // counter: the shard-locked hit path (and the sole hit path in serial
-// mode or under Options.LockedReadHit). A block mid-seal (log role) is
+// mode or under the lockedReadHit oracle). A block mid-seal (log role) is
 // served from its last sealed version: the previous COW copy, or — for a
 // fresh write not yet sealed — the disk, read around the cache. A nil p
 // checks residency only (the ReadView miss path needs the install, not
@@ -1035,7 +944,7 @@ func (c *Cache) Read(no uint64, p []byte) error {
 func (c *Cache) readResident(no uint64, p []byte) bool {
 	sh := c.shardOf(no)
 	sh.mu.Lock()
-	i, ok := sh.slot(no)
+	i, ok := sh.idx.Get(no)
 	if !ok {
 		sh.mu.Unlock()
 		return false
@@ -1066,34 +975,15 @@ func (c *Cache) readResident(no uint64, p []byte) bool {
 	return true
 }
 
-// lockSerialMiss takes the locks a SerialMiss fill of block no runs under
-// and returns the matching unlock: c.mu, which serializes the baseline's
-// fills against each other, then the block's ring seal lock, which keeps a
-// seal's write-miss install (phase B, which never takes c.mu) out of the
-// window between the fill's residency check and its install. Seals never
-// take c.mu, so the order is deadlock-free.
-func (c *Cache) lockSerialMiss(no uint64) (unlock func()) {
-	rs := &c.rings[c.ringOf(no)]
-	c.mu.Lock()
-	rs.mu.Lock()
-	return func() {
-		rs.mu.Unlock()
-		c.mu.Unlock()
-	}
-}
-
 // fillSerialLocked reads block no from disk, installs it clean in the
-// cache and copies it to p if non-nil. The caller has checked that no is
-// not resident and holds what excludes every concurrent installer of it
-// since: c.mu in serial mode (commits and fills all take it), c.mu plus
-// the block's ring seal lock on the SerialMiss baseline (lockSerialMiss).
+// cache and copies it to p. Serial mode only: the caller has checked that
+// no is not resident and holds c.mu, which every serial commit and fill
+// takes, so no concurrent installer of it exists.
 func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
 	c.disk.ReadBlock(no, buf)
-	if p != nil {
-		copy(p, buf)
-	}
+	copy(p, buf)
 	b, err := c.allocBlock(shardIdx(no))
 	if err != nil {
 		return err
@@ -1108,7 +998,7 @@ func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
 	c.beginSlotMutate(i)
 	c.writeEntry(i, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
 	c.endSlotMutate(i)
-	sh.mapStore(no, i)
+	sh.idx.Put(no, i)
 	c.pushFrontLocked(sh, i)
 	return nil
 }
@@ -1137,7 +1027,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 				return err
 			}
 			sh.mu.Lock()
-			if _, ok := sh.slot(no); ok {
+			if _, ok := sh.idx.Get(no); ok {
 				sh.mu.Unlock()
 				// Slot before block, always: a thread that pops the block
 				// may immediately demand a slot, and the free-slot pool must
@@ -1157,7 +1047,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 			c.beginSlotMutate(s)
 			c.writeEntry(s, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
 			c.endSlotMutate(s)
-			sh.mapStore(no, s)
+			sh.idx.Put(no, s)
 			c.pushFrontLocked(sh, s)
 			sh.mu.Unlock()
 			if p != nil {
@@ -1176,7 +1066,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 		// a crash could leave a clean-looking entry over garbage.
 		c.mem.PersistRange(c.lay.blockOff(b), buf)
 		sh.mu.Lock()
-		if _, ok := sh.slot(no); ok {
+		if _, ok := sh.idx.Get(no); ok {
 			// Lost the install race: a concurrent fill (or a committing
 			// transaction) beat us to it. First installer wins; free our
 			// copy and serve theirs.
@@ -1201,7 +1091,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 		c.beginSlotMutate(s)
 		c.writeEntry(s, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
 		c.endSlotMutate(s)
-		sh.mapStore(no, s)
+		sh.idx.Put(no, s)
 		c.pushFrontLocked(sh, s)
 		sh.mu.Unlock()
 		if p != nil {
@@ -1216,7 +1106,7 @@ func (c *Cache) Contains(no uint64) bool {
 	sh := c.shardOf(no)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.slot(no)
+	_, ok := sh.idx.Get(no)
 	return ok
 }
 
@@ -1240,7 +1130,7 @@ func (c *Cache) writeBack(sh *shard, no uint64, slot int32, buf []byte) bool {
 	for sh.wb[slot] {
 		sh.wbCond.Wait()
 	}
-	if i, ok := sh.slot(no); !ok || i != slot {
+	if i, ok := sh.idx.Get(no); !ok || i != slot {
 		return false // evicted (and possibly reused) since enqueue
 	}
 	e := c.readEntry(slot)
@@ -1256,7 +1146,7 @@ func (c *Cache) writeBack(sh *shard, no uint64, slot int32, buf []byte) bool {
 	locked = true
 	delete(sh.wb, slot)
 	sh.wbCond.Broadcast()
-	if i, ok := sh.slot(no); !ok || i != slot {
+	if i, ok := sh.idx.Get(no); !ok || i != slot {
 		return true // evicted while in flight; the write was harmless
 	}
 	// A commit may have COWed a newer version while ours was in flight:
@@ -1288,7 +1178,7 @@ func (c *Cache) FlushAll() error {
 		sh := &c.shards[s]
 		sh.mu.Lock()
 		dirty = dirty[:0]
-		sh.mapRange(func(no uint64, i int32) bool {
+		sh.idx.Range(func(no uint64, i int32) bool {
 			if e := c.readEntry(i); e.modified && e.role != RoleLog {
 				dirty = append(dirty, destageItem{no: no, slot: i})
 			}

@@ -551,3 +551,49 @@ func TestLRUAgainstReferenceModel(t *testing.T) {
 		t.Fatal("list longer than reference")
 	}
 }
+
+// TestReformatOverOldImage flips one geometry option across a restart of
+// a device that holds a populated image. Open must reformat, and the new
+// cache must not inherit anything the old layout left where the new entry
+// table and pointer rotation slots sit: invariants hold at once, and after
+// one commit and a crash the remount finds exactly that one block.
+func TestReformatOverOldImage(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		flipped Options
+	}{
+		{"RingBytes", Options{RingBytes: 8192}},
+		{"Checkpoint", Options{RingBytes: 4096, Checkpoint: true}},
+		{"RotatePointers", Options{RingBytes: 4096, RotatePointers: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 4<<20, Options{RingBytes: 4096})
+			for no := uint64(0); no < 200; no++ {
+				if err := r.cache.CommitBlocks([]uint64{no}, [][]byte{blockOf('A')}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.cache.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r.reopen(t, tc.flipped)
+			if r.cache.RecoveryStats().Ran {
+				t.Fatal("geometry flip did not reformat")
+			}
+			if err := r.cache.CheckInvariants(); err != nil {
+				t.Fatalf("after reformat: %v", err)
+			}
+			if err := r.cache.CommitBlocks([]uint64{7}, [][]byte{blockOf('B')}); err != nil {
+				t.Fatal(err)
+			}
+			r.mem.Crash(nil, 0)
+			r.reopen(t, tc.flipped)
+			if rs := r.cache.RecoveryStats(); !rs.Ran || rs.Resident != 1 {
+				t.Fatalf("remount after reformat + one commit: %+v", rs)
+			}
+			if got := mustRead(t, r.cache, 7); !bytes.Equal(got, blockOf('B')) {
+				t.Fatal("the post-reformat commit was lost")
+			}
+		})
+	}
+}

@@ -131,7 +131,7 @@ func (c *Cache) evictSlot(v victim) bool {
 			sh.mu.Unlock()
 		}
 	}()
-	if i, ok := sh.slot(v.no); !ok || i != v.slot {
+	if i, ok := sh.idx.Get(v.no); !ok || i != v.slot {
 		return false // evicted (and possibly reused) since selection
 	}
 	if c.atime[v.slot].Load() != v.atime {
@@ -163,7 +163,7 @@ func (c *Cache) evictSlot(v victim) bool {
 		// Re-validate: a commit may have COWed a newer version while the
 		// old one was in flight to disk. The NVM stays authoritative.
 		e2 := c.readEntry(v.slot)
-		if i, ok := sh.slot(v.no); !ok || i != v.slot ||
+		if i, ok := sh.idx.Get(v.no); !ok || i != v.slot ||
 			!e2.valid || e2.disk != v.no || e2.cur != e.cur {
 			return false
 		}
@@ -207,7 +207,7 @@ func (c *Cache) evictSlot(v victim) bool {
 	c.beginSlotMutate(v.slot)
 	c.clearEntry(v.slot)
 	sh.lru.remove(v.slot)
-	sh.mapDelete(v.no)
+	sh.idx.Delete(v.no)
 	if c.dirtied[v.slot] {
 		// The disk copy of this block was rewritten at some point after
 		// it was cached: an optimistic miss fill whose disk read started

@@ -22,8 +22,8 @@ func (c *Cache) unlockAllShards() {
 // used by the crash-consistency test suite after every recovery; any
 // violation is returned as an error naming the broken invariant.
 func (c *Cache) CheckInvariants() error {
-	// c.mu quiesces the serial modes and the SerialMiss baseline, the ring
-	// seal locks every seal; they nest in the seal path's order.
+	// c.mu quiesces the serial/ablation mode, the ring seal locks every
+	// seal; they nest in the seal path's order.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lockRings()
@@ -71,13 +71,13 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("invariant: NVM block %d referenced by entries %d and %d", e.cur, j, i)
 		}
 		usedBlock[e.cur] = int32(i)
-		if got, ok := c.shardOf(e.disk).slot(e.disk); !ok || got != int32(i) {
+		if got, ok := c.shardOf(e.disk).idx.Get(e.disk); !ok || got != int32(i) {
 			return fmt.Errorf("invariant: hash table out of sync for disk block %d (entry %d)", e.disk, i)
 		}
 	}
 	mapped, linked := 0, 0
 	for s := range c.shards {
-		mapped += c.shards[s].mapLen()
+		mapped += c.shards[s].idx.Len()
 		// Apply any pending fast-path promotions so the LRU count below
 		// reflects every hit taken before quiescence.
 		c.drainTouchesLocked(&c.shards[s])
@@ -178,7 +178,7 @@ func (c *Cache) ResidentBlocks() map[uint64]bool {
 	defer c.unlockAllShards()
 	out := make(map[uint64]bool)
 	for s := range c.shards {
-		c.shards[s].mapRange(func(no uint64, i int32) bool {
+		c.shards[s].idx.Range(func(no uint64, i int32) bool {
 			out[no] = c.readEntry(i).modified
 			return true
 		})

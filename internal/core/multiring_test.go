@@ -164,8 +164,8 @@ func TestMultiRingWrappedBoundarySweep(t *testing.T) {
 
 // TestMultiRingSerialParallelParity is the §8 determinism contract: for
 // every crash boundary of a checkpointed multi-ring workload, recovering
-// with SerialRecovery and with the default parallel fan-out must produce
-// bit-identical persistent images, identical block contents, the same
+// with the serialRecovery oracle and with the default parallel fan-out
+// must produce bit-identical persistent images, identical block contents, the same
 // final simulated clock, and the same restored generation clock. The
 // generation-merged replay (per-ring scan + ascending-gen apply) must be
 // indistinguishable from any serial schedule.
@@ -176,7 +176,7 @@ func TestMultiRingSerialParallelParity(t *testing.T) {
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
 		opts := Options{CommitRings: 4, RingBytes: 2048, Checkpoint: true,
-			CheckpointIntervalNS: 1, SerialRecovery: serial}
+			CheckpointIntervalNS: 1, serialRecovery: serial}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -320,15 +320,15 @@ func TestEvictorCrashRecovers(t *testing.T) {
 	}
 }
 
-// TestSerialMissBaseline pins the SerialMiss option to the legacy
-// behaviour: fills work, values match the disk, and the global-lock path
-// still coexists with the sharded read-hit path.
-func TestSerialMissBaseline(t *testing.T) {
+// TestOvercommittedReadSweepDirectEvicts reads twice the capacity on the
+// default options (no watermark evictor): every fill's value matches the
+// disk and the allocating reader pays the evictions itself.
+func TestOvercommittedReadSweepDirectEvicts(t *testing.T) {
 	clock := sim.NewClock()
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, SerialMiss: true})
+	c, err := Open(mem, disk, Options{RingBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +348,10 @@ func TestSerialMissBaseline(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.BgEvictions != 0 {
-		t.Fatalf("SerialMiss baseline must not run the watermark evictor: %+v", st)
+		t.Fatalf("EvictLowWater 0 must not run the watermark evictor: %+v", st)
 	}
 	if st.DirectEvictions == 0 {
-		t.Fatalf("overcommitted serial sweep never direct-evicted: %+v", st)
+		t.Fatalf("overcommitted sweep never direct-evicted: %+v", st)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

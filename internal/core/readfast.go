@@ -142,7 +142,7 @@ func (c *Cache) readFast(no uint64, p []byte) bool {
 	sh := c.shardOf(no)
 	retries := 0
 	for {
-		i, ok := sh.slot(no)
+		i, ok := sh.idx.Get(no)
 		if !ok {
 			return false // miss (or just evicted): locked path decides
 		}

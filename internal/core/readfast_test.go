@@ -152,11 +152,13 @@ func TestReadHitSeqlockStress(t *testing.T) {
 
 // TestCrashSweepFastPathParity re-runs a per-boundary crash sweep twice at
 // every boundary — once with the seqlock fast path (the default) and once
-// with Options.LockedReadHit — and requires the recovered caches to be
+// with the lockedReadHit oracle — and requires the recovered caches to be
 // byte-identical. The fast path performs no persistence-relevant
 // operations (loads only), so the crash boundary, the adversarial crash
 // image, and the recovered state must all be independent of which hit
-// path the pre-crash workload used.
+// path the pre-crash workload used. On the run that completes without a
+// crash the two paths must also leave the simulated clock at the same
+// instant: a fast hit charges exactly what a locked hit does.
 func TestCrashSweepFastPathParity(t *testing.T) {
 	const span = 6 // hot blocks the workload commits to and reads back
 
@@ -164,13 +166,14 @@ func TestCrashSweepFastPathParity(t *testing.T) {
 	// returns crashed=false once k is past the protocol's end, and
 	// otherwise materializes the crash image (seeded per boundary, so both
 	// variants draw identical eviction decisions), recovers, and returns
-	// the recovered values of every block plus the persistent image.
-	runVariant := func(k int64, locked bool) (crashed bool, state []byte, img []byte) {
+	// the recovered values of every block plus the persistent image. now is
+	// the simulated clock at the end of the workload on an uncrashed run.
+	runVariant := func(k int64, locked bool) (crashed bool, state []byte, img []byte, now int64) {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, LockedReadHit: locked}
+		opts := Options{RingBytes: 4096, lockedReadHit: locked}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +206,7 @@ func TestCrashSweepFastPathParity(t *testing.T) {
 		})
 		if !crashed {
 			mem.DisarmCrash()
-			return false, nil, nil
+			return false, nil, nil, int64(clock.Now())
 		}
 		mem.Crash(sim.NewRand(5000+k), 0.5)
 		rc, err := Open(mem, disk, opts)
@@ -216,17 +219,20 @@ func TestCrashSweepFastPathParity(t *testing.T) {
 		for i := uint64(0); i < span; i++ {
 			state = append(state, mustRead(t, rc, i)...)
 		}
-		return true, state, mem.SnapshotPersist()
+		return true, state, mem.SnapshotPersist(), 0
 	}
 
 	for k := int64(0); ; k++ {
-		fastCrashed, fastState, fastImg := runVariant(k, false)
-		lockCrashed, lockState, lockImg := runVariant(k, true)
+		fastCrashed, fastState, fastImg, fastNow := runVariant(k, false)
+		lockCrashed, lockState, lockImg, lockNow := runVariant(k, true)
 		if fastCrashed != lockCrashed {
 			t.Fatalf("k=%d: fast path crashed=%v but locked path crashed=%v — persist-op sequences diverged",
 				k, fastCrashed, lockCrashed)
 		}
 		if !fastCrashed {
+			if fastNow != lockNow {
+				t.Fatalf("uncrashed run ends at %d simulated ns on the fast path, %d on the locked path", fastNow, lockNow)
+			}
 			t.Logf("parity sweep covered %d boundaries", k)
 			return
 		}

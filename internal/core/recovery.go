@@ -36,8 +36,8 @@ func (c *Cache) recoverFail(code int, detail uint64, err error) error {
 // shardCount so the rebuild phase can dedicate one worker per shard.
 const recoveryWorkers = shardCount
 
-// recoveryFanout runs fn(0..recoveryWorkers-1), concurrently unless
-// Options.SerialRecovery. Both modes execute the EXACT same work items
+// recoveryFanout runs fn(0..recoveryWorkers-1), concurrently unless the
+// serialRecovery oracle is set. Both modes execute the EXACT same work items
 // with the same stripe boundaries; concurrent NVM loads charge the shared
 // simulated clock additively (stock profiles have no channel
 // parallelism), so the final clock — and with it every later flight
@@ -48,7 +48,7 @@ const recoveryWorkers = shardCount
 // are captured and re-raised by lowest worker index after all workers
 // finish.
 func (c *Cache) recoveryFanout(fn func(worker int)) {
-	if c.opts.SerialRecovery {
+	if c.opts.serialRecovery {
 		for w := 0; w < recoveryWorkers; w++ {
 			fn(w)
 		}
@@ -569,7 +569,7 @@ func (c *Cache) revokeRange(from, to uint64) {
 		no, _ := c.lay.readRecord(c.mem, 0, p)
 		sh := c.shardOf(no)
 		sh.mu.Lock()
-		i, ok := sh.slot(no)
+		i, ok := sh.idx.Get(no)
 		if !ok {
 			sh.mu.Unlock()
 			panic(fmt.Sprintf("core: revoke of unmapped disk block %d", no))
@@ -583,7 +583,7 @@ func (c *Cache) revokeRange(from, to uint64) {
 			c.beginSlotMutate(i)
 			c.clearEntry(i)
 			sh.lru.remove(i)
-			sh.mapDelete(no)
+			sh.idx.Delete(no)
 			c.dirtied[i] = false
 			c.alloc.pushSlot(i)
 			c.freeDataBlock(e.cur)
@@ -613,9 +613,8 @@ func (c *Cache) rebuildVolatileFromMirror(mirror []byte) int {
 	for s := range c.shards {
 		sh := &c.shards[s]
 		// The reset is single-threaded and race-free (the bucket index
-		// swaps in a fresh table; the sync.Map baseline is cleared key by
-		// key — it embeds a mutex and can't be reassigned).
-		sh.mapReset()
+		// swaps in a fresh table).
+		sh.idx.Reset()
 		sh.lru = newLRU(c.lay.Capacity)
 	}
 	c.alloc.reset()
@@ -646,7 +645,7 @@ func (c *Cache) rebuildVolatileFromMirror(mirror []byte) int {
 			if !e.valid || shardIdx(e.disk) != w {
 				continue
 			}
-			sh.mapStore(e.disk, int32(i))
+			sh.idx.Put(e.disk, int32(i))
 			sh.lru.pushFront(int32(i))
 			c.atime[i].Store(rank[i])
 			// Dirty entries may be written back later; their eviction must

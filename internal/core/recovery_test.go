@@ -68,15 +68,20 @@ func TestCheckpointCleanReopen(t *testing.T) {
 // than misreads the device.
 func TestCheckpointReopenCompatibility(t *testing.T) {
 	r := newRig(t, 8<<20, Options{})
-	if err := r.cache.CommitBlocks([]uint64{7}, [][]byte{blockOf('x')}); err != nil {
-		t.Fatal(err)
+	// Enough blocks that the old image's data region is populated where
+	// the checkpointed layout's entry table will sit, filled with a byte
+	// whose low (valid) bit is set so stale data would decode as entries.
+	for no := uint64(0); no < 200; no++ {
+		if err := r.cache.CommitBlocks([]uint64{no}, [][]byte{blockOf('A')}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := r.cache.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Same options: contents survive.
 	r.reopen(t, Options{})
-	if got := mustRead(t, r.cache, 7); !bytes.Equal(got, blockOf('x')) {
+	if got := mustRead(t, r.cache, 7); !bytes.Equal(got, blockOf('A')) {
 		t.Fatal("checkpoint-off image lost a block across reopen")
 	}
 	if err := r.cache.Close(); err != nil {
@@ -286,8 +291,8 @@ func TestRecoveryFullCapacity(t *testing.T) {
 
 // TestRecoverySerialParallelParity is the determinism contract behind the
 // shard-parallel fan-out: for every crash boundary of a checkpointed
-// workload, recovering with SerialRecovery and with the default parallel
-// fan-out must produce bit-identical persistent images, identical block
+// workload, recovering with the serialRecovery oracle and with the default
+// parallel fan-out must produce bit-identical persistent images, identical block
 // contents, and the same final simulated clock. Any hidden ordering
 // dependence between recovery workers fails this sweep.
 func TestRecoverySerialParallelParity(t *testing.T) {
@@ -296,7 +301,7 @@ func TestRecoverySerialParallelParity(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1, SerialRecovery: serial}
+		opts := Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1, serialRecovery: serial}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -65,9 +65,9 @@
 // Locking. The seal never takes c.mu: the ring locks provide the
 // seal-vs-seal exclusion (two seals sharing a block share its ring), the
 // shard locks protect per-entry state, and the allocator and destage queue
-// are lock-free / internally synchronized. Lock order: c.mu (serial modes
-// and the SerialMiss baseline only), ring seal locks in index order, shard
-// locks, the checkpoint writer's k.mu, the device.
+// are lock-free / internally synchronized. Lock order: c.mu (the
+// serial/ablation mode only), ring seal locks in index order, shard locks,
+// the checkpoint writer's k.mu, the device.
 //
 // Concurrency shape: there is no dedicated committer goroutine. The first
 // committer to find its ring's queue idle becomes the leader and seals the
@@ -414,7 +414,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	for _, pb := range plan {
 		sh := c.shardOf(pb.no)
 		sh.mu.Lock()
-		i, hit := sh.slot(pb.no)
+		i, hit := sh.idx.Get(pb.no)
 		if hit {
 			e := c.readEntry(i)
 			if e.role == RoleLog {
@@ -486,7 +486,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			if !pb.hit {
-				if j, ok := sh.slot(pb.no); ok {
+				if j, ok := sh.idx.Get(pb.no); ok {
 					// A concurrent read fill installed this block between
 					// the plan phase (which decided "miss") and now. The
 					// commit's version supersedes the clean filled copy.
@@ -506,7 +506,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 				// Publish to the lock-free index only after the entry is in
 				// place, so a fast reader can never look up a slot whose
 				// entry is still the allocator's garbage.
-				sh.mapStore(pb.no, pb.slot)
+				sh.idx.Put(pb.no, pb.slot)
 			}
 			c.dirtied[pb.slot] = true
 		}()
@@ -682,7 +682,7 @@ func (c *Cache) dropFilledLocked(sh *shard, no uint64, i int32) {
 	c.beginSlotMutate(i)
 	c.clearEntry(i)
 	sh.lru.remove(i)
-	sh.mapDelete(no)
+	sh.idx.Delete(no)
 	c.dirtied[i] = false
 	c.alloc.pushSlot(i)
 	c.freeDataBlock(e.cur)

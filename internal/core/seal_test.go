@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-
-	"tinca/internal/metrics"
 )
 
 // TestSealFallbackSoloSeals builds a queued batch whose merged write set
@@ -88,65 +85,6 @@ func TestSealFallbackSoloSeals(t *testing.T) {
 			}
 			if got := mustRead(t, c, 16*200); !bytes.Equal(got, make([]byte, BlockSize)) {
 				t.Fatal("the aborted transaction left data behind")
-			}
-		})
-	}
-}
-
-// TestSerialMissVsSealInstall is the regression test for the SerialMiss
-// fill installing its entry without re-checking residency: a seal's
-// write-miss install (which never takes c.mu) could land between the
-// fill's check and its install and leave two valid entries for one disk
-// block. Committers write exactly the blocks the readers miss on; every
-// round uses fresh block numbers so every access starts as a miss.
-// CheckInvariants fails on a doubly mapped disk block. Run under -race.
-func TestSerialMissVsSealInstall(t *testing.T) {
-	for _, rings := range []int{1, 4} {
-		t.Run(fmt.Sprintf("rings=%d", rings), func(t *testing.T) {
-			r := newRig(t, 4<<20, Options{SerialMiss: true, CommitRings: rings})
-			c := r.cache
-			const rounds, perRound, workers = 40, 8, 3
-			for round := 0; round < rounds; round++ {
-				base := uint64(round * perRound)
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(2)
-					go func(w int) { // committer
-						defer wg.Done()
-						for b := uint64(0); b < perRound; b++ {
-							no := base + (b+uint64(w))%perRound
-							if err := c.CommitBlocks([]uint64{no}, [][]byte{blockOf(byte(round))}); err != nil {
-								t.Errorf("commit of block %d: %v", no, err)
-							}
-						}
-					}(w)
-					go func(w int) { // reader: Read and ReadView both have a SerialMiss site
-						defer wg.Done()
-						buf := make([]byte, BlockSize)
-						for b := uint64(0); b < perRound; b++ {
-							no := base + (b+uint64(w))%perRound
-							if w%2 == 0 {
-								if err := c.Read(no, buf); err != nil {
-									t.Errorf("read of block %d: %v", no, err)
-								}
-								continue
-							}
-							v, err := c.ReadView(no)
-							if err != nil {
-								t.Errorf("view of block %d: %v", no, err)
-								continue
-							}
-							v.Close()
-						}
-					}(w)
-				}
-				wg.Wait()
-				if err := c.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				if got, want := r.rec.Get(metrics.TxnCommit), int64((round+1)*perRound*workers); got != want {
-					t.Fatalf("round %d: %d commits, want %d", round, got, want)
-				}
 			}
 		})
 	}

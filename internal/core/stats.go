@@ -34,7 +34,7 @@ type CacheStats struct {
 	OpenViews         int64
 
 	// IndexGrows counts incremental resizes of the sharded bucket index
-	// since Open (0 when running on the sync.Map baseline).
+	// since Open.
 	IndexGrows int64
 
 	// Eviction and residency.
@@ -201,9 +201,7 @@ func (c *Cache) Stats() CacheStats {
 		RingSealConflicts:     r.Get(metrics.TxnRingSealConflicts),
 	}
 	for s := range c.shards {
-		if idx := c.shards[s].idx; idx != nil {
-			st.IndexGrows += idx.Grows()
-		}
+		st.IndexGrows += c.shards[s].idx.Grows()
 	}
 	st.RingSeals = make([]int64, len(c.rings))
 	st.RingQueueDepth = make([]int64, len(c.rings))

@@ -242,7 +242,7 @@ func (c *Cache) commitBlock(rs *ringState, no uint64, data []byte) (int32, error
 	h := shardIdx(no)
 	sh := c.shardOf(no)
 	sh.mu.Lock()
-	i, hit := sh.slot(no)
+	i, hit := sh.idx.Get(no)
 	var old entry
 	if hit {
 		old = c.readEntry(i)
@@ -326,7 +326,7 @@ func (c *Cache) commitBlock(rs *ringState, no uint64, data []byte) (int32, error
 		func() {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			if j, ok := sh.slot(no); ok {
+			if j, ok := sh.idx.Get(no); ok {
 				// A concurrent read fill installed this block between the
 				// lookup above and now. The commit's version supersedes
 				// the clean filled copy.
@@ -335,7 +335,7 @@ func (c *Cache) commitBlock(rs *ringState, no uint64, data []byte) (int32, error
 			c.beginSlotMutate(i)
 			c.writeEntry(i, entry{valid: true, role: RoleLog, modified: true, disk: no, prev: Fresh, cur: nb})
 			c.endSlotMutate(i)
-			sh.mapStore(no, i)
+			sh.idx.Put(no, i)
 			c.pushFrontLocked(sh, i)
 			sh.pinned[i] = true
 			c.dirtied[i] = true

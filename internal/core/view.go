@@ -161,7 +161,7 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 		return c.readViewCopy(no)
 	}
 	for {
-		if !c.opts.LockedReadHit {
+		if !c.opts.lockedReadHit {
 			if v, ok := c.readViewFast(no); ok {
 				return v, nil
 			}
@@ -175,21 +175,7 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 		}
 		// Miss: populate (no output copy needed) and retry the hit paths.
 		c.rec.Inc(metrics.CacheReadMiss)
-		if c.opts.SerialMiss {
-			err = func() error {
-				defer c.lockSerialMiss(no)()
-				if c.closed.Load() {
-					return ErrClosed
-				}
-				if _, ok := c.shardOf(no).slot(no); ok {
-					return nil // a racing fill beat us; retry the hit paths
-				}
-				return c.fillSerialLocked(no, nil)
-			}()
-		} else {
-			err = c.fillConcurrent(no, nil)
-		}
-		if err != nil {
+		if err := c.fillConcurrent(no, nil); err != nil {
 			return View{}, err
 		}
 	}
@@ -218,7 +204,7 @@ func (c *Cache) readViewFast(no uint64) (View, bool) {
 	sh := c.shardOf(no)
 	retries := 0
 	for {
-		i, ok := sh.slot(no)
+		i, ok := sh.idx.Get(no)
 		if !ok {
 			return View{}, false // miss (or just evicted): locked path decides
 		}
@@ -286,7 +272,7 @@ func (c *Cache) readViewFast(no uint64) (View, bool) {
 func (c *Cache) readViewLocked(no uint64) (View, bool, error) {
 	sh := c.shardOf(no)
 	sh.mu.Lock()
-	i, ok := sh.slot(no)
+	i, ok := sh.idx.Get(no)
 	if !ok {
 		sh.mu.Unlock()
 		return View{}, false, nil // miss: the caller fills and retries

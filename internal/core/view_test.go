@@ -423,22 +423,25 @@ func TestIndexResizeUnderLoad(t *testing.T) {
 }
 
 // TestCrashSweepIndexParity re-runs a per-boundary crash sweep with the
-// bucket index and with the sync.Map baseline and requires the crash
-// boundary, the adversarial crash image and the recovered contents to be
-// identical: the index is pure DRAM bookkeeping and must not influence
-// the persistence-op sequence at all.
+// block index started at its minimum size (IndexBuckets: 8, so the skewed
+// workload forces a resize mid-sweep) and with the default pre-sized
+// table (which never resizes) and requires the crash boundary, the
+// adversarial crash image and the recovered contents to be identical: the
+// index is pure DRAM bookkeeping and must not influence the
+// persistence-op sequence at all.
 func TestCrashSweepIndexParity(t *testing.T) {
-	const span = 6
+	const (
+		span   = 6
+		misses = 10 // per round, all keyed to shard 0
+	)
 
-	runVariant := func(k int64, syncMap bool) (crashed bool, state []byte, img []byte) {
+	// grows is the index resize count of an uncrashed run.
+	runVariant := func(k int64, buckets int) (crashed bool, state []byte, img []byte, grows int64) {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
-		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
+		mem := pmem.New(3<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, SyncMapIndex: syncMap}
-		if !syncMap {
-			opts.IndexBuckets = 8 // force resizes during the workload
-		}
+		opts := Options{RingBytes: 4096, IndexBuckets: buckets}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -460,13 +463,14 @@ func TestCrashSweepIndexParity(t *testing.T) {
 				if err := tx.Commit(); err != nil {
 					panic(fmt.Sprintf("commit %d: %v", i, err))
 				}
-				// Misses widen the index so the bucket variant resizes
-				// mid-sweep; hits exercise both lookup paths.
-				for j := 0; j <= i; j++ {
-					if err := c.Read(uint64(span+10*i+j), p); err != nil {
+				// Misses pile into one shard so the minimum-size table
+				// passes its grow trigger mid-sweep; hits exercise lookups
+				// while the resize is in flight.
+				for j := 0; j < misses; j++ {
+					if err := c.Read(uint64(shardCount*(1+misses*i+j)), p); err != nil {
 						panic(fmt.Sprintf("miss read: %v", err))
 					}
-					if err := c.Read(uint64(j), p); err != nil {
+					if err := c.Read(uint64(j%(i+1)), p); err != nil {
 						panic(fmt.Sprintf("hit read: %v", err))
 					}
 				}
@@ -474,38 +478,41 @@ func TestCrashSweepIndexParity(t *testing.T) {
 		})
 		if !crashed {
 			mem.DisarmCrash()
-			return false, nil, nil
+			return false, nil, nil, c.Stats().IndexGrows
 		}
 		mem.Crash(sim.NewRand(7000+k), 0.5)
 		rc, err := Open(mem, disk, opts)
 		if err != nil {
-			t.Fatalf("k=%d syncMap=%v recovery: %v", k, syncMap, err)
+			t.Fatalf("k=%d buckets=%d recovery: %v", k, buckets, err)
 		}
 		if err := rc.CheckInvariants(); err != nil {
-			t.Fatalf("k=%d syncMap=%v after recovery: %v", k, syncMap, err)
+			t.Fatalf("k=%d buckets=%d after recovery: %v", k, buckets, err)
 		}
 		for i := uint64(0); i < span; i++ {
 			state = append(state, mustRead(t, rc, i)...)
 		}
-		return true, state, mem.SnapshotPersist()
+		return true, state, mem.SnapshotPersist(), 0
 	}
 
 	for k := int64(0); ; k++ {
-		bCrashed, bState, bImg := runVariant(k, false)
-		mCrashed, mState, mImg := runVariant(k, true)
-		if bCrashed != mCrashed {
-			t.Fatalf("k=%d: bucket crashed=%v but sync.Map crashed=%v — persist-op sequences diverged",
-				k, bCrashed, mCrashed)
+		gCrashed, gState, gImg, gGrows := runVariant(k, 8)
+		dCrashed, dState, dImg, dGrows := runVariant(k, 0)
+		if gCrashed != dCrashed {
+			t.Fatalf("k=%d: growing index crashed=%v but pre-sized crashed=%v — persist-op sequences diverged",
+				k, gCrashed, dCrashed)
 		}
-		if !bCrashed {
+		if !gCrashed {
+			if gGrows == 0 || dGrows != 0 {
+				t.Fatalf("index grows: %d from IndexBuckets=8 (want > 0), %d pre-sized (want 0)", gGrows, dGrows)
+			}
 			t.Logf("index parity sweep covered %d boundaries", k)
 			return
 		}
-		if !bytes.Equal(bImg, mImg) {
-			t.Fatalf("k=%d: post-recovery persistent images differ between indexes", k)
+		if !bytes.Equal(gImg, dImg) {
+			t.Fatalf("k=%d: post-recovery persistent images differ between index sizes", k)
 		}
-		if !bytes.Equal(bState, mState) {
-			t.Fatalf("k=%d: recovered block contents differ between indexes", k)
+		if !bytes.Equal(gState, dState) {
+			t.Fatalf("k=%d: recovered block contents differ between index sizes", k)
 		}
 		if k > 600 {
 			k += 23

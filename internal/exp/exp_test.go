@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"tinca/internal/sim/simtest"
 )
 
 // quick runs every driver at a small scale; these tests assert the key
@@ -310,17 +312,12 @@ func TestMissPathScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 6 {
-		t.Fatalf("scaling rows = %d, want 6 (serial/concurrent x 1/4/8 goroutines)", len(tb.Rows))
+	if len(tb.Rows) != 3 {
+		t.Fatalf("scaling rows = %d, want 3 (1/4/8 goroutines)", len(tb.Rows))
 	}
-	// Acceptance bar: the concurrent miss pipeline must deliver >=2x the
-	// serial miss path's read-miss throughput at 8 goroutines.
 	s, ok := tb.Metrics["miss_speedup_8g_x"]
 	if !ok {
 		t.Fatalf("miss_speedup_8g_x metric missing\n%s", tb)
-	}
-	if s < 2 {
-		t.Fatalf("8-goroutine miss-path speedup %.2fx < 2x\n%s", s, tb)
 	}
 	// The workload must actually be miss-dominated, or the figure measures
 	// the wrong path.
@@ -330,9 +327,16 @@ func TestMissPathScaling(t *testing.T) {
 		}
 	}
 	// The background evictor, not the foreground fallback, must reclaim
-	// space in the concurrent rows.
+	// space (it keeps ahead only if the host schedules it beside the
+	// readers, hence a shortfall rather than a plain failure).
 	if pct, ok := tb.Metrics["direct_evict_pct"]; ok && pct > 1 {
-		t.Fatalf("direct evictions were %.2f%% of evictions (want <=1%%)\n%s", pct, tb)
+		simtest.OverlapShortfall(t, "direct evictions were %.2f%% of evictions (want <=1%%)\n%s", pct, tb)
+	}
+	// Acceptance bar: at 8 goroutines the miss pipeline must deliver >=2x
+	// the one-reader throughput, which is all a miss path serialized on a
+	// global lock reaches at any reader count.
+	if s < 2 {
+		simtest.OverlapShortfall(t, "8-goroutine miss-path speedup %.2fx < 2x\n%s", s, tb)
 	}
 }
 
@@ -341,18 +345,12 @@ func TestReadHitScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 10 {
-		t.Fatalf("scaling rows = %d, want 10 (locked/seqlock x 1/4/8/16 goroutines + 2 writer rows)", len(tb.Rows))
+	if len(tb.Rows) != 5 {
+		t.Fatalf("scaling rows = %d, want 5 (1/4/8/16 goroutines + the writer row)", len(tb.Rows))
 	}
-	// Acceptance bar (ISSUE 5): the seqlock fast path must deliver >=3x
-	// the locked hit path's aggregate throughput at 8 readers on a single
-	// hot shard.
 	s, ok := tb.Metrics["readhit_speedup_8g_x"]
 	if !ok {
 		t.Fatalf("readhit_speedup_8g_x metric missing\n%s", tb)
-	}
-	if s < 3 {
-		t.Fatalf("8-reader hit-path speedup %.2fx < 3x\n%s", s, tb)
 	}
 	// The hit-dominated workload must actually run the fast path, even
 	// with a committer interleaving seals of the same hot set.
@@ -363,13 +361,32 @@ func TestReadHitScaling(t *testing.T) {
 	if ratio < 0.95 {
 		t.Fatalf("fast-hit ratio %.3f < 0.95 under commit interference\n%s", ratio, tb)
 	}
-	// The one-reader seqlock row must not beat the locked row: a fast hit
-	// performs identical simulated NVM work, so any gain there would mean
-	// the fast path dropped part of the cost model.
-	l1 := tb.Metrics["locked_1g_sim_ns_per_op"]
-	s1 := tb.Metrics["seqlock_1g_sim_ns_per_op"]
-	if l1 == 0 || s1 == 0 || s1 < l1*0.999 || s1 > l1*1.001 {
-		t.Fatalf("single-reader cost differs: locked %.1fns vs seqlock %.1fns (fast path perturbs the cost model)\n%s", l1, s1, tb)
+	// Acceptance bar (ISSUE 5): at 8 readers on a single hot shard the
+	// seqlock fast path must deliver >=3x the one-reader throughput, which
+	// is all a hit path serialized on the shard mutex reaches at any reader
+	// count. (That a fast hit charges exactly what a locked hit does is
+	// core's TestCrashSweepFastPathParity.)
+	if s < 3 {
+		simtest.OverlapShortfall(t, "8-reader hit-path speedup %.2fx < 3x\n%s", s, tb)
+	}
+}
+
+func TestWriterScaling(t *testing.T) {
+	tb, err := WriterScaling(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 5 {
+		t.Fatalf("scaling rows = %d, want 5 (1/2/4/8/16 goroutines)", len(tb.Rows))
+	}
+	s, ok := tb.Metrics["writer_speedup_8"]
+	if !ok {
+		t.Fatalf("writer_speedup_8 metric missing\n%s", tb)
+	}
+	// Acceptance bar: 16 per-shard rings must commit >=4x the single
+	// ring's throughput at 8 committers on disjoint shards.
+	if s < 4 {
+		simtest.OverlapShortfall(t, "8-committer multi-ring speedup %.2fx < 4x\n%s", s, tb)
 	}
 }
 
@@ -417,8 +434,8 @@ func TestIndexScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (bucket/syncmap x 3 sizes)", len(tb.Rows))
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3 (one per table size)", len(tb.Rows))
 	}
 	// Acceptance bar (ISSUE 6): a warm read on the public API — copying
 	// Read and zero-copy ReadView+Close alike — allocates nothing.
@@ -434,8 +451,8 @@ func TestIndexScale(t *testing.T) {
 	// Bucket lookups must not allocate at any size, and the hit cost must
 	// stay in the same ballpark as the table grows (flat modulo cache
 	// effects; the quick scale spans ~12K to 1.2M entries). Host wall
-	// time is noisy in CI, so the bar is loose — sync.Map blows through
-	// it by an order of magnitude at full scale.
+	// time is noisy in CI, so the bar is loose — the sync.Map this table
+	// replaced blew through it by an order of magnitude at full scale.
 	if f, ok := tb.Metrics["bucket_hit_flatness_x"]; !ok || f > 6 {
 		t.Fatalf("bucket hit cost grew %vx across table sizes (want metric present and <= 6)\n%s", f, tb)
 	}

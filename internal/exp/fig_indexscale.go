@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,138 +14,108 @@ import (
 )
 
 // IndexScale is the "fig: index scale" bench behind PR 6's index redesign:
-// the cost of a block-number lookup as the resident set grows from 100K
-// to 10M entries, on the open-addressed bucket table (internal/index)
-// versus the sync.Map it replaced (still switchable in the cache via
-// Options.SyncMapIndex). Lookups are DRAM bookkeeping with no simulated
-// device cost, so this figure — alone among the experiments — reports
-// host wall time per operation; the claim under test is a flatness claim
-// (hit cost roughly constant in table size, allocations exactly zero),
-// not an absolute-latency claim.
+// the cost of a block-number lookup on the open-addressed bucket table
+// (internal/index) as the resident set grows from 100K to 10M entries.
+// Lookups are DRAM bookkeeping with no simulated device cost, so this
+// figure — alone among the experiments — reports host wall time per
+// operation; the claim under test is a flatness claim (hit cost roughly
+// constant in table size, allocations exactly zero), not an
+// absolute-latency claim.
 //
-// A second section opens a real cache and measures allocations per read
-// on the public paths: Read into a caller buffer, and the zero-copy
-// ReadView/Close pair. The "readview_allocs_per_op" metric is the one
-// `tincabench -max-allocs-per-op` gates on in CI: the whole point of the
-// redesigned read API is that a warm read allocates nothing.
+// The figure also opens a real cache and measures allocations per read
+// on the public paths (reported in the note): Read into a caller buffer,
+// and the zero-copy ReadView/Close pair. TestIndexScale holds both at
+// zero: the whole point of the redesigned read API is that a warm read
+// allocates nothing.
 func IndexScale(o Options) (*Table, error) {
 	o = o.withDefaults()
-	t := NewTable("fig: index scale — lookup cost vs resident entries, bucket table vs sync.Map",
-		"index", "entries", "insert ns/op", "hit ns/op", "allocs/op", "grows")
+	t := NewTable("fig: index scale — lookup cost vs resident entries, open-addressed bucket table",
+		"entries", "insert ns/op", "hit ns/op", "allocs/op", "grows")
 
 	// Entry counts; -scale shrinks them for quick runs (floor 10K).
 	sizes := []int{o.scaled(100_000, 10_000), o.scaled(1_000_000, 20_000), o.scaled(10_000_000, 40_000)}
 	const probes = 2_000_000 // lookups per measurement, spread over the table
 
-	type kv interface {
-		put(k uint64, v int32)
-		get(k uint64) (int32, bool)
-		grows() int64
+	var hitNS []float64 // per size, in sizes order
+	for _, n := range sizes {
+		m := index.New(0)
+		// Keys are block numbers scattered by a multiplicative hash so
+		// probe order doesn't correlate with insertion order.
+		key := func(i int) uint64 { return (uint64(i)*0x9E3779B97F4A7C15 + 1) % (1 << 56) }
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			m.Put(key(i), int32(i))
+		}
+		insertNS := float64(time.Since(t0)) / float64(n)
+
+		t0 = time.Now()
+		var sink int32
+		for i := 0; i < probes; i++ {
+			v, ok := m.Get(key(i % n))
+			if !ok {
+				return nil, fmt.Errorf("indexscale: lost key %d of %d", i%n, n)
+			}
+			sink ^= v
+		}
+		lookupNS := float64(time.Since(t0)) / float64(probes)
+		_ = sink
+
+		allocs := testing.AllocsPerRun(1000, func() {
+			m.Get(key(probes % n))
+		})
+		t.AddRow(n, insertNS, lookupNS, allocs, m.Grows())
+		hitNS = append(hitNS, lookupNS)
+		key2 := "bucket_" + humanCount(n)
+		t.SetMetric(key2+"_hit_ns", lookupNS)
+		t.SetMetric(key2+"_get_allocs", allocs)
 	}
-	newBucket := func() kv { return bucketIdx{index.New(0)} }
-	newSyncMap := func() kv { return &syncIdx{} }
+	if hitNS[0] > 0 {
+		t.SetMetric("bucket_hit_flatness_x", hitNS[len(hitNS)-1]/hitNS[0])
+	}
 
-	var hitNS = map[string]map[int]float64{"bucket": {}, "syncmap": {}}
-	for _, impl := range []struct {
-		name string
-		mk   func() kv
-	}{{"bucket", newBucket}, {"syncmap", newSyncMap}} {
-		for _, n := range sizes {
-			m := impl.mk()
-			// Keys are block numbers scattered by a multiplicative hash so
-			// probe order doesn't correlate with insertion order.
-			key := func(i int) uint64 { return (uint64(i)*0x9E3779B97F4A7C15 + 1) % (1 << 56) }
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				m.put(key(i), int32(i))
-			}
-			insertNS := float64(time.Since(t0)) / float64(n)
-
-			t0 = time.Now()
-			var sink int32
-			for i := 0; i < probes; i++ {
-				v, ok := m.get(key(i % n))
-				if !ok {
-					return nil, fmt.Errorf("indexscale: %s lost key %d of %d", impl.name, i%n, n)
-				}
-				sink ^= v
-			}
-			lookupNS := float64(time.Since(t0)) / float64(probes)
-			_ = sink
-
-			allocs := testing.AllocsPerRun(1000, func() {
-				m.get(key(probes % n))
-			})
-			t.AddRow(impl.name, n, insertNS, lookupNS, allocs, m.grows())
-			hitNS[impl.name][n] = lookupNS
-			key2 := fmt.Sprintf("%s_%s", impl.name, humanCount(n))
-			t.SetMetric(key2+"_hit_ns", lookupNS)
-			t.SetMetric(key2+"_get_allocs", allocs)
+	// Real-cache allocations per warm read. The cache itself caps the
+	// resident set at its capacity (a 10M-block working set would need a
+	// 40GB simulated device), so this section runs at a feasible size and
+	// leans on the microbenchmark above for the scale axis.
+	clock := sim.NewClock()
+	rec := metrics.NewRecorder()
+	mem := pmem.New(8<<20, pmem.PCM, clock, rec)
+	disk := blockdev.New(1<<16, blockdev.SSD, clock, rec)
+	c, err := core.Open(mem, disk, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	const hot = 512
+	p := make([]byte, core.BlockSize)
+	for b := uint64(0); b < hot; b++ {
+		if err := c.Read(b, p); err != nil {
+			return nil, err
 		}
 	}
-	small, large := sizes[0], sizes[len(sizes)-1]
-	if hitNS["bucket"][small] > 0 {
-		t.SetMetric("bucket_hit_flatness_x", hitNS["bucket"][large]/hitNS["bucket"][small])
-	}
-	if hitNS["bucket"][large] > 0 {
-		t.SetMetric("syncmap_vs_bucket_hit_x", hitNS["syncmap"][large]/hitNS["bucket"][large])
-	}
-
-	// Real-cache allocations per warm read, on both index backends. The
-	// cache itself caps the resident set at its capacity (a 10M-block
-	// working set would need a 40GB simulated device), so this section
-	// runs at a feasible size and leans on the microbenchmark above for
-	// the scale axis.
-	at := NewTable("allocations per warm cache read (public API)",
-		"index", "Read allocs/op", "ReadView allocs/op")
-	for _, syncMap := range []bool{false, true} {
-		name := "bucket"
-		if syncMap {
-			name = "syncmap"
+	var i int
+	readAllocs := testing.AllocsPerRun(5000, func() {
+		i++
+		if err := c.Read(uint64(i%hot), p); err != nil {
+			panic(err)
 		}
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(8<<20, pmem.PCM, clock, rec)
-		disk := blockdev.New(1<<16, blockdev.SSD, clock, rec)
-		c, err := core.Open(mem, disk, core.Options{SyncMapIndex: syncMap})
+	})
+	viewAllocs := testing.AllocsPerRun(5000, func() {
+		i++
+		v, err := c.ReadView(uint64(i % hot))
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
-		const hot = 512
-		p := make([]byte, core.BlockSize)
-		for b := uint64(0); b < hot; b++ {
-			if err := c.Read(b, p); err != nil {
-				return nil, err
-			}
+		if err := v.Close(); err != nil {
+			panic(err)
 		}
-		var i int
-		readAllocs := testing.AllocsPerRun(5000, func() {
-			i++
-			if err := c.Read(uint64(i%hot), p); err != nil {
-				panic(err)
-			}
-		})
-		viewAllocs := testing.AllocsPerRun(5000, func() {
-			i++
-			v, err := c.ReadView(uint64(i % hot))
-			if err != nil {
-				panic(err)
-			}
-			if err := v.Close(); err != nil {
-				panic(err)
-			}
-		})
-		if err := c.Close(); err != nil {
-			return nil, err
-		}
-		at.AddRow(name, readAllocs, viewAllocs)
-		if !syncMap {
-			t.SetMetric("read_allocs_per_op", readAllocs)
-			t.SetMetric("readview_allocs_per_op", viewAllocs)
-		}
+	})
+	if err := c.Close(); err != nil {
+		return nil, err
 	}
-	t.Note = "host wall ns/op (DRAM bookkeeping has no simulated cost); flatness and allocs are the claims, not absolute ns; " +
-		"bucket = internal/index open-addressed table, syncmap = the pre-PR6 baseline (Options.SyncMapIndex)\n\n" + at.String()
+	t.SetMetric("read_allocs_per_op", readAllocs)
+	t.SetMetric("readview_allocs_per_op", viewAllocs)
+	t.Note = fmt.Sprintf("host wall ns/op (DRAM bookkeeping has no simulated cost); flatness and allocs are the claims, not absolute ns; "+
+		"a warm cache read on the public API allocates %v/op (Read) and %v/op (ReadView+Close)", readAllocs, viewAllocs)
 	return t, nil
 }
 
@@ -161,23 +130,3 @@ func humanCount(n int) string {
 		return fmt.Sprint(n)
 	}
 }
-
-// bucketIdx and syncIdx adapt the two index implementations to one
-// interface for the microbenchmark.
-type bucketIdx struct{ t *index.Table }
-
-func (b bucketIdx) put(k uint64, v int32)      { b.t.Put(k, v) }
-func (b bucketIdx) get(k uint64) (int32, bool) { return b.t.Get(k) }
-func (b bucketIdx) grows() int64               { return b.t.Grows() }
-
-type syncIdx struct{ m sync.Map }
-
-func (s *syncIdx) put(k uint64, v int32) { s.m.Store(k, v) }
-func (s *syncIdx) get(k uint64) (int32, bool) {
-	v, ok := s.m.Load(k)
-	if !ok {
-		return 0, false
-	}
-	return v.(int32), true
-}
-func (s *syncIdx) grows() int64 { return 0 }

@@ -15,17 +15,17 @@ import (
 
 // ReadHitScaling is the "fig: read-hit scaling" bench: aggregate read-hit
 // throughput at 1/4/8/16 concurrent readers hammering a small hot set
-// that all lands in ONE metadata shard — the worst case for the locked
-// hit path, whose shard mutex serializes every hit, and the case the
-// per-slot seqlock fast path (readfast.go) exists for. The locked rows
-// force Options.LockedReadHit; the seqlock rows take the default
-// lock-free path. The NVM profile overlaps concurrent block loads
-// (pmem.Channels, depth 8), so once the DRAM bookkeeping stops
-// serializing, the hardware parallelism shows up as simulated-time
-// speedup — the same methodology as the miss-path figure, with the NCQ
-// disk swapped for a channeled NVM device.
+// that all lands in ONE metadata shard — the worst case for a hit path
+// that takes the shard mutex, which serializes every hit, and the case
+// the per-slot seqlock fast path (readfast.go) exists for. The NVM
+// profile overlaps concurrent block loads (pmem.Channels, depth 8), so
+// with no DRAM bookkeeping serializing them, the hardware parallelism
+// shows up as simulated-time speedup over the one-reader row (which is
+// what the mutex-serialized path delivers at any reader count) — the same
+// methodology as the miss-path figure, with the NCQ disk swapped for a
+// channeled NVM device.
 //
-// A final pair of rows pits 8 readers against a concurrent committer
+// A final row pits 8 readers against a concurrent committer
 // that keeps COWing and sealing blocks of the same hot set; the fast-hit
 // ratio ReadHitFast/(ReadHitFast+ReadHitSlow) of that row is the
 // "fast_hit_ratio" metric the exp test holds above 0.95 — mid-seal
@@ -34,12 +34,12 @@ import (
 func ReadHitScaling(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := NewTable("fig: read-hit scaling — aggregate hit throughput vs concurrent readers, one hot shard",
-		"hit path", "goroutines", "writer", "reads/s (sim)", "sim ns/op", "fast-hit %", "speedup")
+		"goroutines", "writer", "reads/s (sim)", "sim ns/op", "fast-hit %", "speedup")
 
 	total := o.scaled(60000, 8000)
 	workerCounts := []int{1, 4, 8, 16}
-	// 64 hot blocks, all ≡ 0 mod shardCount(16): every hit contends for
-	// the same shard lock in the locked baseline.
+	// 64 hot blocks, all ≡ 0 mod shardCount(16): every hit lands in the
+	// same shard.
 	const hotBlocks = 64
 	hot := func(n int) uint64 { return uint64(n%hotBlocks) * 16 }
 
@@ -47,12 +47,12 @@ func ReadHitScaling(o Options) (*Table, error) {
 		perSec, nsPerOp, fastPct float64
 		stats                    core.CacheStats
 	}
-	run := func(locked bool, workers int, writer bool) (result, error) {
+	run := func(workers int, writer bool) (result, error) {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
 		mem := pmem.New(2<<20, pmem.Channels(pmem.NVDIMM, 8), clock, rec)
 		disk := blockdev.New(1<<16, blockdev.NCQ(blockdev.SSD, 8), clock, rec)
-		c, err := core.Open(mem, disk, core.Options{RingBytes: 4096, LockedReadHit: locked})
+		c, err := core.Open(mem, disk, core.Options{RingBytes: 4096})
 		if err != nil {
 			return result{}, err
 		}
@@ -133,63 +133,37 @@ func ReadHitScaling(o Options) (*Table, error) {
 		return r, nil
 	}
 
-	lockedBase := make(map[int]float64)
-	for _, locked := range []bool{true, false} {
-		name := "seqlock"
-		if locked {
-			name = "locked"
-		}
-		for _, workers := range workerCounts {
-			r, err := run(locked, workers, false)
-			if err != nil {
-				return nil, err
-			}
-			var speedup float64 = 1
-			if locked {
-				lockedBase[workers] = r.perSec
-			} else {
-				speedup = r.perSec / lockedBase[workers]
-			}
-			t.AddRow(name, workers, "no", r.perSec, r.nsPerOp, r.fastPct, fmt.Sprintf("%.2fx", speedup))
-			key := fmt.Sprintf("%s_%dg", name, workers)
-			t.SetMetric(key+"_reads_per_sec", r.perSec)
-			t.SetMetric(key+"_sim_ns_per_op", r.nsPerOp)
-			if !locked {
-				t.SetMetric(key+"_fast_hit_pct", r.fastPct)
-				t.SetMetric(key+"_speedup_x", speedup)
-				if workers == 8 {
-					t.SetMetric("readhit_speedup_8g_x", speedup)
-				}
-			}
-		}
-	}
-	// Mixed row: 8 readers + 1 committer on the hot set, both paths. The
-	// seqlock row's fast-hit ratio is the figure's health metric.
-	for _, locked := range []bool{true, false} {
-		name := "seqlock"
-		if locked {
-			name = "locked"
-		}
-		r, err := run(locked, 8, true)
+	var base float64 // the one-reader row's reads/s
+	for _, workers := range workerCounts {
+		r, err := run(workers, false)
 		if err != nil {
 			return nil, err
 		}
-		var speedup float64 = 1
-		if !locked {
-			prev, _ := t.Metrics["locked_8g_writer_reads_per_sec"]
-			if prev > 0 {
-				speedup = r.perSec / prev
-			}
+		if workers == 1 {
+			base = r.perSec
 		}
-		t.AddRow(name, 8, "yes", r.perSec, r.nsPerOp, r.fastPct, fmt.Sprintf("%.2fx", speedup))
-		key := fmt.Sprintf("%s_8g_writer", name)
+		speedup := r.perSec / base
+		t.AddRow(workers, "no", r.perSec, r.nsPerOp, r.fastPct, fmt.Sprintf("%.2fx", speedup))
+		key := fmt.Sprintf("seqlock_%dg", workers)
 		t.SetMetric(key+"_reads_per_sec", r.perSec)
-		if !locked {
-			t.SetMetric("fast_hit_ratio", r.fastPct/100)
-			t.SetMetric(key+"_seqlock_retries", float64(r.stats.SeqlockRetries))
-			t.SetMetric(key+"_touch_ring_drops", float64(r.stats.TouchRingDrops))
+		t.SetMetric(key+"_sim_ns_per_op", r.nsPerOp)
+		t.SetMetric(key+"_fast_hit_pct", r.fastPct)
+		t.SetMetric(key+"_speedup_x", speedup)
+		if workers == 8 {
+			t.SetMetric("readhit_speedup_8g_x", speedup)
 		}
 	}
-	t.Note = "64 hot blocks on one metadata shard, warmed, hit-only; locked rows serialize on the shard mutex, seqlock rows run readfast.go's zero-lock path on an NVM profile that overlaps up to 8 loads (pmem.Channels); the writer rows add a committer COWing the same hot set"
+	// Mixed row: 8 readers + 1 committer on the hot set. Its fast-hit
+	// ratio is the figure's health metric.
+	r, err := run(8, true)
+	if err != nil {
+		return nil, err
+	}
+	t.AddRow(8, "yes", r.perSec, r.nsPerOp, r.fastPct, fmt.Sprintf("%.2fx", r.perSec/base))
+	t.SetMetric("seqlock_8g_writer_reads_per_sec", r.perSec)
+	t.SetMetric("fast_hit_ratio", r.fastPct/100)
+	t.SetMetric("seqlock_8g_writer_seqlock_retries", float64(r.stats.SeqlockRetries))
+	t.SetMetric("seqlock_8g_writer_touch_ring_drops", float64(r.stats.TouchRingDrops))
+	t.Note = "64 hot blocks on one metadata shard, warmed, hit-only; hits run readfast.go's zero-lock path on an NVM profile that overlaps up to 8 loads (pmem.Channels); the writer row adds a committer COWing the same hot set; speedup is against the 1-goroutine row"
 	return t, nil
 }

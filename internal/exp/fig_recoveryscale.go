@@ -16,8 +16,8 @@ import (
 // checkpoint frame (sized by the resident set the workload actually
 // built, identical at every size here) plus the delta journal, so the
 // curve flat-lines: the growth ratio largest/smallest is the headline
-// metric CI gates on (recovery_scale_on_growth, see tincabench
-// -max-recovery-growth).
+// metric (recovery_scale_on_growth), gated at <= 2x by
+// TestRecoveryScaleFlat.
 //
 // Each size fills the cache with the same fio stream, crashes inside a
 // forced group seal at a fixed fraction of its persist-op count

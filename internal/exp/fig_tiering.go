@@ -41,8 +41,8 @@ func nvmCapacityBlocks(nvmBytes int) (int, error) {
 // request latency serially; with k prefetch workers the stride
 // detector keeps k fetches in flight, so the store's request-overlap
 // window divides the service time. The headline prefetch_speedup_x
-// (8 workers vs off) is CI-gated: tincabench -fig coldstart
-// -min-prefetch-speedup 2.
+// (8 workers vs off) is gated at >= 2x by
+// TestColdStartPrefetchAndUploaderBudget.
 //
 // Writer: the same tiered stack under a pure commit workload (4x NVM
 // capacity, three passes, so destage traffic continuously feeds the

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"tinca/internal/sim/simtest"
+)
 
 func TestColdStartPrefetchAndUploaderBudget(t *testing.T) {
 	tb, err := ColdStartWarmup(quick)
@@ -10,19 +14,22 @@ func TestColdStartPrefetchAndUploaderBudget(t *testing.T) {
 	if len(tb.Rows) != 6 {
 		t.Fatalf("expected 4 scan + 2 writer rows, got %d", len(tb.Rows))
 	}
-	// The CI-gated headline: 8 prefetch workers vs none on a cold
-	// sequential scan (full-scale target is 4x; 2x is the floor at any
-	// scale because even two overlapped fetches halve the request train).
-	if s := tb.Metrics["prefetch_speedup_x"]; s < 2 {
-		t.Fatalf("prefetch speedup %.2fx < 2x", s)
-	}
+	// All three thresholds below price request overlap (prefetch fetches,
+	// upload-lane PUTs) on the simulated clock, so each is an overlap
+	// shortfall when missed.
 	if s4, s8 := tb.Metrics["prefetch_speedup_4w_x"], tb.Metrics["prefetch_speedup_x"]; s8 < s4*0.9 {
-		t.Fatalf("speedup not roughly monotone in workers: 4w=%.2fx 8w=%.2fx", s4, s8)
+		simtest.OverlapShortfall(t, "speedup not roughly monotone in workers: 4w=%.2fx 8w=%.2fx", s4, s8)
 	}
 	// The acceptance budget: a live upload pipeline may slow the
 	// foreground writer by at most 5%.
 	if pct := tb.Metrics["uploader_overhead_pct"]; pct > 5 {
-		t.Fatalf("uploader foreground overhead %.1f%% > 5%%", pct)
+		simtest.OverlapShortfall(t, "uploader foreground overhead %.1f%% > 5%%", pct)
+	}
+	// The headline gate: 8 prefetch workers vs none on a cold sequential
+	// scan (full-scale target is 4x; 2x is the floor at any scale because
+	// even two overlapped fetches halve the request train).
+	if s := tb.Metrics["prefetch_speedup_x"]; s < 2 {
+		simtest.OverlapShortfall(t, "prefetch speedup %.2fx < 2x", s)
 	}
 }
 

@@ -22,8 +22,7 @@ import (
 // ratio isolates what the multi-ring split buys.
 //
 // The headline metric writer_speedup_8 (R=16 over R=1 throughput at 8
-// committers) is CI-gated: tincabench -fig writerscaling
-// -min-writer-speedup 4.
+// committers) is gated at >= 4x by TestWriterScaling.
 func WriterScaling(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := NewTable("fig: writer scaling — disjoint-shard commit throughput, single ring vs CommitRings=16",

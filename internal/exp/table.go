@@ -43,8 +43,8 @@ type Table struct {
 	Cols  []string
 	Rows  [][]string
 	// Metrics holds the figure's headline quantities in machine-readable
-	// form (ops/s, simulated ns/op, hit rates, ...) for the BENCH_core.json
-	// export; nil when a driver sets none.
+	// form (ops/s, simulated ns/op, hit rates, ...) for the figure-gate
+	// tests; nil when a driver sets none.
 	Metrics map[string]float64
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"tinca/internal/metrics"
 	"tinca/internal/sim"
+	"tinca/internal/sim/simtest"
 )
 
 func testStore(prof Profile) (*Store, *sim.Clock) {
@@ -125,6 +126,6 @@ func TestStoreOverlapDiscount(t *testing.T) {
 	wg.Wait()
 	concNS := int64(clockC.Now())
 	if concNS*2 >= serialNS {
-		t.Fatalf("no overlap discount: serial %dns, concurrent %dns", serialNS, concNS)
+		simtest.OverlapShortfall(t, "no overlap discount: serial %dns, concurrent %dns", serialNS, concNS)
 	}
 }

@@ -174,14 +174,14 @@ func (c Config) Validate() error {
 	if c.Kind != Tinca && c.SealHook != nil {
 		return fmt.Errorf("stack: SealHook applies only to the Tinca kind, not %v", c.Kind)
 	}
-	if c.Kind != Tinca && (c.IndexBuckets != 0 || c.SyncMapIndex) {
-		return fmt.Errorf("stack: IndexBuckets/SyncMapIndex apply only to the Tinca kind, not %v", c.Kind)
+	if c.Kind != Tinca && c.IndexBuckets != 0 {
+		return fmt.Errorf("stack: IndexBuckets applies only to the Tinca kind, not %v", c.Kind)
 	}
 	if c.Kind != Tinca && c.FlightRecorder {
 		return fmt.Errorf("stack: FlightRecorder applies only to the Tinca kind, not %v", c.Kind)
 	}
-	if c.Kind != Tinca && (c.Checkpoint || c.CheckpointIntervalNS != 0 || c.SerialRecovery) {
-		return fmt.Errorf("stack: Checkpoint/CheckpointIntervalNS/SerialRecovery apply only to the Tinca kind, not %v", c.Kind)
+	if c.Kind != Tinca && (c.Checkpoint || c.CheckpointIntervalNS != 0) {
+		return fmt.Errorf("stack: Checkpoint/CheckpointIntervalNS apply only to the Tinca kind, not %v", c.Kind)
 	}
 	if c.Kind != Tinca && c.CommitRings != 0 {
 		return fmt.Errorf("stack: CommitRings applies only to the Tinca kind, not %v", c.Kind)
