@@ -153,6 +153,9 @@ func main() {
 			"tx:0002":       "alice->bob:90",
 		})
 	})
+	if !crashed {
+		log.Fatal("the armed crash landed after the commit: re-tune ArmCrash")
+	}
 	mem.Crash(sim.NewRand(1), 0.5)
 	fmt.Printf("crash injected mid-commit: %v\n", crashed)
 

@@ -18,7 +18,7 @@ import (
 //
 // Lock order: a local cache's mutex may be held while taking the global
 // mutex (refill, reclaim); never two local mutexes at once; both are leaf
-// locks with respect to c.mu and the shard locks.
+// locks with respect to the ring and shard locks.
 type allocator struct {
 	local [shardCount]allocCache
 

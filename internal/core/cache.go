@@ -16,21 +16,24 @@ import (
 	"tinca/internal/pmem"
 )
 
-// Ablation selects the commit mechanism, for the design-choice benches in
-// DESIGN.md §6. The paper's Tinca is AblationNone.
+// Ablation selects a cost hook on the commit seal, for the design-choice
+// benches in DESIGN.md §6. The paper's Tinca is AblationNone. An ablation
+// changes only how many bytes a seal writes to NVM: the extra copies land
+// in a scratch block no entry names, so the protocol, its persist order
+// and its crash consistency are the paper's in every mode.
 type Ablation int
 
 const (
 	// AblationNone is the paper's design: role switch + COW, no double
 	// writes.
 	AblationNone Ablation = iota
-	// AblationDoubleWrite disables role switch: every committed block is
-	// written twice into NVM (once as a log copy, once to its cache
-	// location), mimicking journaling inside the cache.
+	// AblationDoubleWrite charges the journal's double write: every
+	// committed block is also stored and flushed as a redundant log copy,
+	// the write the role switch saves.
 	AblationDoubleWrite
-	// AblationUBJ mimics UBJ's commit-in-place (Section 5.4.4): a write
-	// hit on a frozen block pays an extra in-NVM memcpy on the critical
-	// path instead of Tinca's pointer-flip COW.
+	// AblationUBJ charges UBJ's commit-in-place (Section 5.4.4): a write
+	// hit also copies the frozen previous version aside inside NVM, the
+	// critical-path memcpy Tinca's pointer-flip COW avoids.
 	AblationUBJ
 )
 
@@ -62,10 +65,10 @@ const (
 	// FaultNone is the correct protocol.
 	FaultNone Fault = iota
 	// FaultSkipDataFlush omits the cache-line flushes of committed block
-	// data (phase A of the seal; step 1 of the serial protocol). The
-	// entries and ring records still persist in order, so after a crash
-	// with no lucky evictions the metadata points at garbage data — the
-	// classic "logged before flushed" bug the sweep must detect.
+	// data (phase A of the seal). The entries and ring records still
+	// persist in order, so after a crash with no lucky evictions the
+	// metadata points at garbage data — the classic "logged before
+	// flushed" bug the sweep must detect.
 	FaultSkipDataFlush
 )
 
@@ -74,14 +77,9 @@ type Options struct {
 	// RingBytes is the ring buffer size; the paper's default (1MB) when 0.
 	// Must be a multiple of the 64B cache line.
 	RingBytes int
-	// Ablation selects the commit mechanism (default: the paper's design).
-	// Any ablation other than AblationNone serializes commits one at a
-	// time under the global lock, exactly as the ablated designs would.
+	// Ablation adds a design-choice cost hook to every seal (default:
+	// none, the paper's design). It composes with every other option.
 	Ablation Ablation
-	// DisableTxnPin turns off replacement rule 2 (Section 4.6): blocks of
-	// the committing transaction become evictable. Only meaningful for the
-	// ablation bench; unsafe for crash consistency.
-	DisableTxnPin bool
 	// WriteThrough propagates every committed block to disk at commit
 	// time and keeps cached copies clean (the paper's default is
 	// write-back; write-through trades throughput for a disk that is
@@ -100,9 +98,9 @@ type Options struct {
 	// Observe enables the commit-pipeline observability harness:
 	// per-phase latency histograms (recorded into the device's shared
 	// metrics.Recorder under the metrics.HistCommit* names) for the
-	// group-commit seal phases, the serial path, the destager and
-	// recovery. Off by default: the hot path then pays one nil check per
-	// site and the histograms do not exist.
+	// group-commit seal phases, the destager and recovery. Off by default:
+	// the hot path then pays one nil check per site and the histograms do
+	// not exist.
 	Observe bool
 	// Tracer, when non-nil, additionally records structured span events
 	// (seal id, phase, simulated start/duration, goroutine) into the
@@ -113,12 +111,12 @@ type Options struct {
 	// Harness self-validation only.
 	Fault Fault
 	// SealHook, when non-nil, is called immediately after every commit
-	// point (the Tail persist that seals a batch or serial transaction)
-	// with that seal's sequence number, while the commit lock is still
-	// held. Sequence numbers are assigned when a seal starts and are
-	// strictly increasing, so the largest value a hook observed before a
-	// crash is exactly the prefix of seals that reached their commit
-	// point. The hook must be fast and must not call back into the cache.
+	// point (the Tail persist that seals a batch) with that seal's
+	// sequence number, while the commit lock is still held. Sequence
+	// numbers are assigned when a seal starts and are strictly increasing,
+	// so the largest value a hook observed before a crash is exactly the
+	// prefix of seals that reached their commit point. The hook must be
+	// fast and must not call back into the cache.
 	SealHook func(seq uint64)
 	// DestageDepth, when positive, enables the background destage path:
 	// a bounded queue of that many blocks drained by a destager
@@ -187,9 +185,8 @@ type Options struct {
 	// the rings by generation. Transactions touching disjoint rings seal
 	// fully in parallel; cross-ring transactions take a deterministic
 	// multi-ring seal with the rings locked in index order. Must be a
-	// power of two between 1 and 16 (shardCount) and requires the
-	// concurrent commit path. 0 or 1 keeps the paper's single ring and a
-	// byte-identical layout.
+	// power of two between 1 and 16 (shardCount). 0 or 1 keeps the paper's
+	// single ring and a byte-identical layout.
 	CommitRings int
 
 	// lockedReadHit forces read hits through the shard-locked path,
@@ -216,9 +213,6 @@ func (o Options) Validate() error {
 	if o.Ablation < AblationNone || o.Ablation > AblationUBJ {
 		return fmt.Errorf("core: unknown ablation %d", int(o.Ablation))
 	}
-	if o.WriteThrough && o.Ablation == AblationUBJ {
-		return errors.New("core: WriteThrough cannot be combined with AblationUBJ (commit-in-place leaves no stable copy to propagate)")
-	}
 	if o.GroupCommit.MaxBatch < 0 {
 		return fmt.Errorf("core: GroupCommit.MaxBatch %d is negative", o.GroupCommit.MaxBatch)
 	}
@@ -230,9 +224,6 @@ func (o Options) Validate() error {
 	}
 	if o.Fault < FaultNone || o.Fault > FaultSkipDataFlush {
 		return fmt.Errorf("core: unknown fault %d", int(o.Fault))
-	}
-	if o.DestageDepth > 0 && o.Ablation != AblationNone {
-		return errors.New("core: DestageDepth requires the paper's commit path (AblationNone)")
 	}
 	if o.DestageWorkers < 0 {
 		return fmt.Errorf("core: DestageWorkers %d is negative", o.DestageWorkers)
@@ -249,9 +240,6 @@ func (o Options) Validate() error {
 	if o.EvictBatch > 0 && o.EvictLowWater == 0 {
 		return errors.New("core: EvictBatch without EvictLowWater (no watermark to maintain)")
 	}
-	if o.EvictLowWater > 0 && o.serialOnly() {
-		return errors.New("core: EvictLowWater requires the concurrent commit path (no ablations, txn pinning on)")
-	}
 	if o.IndexBuckets < 0 {
 		return fmt.Errorf("core: IndexBuckets %d is negative", o.IndexBuckets)
 	}
@@ -261,28 +249,13 @@ func (o Options) Validate() error {
 	if o.CheckpointIntervalNS > 0 && !o.Checkpoint {
 		return errors.New("core: CheckpointIntervalNS without Checkpoint (no writer to pace)")
 	}
-	if o.Checkpoint && o.Ablation != AblationNone {
-		return errors.New("core: Checkpoint requires the paper's commit path (AblationNone)")
-	}
 	if o.CommitRings < 0 {
 		return fmt.Errorf("core: CommitRings %d is negative", o.CommitRings)
 	}
-	if o.CommitRings > 1 {
-		if o.CommitRings > shardCount || o.CommitRings&(o.CommitRings-1) != 0 {
-			return fmt.Errorf("core: CommitRings %d must be a power of two between 1 and %d", o.CommitRings, shardCount)
-		}
-		if o.serialOnly() {
-			return errors.New("core: CommitRings > 1 requires the concurrent commit path (no ablations, txn pinning on)")
-		}
+	if o.CommitRings > 1 && (o.CommitRings > shardCount || o.CommitRings&(o.CommitRings-1) != 0) {
+		return fmt.Errorf("core: CommitRings %d must be a power of two between 1 and %d", o.CommitRings, shardCount)
 	}
 	return nil
-}
-
-// serialOnly reports whether the options force the legacy one-transaction-
-// at-a-time commit path (the ablated designs model systems without a
-// group-commit pipeline, so they keep the paper's serialization).
-func (o Options) serialOnly() bool {
-	return o.Ablation != AblationNone || o.DisableTxnPin
 }
 
 func (o Options) groupBatch() int {
@@ -378,12 +351,6 @@ type shard struct {
 // the per-block metadata (hash table, LRU) is lock-striped across
 // shardCount shards so data-path reads never serialize on a global lock.
 type Cache struct {
-	// mu serializes the mode that models a system without a concurrent
-	// commit path — the serial/ablation commit and its reads and fills
-	// (c.serial) — and nothing else: seals run under their ring locks,
-	// fills, eviction and the allocator under the shard locks and their own
-	// synchronization. Ordered before the ring locks.
-	mu   sync.Mutex
 	mem  *pmem.Device
 	disk blockdev.Store
 	lay  Layout
@@ -396,7 +363,7 @@ type Cache struct {
 
 	// DRAM auxiliary structures (Section 4.6); rebuilt on startup.
 	// hash and lru live in the shards; the free block/slot monitors live
-	// in the sharded allocator and never require mu.
+	// in the sharded allocator.
 	shards [shardCount]shard
 	alloc  allocator
 
@@ -430,10 +397,10 @@ type Cache struct {
 
 	// The commit log (seal.go): R >= 1 rings. rings[r] owns ring r's
 	// persistent Head/Tail pair and its group-commit queue; gen is the
-	// global commit-point generation counter every seal (and every serial
-	// commit) draws from while holding all participating ring seal locks,
-	// so per-ring generations are strictly increasing. It numbers the
-	// commit points Options.SealHook and the flight records report.
+	// global commit-point generation counter every seal draws from while
+	// holding all participating ring seal locks, so per-ring generations
+	// are strictly increasing. It numbers the commit points
+	// Options.SealHook and the flight records report.
 	rings []ringState
 	gen   atomic.Uint64
 
@@ -473,8 +440,6 @@ type Cache struct {
 	// ckpt is the checkpoint writer state (nil when Options.Checkpoint is
 	// off; every hook branches on that nil). See checkpoint.go.
 	ckpt *ckptState
-
-	serial bool // legacy one-at-a-time commit path (ablation modes)
 }
 
 // CleanVictimCache is the optional downward path of an exclusive tier:
@@ -530,7 +495,6 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		viewPins: make([]atomic.Int64, lay.Capacity),
 		dirtied:  make([]bool, lay.Capacity),
 		rings:    make([]ringState, lay.Rings),
-		serial:   opts.serialOnly(),
 	}
 	if vc, ok := disk.(CleanVictimCache); ok {
 		c.vcache = vc
@@ -829,9 +793,9 @@ func (c *Cache) clearEntry(i int32) {
 // free cache. When the pool is empty it falls back to a direct one-victim
 // eviction (the paper's synchronous behaviour); with the watermark
 // evictor enabled that fallback is the rare slow path. Performs no disk
-// I/O unless the pool is empty. May be called with or without c.mu and
-// the ring locks, but never with a shard lock held (the direct fallback
-// takes shard locks).
+// I/O unless the pool is empty. May be called with or without the ring
+// locks, but never with a shard lock held (the direct fallback takes shard
+// locks).
 func (c *Cache) allocBlock(h int) (uint32, error) {
 	if b, ok := c.alloc.popBlock(h); ok {
 		c.maybeWakeEvictor()
@@ -891,13 +855,12 @@ func (c *Cache) allocPair(no uint64) (uint32, int32, error) {
 
 // Read copies the current committed contents of disk block no into p
 // (BlockSize bytes). A miss populates the cache from disk (the cache
-// serves reads as well as writes, Section 4.6). In concurrent mode a read
-// hit usually takes no lock at all — a per-slot seqlock validates the
-// lock-free entry load and block copy (readfast.go) — and falls back to
-// the block's shard lock on churn or a mid-seal block; misses on distinct
-// blocks proceed in parallel too — the fill's disk read happens before
-// any lock is taken and the install is an optimistic first-installer-wins
-// race.
+// serves reads as well as writes, Section 4.6). A read hit usually takes
+// no lock at all — a per-slot seqlock validates the lock-free entry load
+// and block copy (readfast.go) — and falls back to the block's shard lock
+// on churn or a mid-seal block; misses on distinct blocks proceed in
+// parallel too — the fill's disk read happens before any lock is taken and
+// the install is an optimistic first-installer-wins race.
 func (c *Cache) Read(no uint64, p []byte) error {
 	if len(p) != BlockSize {
 		return fmt.Errorf("core: Read buffer must be %d bytes", BlockSize)
@@ -909,18 +872,6 @@ func (c *Cache) Read(no uint64, p []byte) error {
 	if no >= c.disk.Blocks() {
 		return fmt.Errorf("core: Read of block %d beyond disk (%d blocks): %w",
 			no, c.disk.Blocks(), ErrOutOfRange)
-	}
-	if c.serial {
-		// Ablation modes update cached blocks in place mid-commit, so
-		// reads keep the paper's full serialization.
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.readResident(no, p) {
-			c.rec.Inc(metrics.CacheReadHit)
-			return nil
-		}
-		c.rec.Inc(metrics.CacheReadMiss)
-		return c.fillSerialLocked(no, p)
 	}
 	if !c.opts.lockedReadHit && c.readFast(no, p) {
 		return nil // counted inside readFast (hit + fast)
@@ -935,8 +886,8 @@ func (c *Cache) Read(no uint64, p []byte) error {
 }
 
 // readResident serves no from the cache if resident, without touching any
-// counter: the shard-locked hit path (and the sole hit path in serial
-// mode or under the lockedReadHit oracle). A block mid-seal (log role) is
+// counter: the shard-locked hit path (and the sole hit path under the
+// lockedReadHit oracle). A block mid-seal (log role) is
 // served from its last sealed version: the previous COW copy, or — for a
 // fresh write not yet sealed — the disk, read around the cache. A nil p
 // checks residency only (the ReadView miss path needs the install, not
@@ -973,34 +924,6 @@ func (c *Cache) readResident(no uint64, p []byte) bool {
 	c.touchLocked(sh, i)
 	sh.mu.Unlock()
 	return true
-}
-
-// fillSerialLocked reads block no from disk, installs it clean in the
-// cache and copies it to p. Serial mode only: the caller has checked that
-// no is not resident and holds c.mu, which every serial commit and fill
-// takes, so no concurrent installer of it exists.
-func (c *Cache) fillSerialLocked(no uint64, p []byte) error {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	c.disk.ReadBlock(no, buf)
-	copy(p, buf)
-	b, err := c.allocBlock(shardIdx(no))
-	if err != nil {
-		return err
-	}
-	// Persist the data before the entry that points at it; otherwise a
-	// crash could leave a clean-looking entry over garbage.
-	c.mem.PersistRange(c.lay.blockOff(b), buf)
-	i := c.allocSlot(shardIdx(no))
-	sh := c.shardOf(no)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.beginSlotMutate(i)
-	c.writeEntry(i, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
-	c.endSlotMutate(i)
-	sh.idx.Put(no, i)
-	c.pushFrontLocked(sh, i)
-	return nil
 }
 
 // maxOptimisticFills bounds how often a concurrent fill retries after
@@ -1118,7 +1041,7 @@ func (c *Cache) Contains(no uint64) bool {
 // write-backers of one slot serialize and an older version can never
 // land over a newer one), and the modified bit is cleared only if the
 // written version is still the current one. Reports whether a disk write
-// was performed. buf is BlockSize scratch; never takes c.mu.
+// was performed. buf is BlockSize scratch.
 func (c *Cache) writeBack(sh *shard, no uint64, slot int32, buf []byte) bool {
 	sh.mu.Lock()
 	locked := true
@@ -1199,8 +1122,8 @@ func (c *Cache) Close() error {
 	}
 	c.closed.Store(true)
 	// Barrier: wait for any in-flight commit to finish before the
-	// background workers go away (every commit, seal or serial, runs and
-	// enqueues its destage work under its ring locks).
+	// background workers go away (every seal runs and enqueues its destage
+	// work under its ring locks).
 	c.lockRings()
 	c.unlockRings() // the empty critical section is the barrier
 	if c.evictStop != nil {

@@ -48,7 +48,7 @@ type ckptState struct {
 	// mu guards everything below plus the journal region's append
 	// position. Leaf-level below the shard locks: ckptJournal takes it
 	// while holding one shard lock (different shards' mutators — the
-	// destager and evictor run off c.mu — would otherwise race on the
+	// destager and evictor take no ring lock — would otherwise race on the
 	// append position); only the pmem device lock is taken inside.
 	// writeCheckpointLocked additionally holds every ring's seal lock and
 	// all shard locks, which quiesces every mutator across its whole

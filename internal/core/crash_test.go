@@ -14,69 +14,92 @@ import (
 // paper (Section 4.5): crash the commit protocol at *every* operation
 // boundary, materialize an adversarial crash image (a random subset of
 // un-flushed lines persists), recover, and require that the transaction is
-// all-or-nothing and all structural invariants hold.
+// all-or-nothing and all structural invariants hold. It runs on the
+// paper's layout, with pointer wear-leveling (the rotated Head/Tail
+// encoding must keep the same recovery semantics) and under both
+// ablations, whose cost hooks must not weaken the seal.
 func TestCrashDuringCommitIsAtomic(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{RingBytes: 4096}},
+		{"rotate-pointers", Options{RingBytes: 4096, RotatePointers: true}},
+		{"double-write", Options{RingBytes: 4096, Ablation: AblationDoubleWrite}},
+		{"ubj", Options{RingBytes: 4096, Ablation: AblationUBJ}},
+	}
 	for _, evictP := range []float64{0, 0.5, 1} {
 		evictP := evictP
 		t.Run(fmt.Sprintf("evictP=%v", evictP), func(t *testing.T) {
-			rng := sim.NewRand(42)
-			for k := int64(0); ; k++ {
-				clock := sim.NewClock()
-				rec := metrics.NewRecorder()
-				mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
-				disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-				c, err := Open(mem, disk, Options{RingBytes: 4096})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Baseline state: blocks 0..5 hold 'A'; blocks 3..5 are
-				// cache hits for the victim transaction (exercising COW),
-				// blocks 6..8 are misses (exercising FRESH revocation).
-				setup := c.Begin()
-				for i := uint64(0); i < 6; i++ {
-					setup.Write(i, blockOf('A'))
-				}
-				if err := setup.Commit(); err != nil {
-					t.Fatal(err)
-				}
-
-				victimBlocks := []uint64{3, 4, 5, 6, 7, 8}
-				mem.ArmCrash(k)
-				victim := c.Begin()
-				for _, no := range victimBlocks {
-					victim.Write(no, blockOf('B'))
-				}
-				var commitErr error
-				crashed, _ := pmem.CatchCrash(func() { commitErr = victim.Commit() })
-
-				if !crashed {
-					mem.DisarmCrash()
-					if commitErr != nil {
-						t.Fatalf("k=%d commit failed without crash: %v", k, commitErr)
-					}
-					// The commit completed before the crash point: we have
-					// covered every boundary inside the protocol. Verify
-					// the committed state one last time and stop.
-					verifyAtomic(t, mem, disk, victimBlocks, k, true)
-					t.Logf("protocol covered in %d operations", k)
-					return
-				}
-
-				// Power failure: persistent image plus random evictions.
-				mem.Crash(rng, evictP)
-				verifyAtomic(t, mem, disk, victimBlocks, k, false)
+			for _, tc := range cases {
+				tc := tc
+				t.Run(tc.name, func(t *testing.T) { crashCommitSweep(t, tc.opts, evictP) })
 			}
 		})
 	}
 }
 
-// verifyAtomic reopens the cache (running recovery), checks invariants,
-// and requires blocks to be all-old or all-new. When mustNew is true the
-// commit was acknowledged, so only the new state is acceptable.
-func verifyAtomic(t *testing.T, mem *pmem.Device, disk *blockdev.Device, victims []uint64, k int64, mustNew bool) {
+// crashCommitSweep is one TestCrashDuringCommitIsAtomic case: arm the
+// crash at k = 0, 1, 2, ... persist ops into the victim commit until the
+// commit completes unharmed.
+func crashCommitSweep(t *testing.T, opts Options, evictP float64) {
+	rng := sim.NewRand(42)
+	for k := int64(0); ; k++ {
+		clock := sim.NewClock()
+		rec := metrics.NewRecorder()
+		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
+		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
+		c, err := Open(mem, disk, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Baseline state: blocks 0..5 hold 'A'; blocks 3..5 are cache
+		// hits for the victim transaction (exercising COW), blocks 6..8
+		// are misses (exercising FRESH revocation).
+		setup := c.Begin()
+		for i := uint64(0); i < 6; i++ {
+			setup.Write(i, blockOf('A'))
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		victimBlocks := []uint64{3, 4, 5, 6, 7, 8}
+		mem.ArmCrash(k)
+		victim := c.Begin()
+		for _, no := range victimBlocks {
+			victim.Write(no, blockOf('B'))
+		}
+		var commitErr error
+		crashed, _ := pmem.CatchCrash(func() { commitErr = victim.Commit() })
+
+		if !crashed {
+			mem.DisarmCrash()
+			if commitErr != nil {
+				t.Fatalf("k=%d commit failed without crash: %v", k, commitErr)
+			}
+			// The commit completed before the crash point: we have
+			// covered every boundary inside the protocol. Verify the
+			// committed state one last time and stop.
+			verifyAtomic(t, mem, disk, opts, victimBlocks, k, true)
+			t.Logf("protocol covered in %d operations", k)
+			return
+		}
+
+		// Power failure: persistent image plus random evictions.
+		mem.Crash(rng, evictP)
+		verifyAtomic(t, mem, disk, opts, victimBlocks, k, false)
+	}
+}
+
+// verifyAtomic reopens the cache with opts (running recovery), checks
+// invariants, and requires blocks to be all-old or all-new. When mustNew
+// is true the commit was acknowledged, so only the new state is
+// acceptable.
+func verifyAtomic(t *testing.T, mem *pmem.Device, disk *blockdev.Device, opts Options, victims []uint64, k int64, mustNew bool) {
 	t.Helper()
-	c, err := Open(mem, disk, Options{RingBytes: 4096})
+	c, err := Open(mem, disk, opts)
 	if err != nil {
 		t.Fatalf("k=%d recovery: %v", k, err)
 	}
@@ -181,77 +204,6 @@ func TestCrashDuringEviction(t *testing.T) {
 		if k > 2000 {
 			k += 97
 		}
-	}
-}
-
-// TestCrashAtomicWithRotatingPointers re-runs the per-boundary crash
-// property with pointer wear-leveling enabled: the rotated Head/Tail
-// encoding must preserve exactly the same recovery semantics.
-func TestCrashAtomicWithRotatingPointers(t *testing.T) {
-	rng := sim.NewRand(13)
-	for k := int64(0); ; k++ {
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
-		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := Open(mem, disk, Options{RingBytes: 4096, RotatePointers: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		setup := c.Begin()
-		for i := uint64(0); i < 6; i++ {
-			setup.Write(i, blockOf('A'))
-		}
-		if err := setup.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		victimBlocks := []uint64{3, 4, 5, 6, 7, 8}
-		mem.ArmCrash(k)
-		victim := c.Begin()
-		for _, no := range victimBlocks {
-			victim.Write(no, blockOf('B'))
-		}
-		var commitErr error
-		crashed, _ := pmem.CatchCrash(func() { commitErr = victim.Commit() })
-		if !crashed {
-			mem.DisarmCrash()
-			if commitErr != nil {
-				t.Fatal(commitErr)
-			}
-			verifyAtomicRotated(t, mem, disk, victimBlocks, k, true)
-			return
-		}
-		mem.Crash(rng, 0.5)
-		verifyAtomicRotated(t, mem, disk, victimBlocks, k, false)
-	}
-}
-
-func verifyAtomicRotated(t *testing.T, mem *pmem.Device, disk *blockdev.Device, victims []uint64, k int64, mustNew bool) {
-	t.Helper()
-	c, err := Open(mem, disk, Options{RingBytes: 4096, RotatePointers: true})
-	if err != nil {
-		t.Fatalf("k=%d recovery: %v", k, err)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatalf("k=%d: %v", k, err)
-	}
-	sawNew, sawOld := false, false
-	for _, no := range victims {
-		got := mustRead(t, c, no)[0]
-		switch {
-		case got == 'B':
-			sawNew = true
-		case got == 'A' && no < 6, got == 0 && no >= 6:
-			sawOld = true
-		default:
-			t.Fatalf("k=%d block %d = %q", k, no, got)
-		}
-	}
-	if sawNew && sawOld {
-		t.Fatalf("k=%d torn transaction with rotating pointers", k)
-	}
-	if mustNew && sawOld {
-		t.Fatalf("k=%d acknowledged commit lost", k)
 	}
 }
 

@@ -58,8 +58,8 @@ func (c *Cache) destageEnqueue(no uint64, slot int32) {
 
 // destager is one background drain worker; Options.DestageWorkers of them
 // share the queue. Each item is processed under the block's shard lock
-// only — a destager never takes c.mu, so commits and destages overlap
-// freely, and with several workers the disk write-backs of independent
+// only — a destager never takes a ring lock, so commits and destages
+// overlap freely, and with several workers the disk write-backs of independent
 // blocks overlap each other (the wb flag in writeBack keeps same-block
 // write-backs ordered). An injected crash during the entry update poisons
 // the cache and the loop degrades to draining (so a blocked write-through

@@ -57,7 +57,7 @@ func (c *Cache) collectVictims(dst []victim, want int) []victim {
 			if !e.valid {
 				panic(fmt.Sprintf("core: invalid entry %d on LRU list", i))
 			}
-			if !c.opts.DisableTxnPin && (e.role == RoleLog || sh.pinned[i]) {
+			if e.role == RoleLog || sh.pinned[i] {
 				// Rule 2 (Section 4.6): blocks of the committing
 				// transaction (and their previous versions, which these
 				// entries still reference) stay.
@@ -121,7 +121,7 @@ func (c *Cache) evictBatch(want int, direct bool, scratch *[]victim) (evicted in
 // fresh scan instead of evicting a stale slot. Dirty victims are written
 // back outside the shard lock under the slot's wb flag and validated
 // again afterwards, so the write-back can never free or clobber a version
-// it did not write. Never takes c.mu.
+// it did not write.
 func (c *Cache) evictSlot(v victim) bool {
 	sh := v.sh
 	sh.mu.Lock()
@@ -141,7 +141,7 @@ func (c *Cache) evictSlot(v victim) bool {
 	if !e.valid || e.disk != v.no {
 		return false
 	}
-	if !c.opts.DisableTxnPin && (e.role == RoleLog || sh.pinned[v.slot]) {
+	if e.role == RoleLog || sh.pinned[v.slot] {
 		return false
 	}
 	if sh.wb[v.slot] {
@@ -167,7 +167,7 @@ func (c *Cache) evictSlot(v victim) bool {
 			!e2.valid || e2.disk != v.no || e2.cur != e.cur {
 			return false
 		}
-		if !c.opts.DisableTxnPin && (e2.role == RoleLog || sh.pinned[v.slot]) {
+		if e2.role == RoleLog || sh.pinned[v.slot] {
 			return false
 		}
 		if c.atime[v.slot].Load() != v.atime {
@@ -217,10 +217,6 @@ func (c *Cache) evictSlot(v victim) bool {
 	}
 	c.alloc.pushSlot(v.slot)
 	c.freeDataBlock(e.cur)
-	if e.prev != Fresh {
-		// Only possible when txn pinning is disabled (ablation mode).
-		c.freeDataBlock(e.prev)
-	}
 	c.endSlotMutate(v.slot)
 	c.rec.Inc(metrics.CacheEvict)
 	return true
@@ -245,8 +241,8 @@ func (c *Cache) maybeWakeEvictor() {
 // evictor is the background watermark evictor: woken when the free pool
 // dips under the low watermark, it batch-evicts the globally coldest
 // victims until the pool is back above low + batch, writing dirty victims
-// back outside any shard lock. It never takes c.mu, so commits, reads and
-// seals proceed while it reclaims.
+// back outside any shard lock. It never takes a ring lock, so commits,
+// reads and seals proceed while it reclaims.
 func (c *Cache) evictor() {
 	defer c.evictWG.Done()
 	var scratch []victim

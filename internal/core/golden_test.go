@@ -82,12 +82,13 @@ func goldenRun(t *testing.T, opts Options, commits int, crashAt []int64) golden 
 }
 
 // TestCommitLogGoldenImage pins the on-NVM format, the persist order and
-// the simulated charges of the commit log for CommitRings unset, 1 and 4.
-// The expectations were recorded at the last commit that still had a
-// separate single-ring seal (group.go) beside the multi-ring one; any drift
-// in record format, flush order, fence count or charge fails by name. The
-// unset and =1 rows must also agree with each other: CommitRings=1 is the
-// paper's single ring, byte for byte.
+// the simulated charges of the commit log for CommitRings unset, 1 and 4,
+// with and without the ablation cost hooks. The default-seal expectations
+// were recorded at the last commit that still had a separate single-ring
+// seal (group.go) beside the multi-ring one; any drift in record format,
+// flush order, fence count or charge fails by name. The unset and =1 rows
+// must also agree with each other: CommitRings=1 is the paper's single
+// ring, byte for byte.
 func TestCommitLogGoldenImage(t *testing.T) {
 	scenarios := []struct {
 		name    string
@@ -106,6 +107,12 @@ func TestCommitLogGoldenImage(t *testing.T) {
 		// phases: recovery's own persists and charges are pinned too.
 		{"recover", Options{RingBytes: 4096}, 12, []int64{9, 26, 43, 60, 77, 94}},
 		{"recover-ckpt", Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1}, 12, []int64{30, 71, 112, 153}},
+		// The ablation cost hooks, committed and crashed. Write hits start
+		// at the eighth commit, so the crash points reach past it.
+		{"dw-plain", Options{RingBytes: 4096, Ablation: AblationDoubleWrite}, 12, nil},
+		{"dw-recover", Options{RingBytes: 4096, Ablation: AblationDoubleWrite}, 12, []int64{9, 94, 180, 260, 330, 400}},
+		{"ubj-plain", Options{RingBytes: 4096, Ablation: AblationUBJ}, 12, nil},
+		{"ubj-recover", Options{RingBytes: 4096, Ablation: AblationUBJ}, 12, []int64{9, 94, 180, 260, 330, 400}},
 	}
 	// Recorded at the parent of the commit that deleted group.go; "single" is
 	// both CommitRings unset and CommitRings=1.
@@ -120,6 +127,15 @@ func TestCommitLogGoldenImage(t *testing.T) {
 		"recover/rings=4":      {0xd48a233b02e6958f, 701750, 624, 2170, 147, 98},
 		"recover-ckpt/single":  {0x7548dfdf90b17445, 638930, 607, 2623, 145, 68},
 		"recover-ckpt/rings=4": {0x58a118fcbc2a85ba, 598310, 683, 2331, 174, 84},
+		// Recorded when the ablations became cost hooks on the seal.
+		"dw-plain/single":     {0xd82f04141e4d2ab4, 636600, 590, 4775, 107, 103},
+		"dw-plain/rings=4":    {0x2e11b7a96558c2c4, 641410, 681, 4805, 137, 139},
+		"dw-recover/single":   {0x1c2be833c3f7a50b, 2205600, 1657, 13700, 301, 279},
+		"dw-recover/rings=4":  {0x27aee0ab875289a2, 1975620, 1756, 11827, 361, 329},
+		"ubj-plain/single":    {0xd1cf6fa788a32ab4, 434360, 528, 2791, 107, 103},
+		"ubj-plain/rings=4":   {0x25325d9d6aec2c4, 439170, 619, 2821, 137, 139},
+		"ubj-recover/single":  {0x3397950b7a668548, 1741030, 1720, 8792, 353, 332},
+		"ubj-recover/rings=4": {0xa00aa5541d6c18cc, 1559030, 1789, 7602, 403, 382},
 	}
 	for _, sc := range scenarios {
 		for _, rings := range []int{0, 1, 4} {

@@ -22,10 +22,7 @@ func (c *Cache) unlockAllShards() {
 // used by the crash-consistency test suite after every recovery; any
 // violation is returned as an error naming the broken invariant.
 func (c *Cache) CheckInvariants() error {
-	// c.mu quiesces the serial/ablation mode, the ring seal locks every
-	// seal; they nest in the seal path's order.
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	// The ring seal locks quiesce every seal.
 	c.lockRings()
 	defer c.unlockRings()
 	c.DrainDestage()
@@ -170,8 +167,6 @@ func (c *Cache) CheckInvariants() error {
 // ResidentBlocks returns the set of cached disk block numbers with their
 // dirtiness, for test oracles.
 func (c *Cache) ResidentBlocks() map[uint64]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.lockRings()
 	defer c.unlockRings()
 	c.lockAllShards()

@@ -100,7 +100,6 @@ const (
 	spanTail       = "seal.tail"
 	spanSeal       = "seal"
 	spanCommit     = "commit"
-	spanSerial     = "commit.serial"
 	spanDestage    = "destage.write"
 	spanEvictBatch = "evict.batch"
 	spanRecover    = "recovery"

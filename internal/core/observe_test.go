@@ -213,28 +213,6 @@ func TestTracerSpansFromCommits(t *testing.T) {
 	}
 }
 
-func TestObserveSerialCommitPath(t *testing.T) {
-	// DisableTxnPin forces the legacy serial commit path; commit totals
-	// must still be recorded (as commit.serial spans / commit.total
-	// samples).
-	tr := metrics.NewTracer(1 << 10)
-	r := newRig(t, 8<<20, Options{Tracer: tr, DisableTxnPin: true})
-	commitSome(t, r.cache, 1, 10)
-	st := r.cache.Stats()
-	if st.CommitLatency.Count != 10 {
-		t.Fatalf("serial commit latency count = %d", st.CommitLatency.Count)
-	}
-	var serial int
-	for _, s := range tr.Spans() {
-		if s.Name == spanSerial {
-			serial++
-		}
-	}
-	if serial != 10 {
-		t.Fatalf("serial spans = %d", serial)
-	}
-}
-
 func TestObserveDestage(t *testing.T) {
 	r := newRig(t, 8<<20, Options{Observe: true, DestageDepth: 8})
 	commitSome(t, r.cache, 1, 20)

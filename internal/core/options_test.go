@@ -24,13 +24,14 @@ func TestOptionsValidate(t *testing.T) {
 		{"ablation out of range", Options{Ablation: Ablation(99)}, "unknown ablation"},
 		{"negative ablation", Options{Ablation: Ablation(-1)}, "unknown ablation"},
 		{"write-through", Options{WriteThrough: true}, ""},
-		{"write-through + UBJ", Options{WriteThrough: true, Ablation: AblationUBJ}, "WriteThrough"},
+		{"write-through + UBJ", Options{WriteThrough: true, Ablation: AblationUBJ}, ""},
 		{"group commit knobs", Options{GroupCommit: GroupCommit{MaxBatch: 16, MaxWaitNS: 1000}}, ""},
 		{"negative max batch", Options{GroupCommit: GroupCommit{MaxBatch: -1}}, "MaxBatch"},
 		{"negative max wait", Options{GroupCommit: GroupCommit{MaxWaitNS: -1}}, "MaxWaitNS"},
 		{"destage depth", Options{DestageDepth: 8}, ""},
 		{"negative destage depth", Options{DestageDepth: -1}, "DestageDepth"},
-		{"destage + ablation", Options{DestageDepth: 4, Ablation: AblationUBJ}, "AblationNone"},
+		{"destage + ablation", Options{DestageDepth: 4, Ablation: AblationUBJ}, ""},
+		{"ablation composes", Options{Ablation: AblationUBJ, CommitRings: 4, Checkpoint: true, DestageDepth: 4}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -232,12 +232,12 @@ func (c *Cache) recover() error {
 
 	// Sweep for stray log entries: a crash after persisting block entries
 	// but before their ring records leaves log-role entries that no ring
-	// slot names — one for the serial path, up to a whole batch for a
-	// coalesced seal (which defers the single Head persist until every
-	// entry of the batch is durable). Each is revoked independently; none
-	// was part of an acknowledged transaction. (In the redo case the
-	// write phase had finished, so no stray can exist and the sweep is a
-	// no-op.) The sweep walks the DRAM mirror, so it costs no NVM reads.
+	// slot names — up to a whole batch, because a seal defers its Head
+	// persist until every entry of the batch is durable. Each is revoked
+	// independently; none was part of an acknowledged transaction. (In the
+	// redo case the write phase had finished, so no stray can exist and the
+	// sweep is a no-op.) The sweep walks the DRAM mirror, so it costs no NVM
+	// reads.
 	for i := 0; i < c.lay.Capacity; i++ {
 		e := mirrorEntry(mirror, int32(i))
 		if e.valid && e.role == RoleLog {
@@ -554,50 +554,6 @@ func (c *Cache) recoverRevoke(mirror []byte, i int32, e entry, byDisk *[shardCou
 	ne := entry{valid: true, role: RoleBuffer, modified: true, disk: e.disk, prev: Fresh, cur: e.prev}
 	c.writeEntry(i, ne)
 	mirrorSet(mirror, i, ne)
-}
-
-// revokeRange is the live (mid-commit) revocation used when an allocation
-// fails partway through a serial commit: exactly recovery's undo, but
-// keeping the DRAM structures in sync. The caller must have persisted
-// Tail past the range first (see the abort path in commit): Head is never
-// rolled back, because the wear-leveled pointer slots recover via max, so
-// a smaller Head could not be made durable — the consumed ring slots are
-// simply wasted and reused on the ring's next lap. Serial path only (one
-// ring); caller holds c.mu.
-func (c *Cache) revokeRange(from, to uint64) {
-	for p := from; p < to; p++ {
-		no, _ := c.lay.readRecord(c.mem, 0, p)
-		sh := c.shardOf(no)
-		sh.mu.Lock()
-		i, ok := sh.idx.Get(no)
-		if !ok {
-			sh.mu.Unlock()
-			panic(fmt.Sprintf("core: revoke of unmapped disk block %d", no))
-		}
-		e := c.readEntry(i)
-		if e.role != RoleLog {
-			sh.mu.Unlock()
-			panic("core: revoke of non-log entry")
-		}
-		if e.prev == Fresh {
-			c.beginSlotMutate(i)
-			c.clearEntry(i)
-			sh.lru.remove(i)
-			sh.idx.Delete(no)
-			c.dirtied[i] = false
-			c.alloc.pushSlot(i)
-			c.freeDataBlock(e.cur)
-			c.endSlotMutate(i)
-			sh.mu.Unlock()
-			continue
-		}
-		c.beginSlotMutate(i)
-		c.writeEntry(i, entry{valid: true, role: RoleBuffer, modified: true, disk: no, prev: Fresh, cur: e.prev})
-		c.endSlotMutate(i)
-		c.dirtied[i] = true
-		c.freeDataBlock(e.cur)
-		sh.mu.Unlock()
-	}
 }
 
 // rebuildVolatileFromMirror reconstructs the DRAM hash shards, LRU lists,

@@ -62,12 +62,16 @@
 // generations plus the stray-entry sweep cover rings whose records or
 // Head persists never landed). See recovery.go for the replay.
 //
-// Locking. The seal never takes c.mu: the ring locks provide the
-// seal-vs-seal exclusion (two seals sharing a block share its ring), the
-// shard locks protect per-entry state, and the allocator and destage queue
-// are lock-free / internally synchronized. Lock order: c.mu (the
-// serial/ablation mode only), ring seal locks in index order, shard locks,
+// Locking. The ring locks provide the seal-vs-seal exclusion (two seals
+// sharing a block share its ring), the shard locks protect per-entry
+// state, and the allocator and destage queue are lock-free / internally
+// synchronized. Lock order: ring seal locks in index order, shard locks,
 // the checkpoint writer's k.mu, the device.
+//
+// Ablations (DESIGN.md §6) are cost-only hooks inside these phases: they
+// add the ablated mechanism's NVM traffic to phase A, written into one
+// scratch block per seal that no entry ever names, so an ablated seal
+// keeps the same persist order and the same crash consistency.
 //
 // Concurrency shape: there is no dedicated committer goroutine. The first
 // committer to find its ring's queue idle becomes the leader and seals the
@@ -411,6 +415,17 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 			plan = append(plan, pb)
 		}
 	}
+	// The ablation hooks' scratch block (Fresh when none): never named by
+	// an entry, so free again after a crash; the epilogue or unwindPlan
+	// releases it.
+	scratch := Fresh
+	if c.opts.Ablation != AblationNone {
+		b, err := c.allocBlock(shardIdx(plan[0].no))
+		if err != nil {
+			return err
+		}
+		scratch = b
+	}
 	for _, pb := range plan {
 		sh := c.shardOf(pb.no)
 		sh.mu.Lock()
@@ -434,7 +449,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		sh.mu.Unlock()
 		nb, err := c.allocBlock(shardIdx(pb.no))
 		if err != nil {
-			c.unwindPlan(plan)
+			c.unwindPlan(plan, scratch)
 			return err
 		}
 		pb.nb = nb
@@ -469,6 +484,9 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		c.mem.Store(off, pb.data)
 		if c.opts.Fault != FaultSkipDataFlush {
 			c.mem.CLFlush(off, BlockSize)
+		}
+		if scratch != Fresh {
+			c.ablationCopy(pb, scratch)
 		}
 	}
 	c.mem.SFence()
@@ -518,9 +536,9 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 
 	// Phase C — ring records: each participating ring's blocks into its
 	// own consecutive slots (store + flush each), ONE fence for all rings,
-	// then ONE Head persist per ring. (The per-block Head persist of the
-	// serial path is unnecessary: recovery sweeps *all* stray log entries,
-	// however many a crash leaves.)
+	// then ONE Head persist per ring. (The paper's per-block Head persist
+	// is unnecessary: recovery sweeps *all* stray log entries, however many
+	// a crash leaves.)
 	var added [shardCount]uint64
 	for _, r := range ringIDs {
 		rs := &c.rings[r]
@@ -562,7 +580,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	c.mem.SFence()
 
 	// Write-through without a destager propagates synchronously, before
-	// the commit point, exactly as the serial path does.
+	// the commit point.
 	if c.opts.WriteThrough && c.destageCh == nil {
 		buf := bufpool.Get()
 		for _, pb := range plan {
@@ -601,8 +619,12 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		c.obs.phase(c.obs.tail, sealID, spanTail, ts, g)
 	}
 
-	// Volatile epilogue: unpin, touch LRU (rule 2b: committed blocks are
-	// most recently used), hand off to the destager, book the counters.
+	// Volatile epilogue: release the scratch block, unpin, touch LRU (rule
+	// 2b: committed blocks are most recently used), hand off to the
+	// destager, book the counters.
+	if scratch != Fresh {
+		c.alloc.pushBlock(scratch)
+	}
 	for _, pb := range plan {
 		sh := c.shardOf(pb.no)
 		sh.mu.Lock()
@@ -641,11 +663,12 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	return nil
 }
 
-// unwindPlan releases everything phase 0 allocated or pinned. Nothing has
-// been persisted, so this is pure DRAM bookkeeping. The caller holds the
-// seal lock of every planned block's ring; the body itself only takes
-// shard locks and the (thread-safe) allocator.
-func (c *Cache) unwindPlan(plan []*planBlock) {
+// unwindPlan releases everything phase 0 allocated or pinned, the
+// ablation scratch block included (Fresh when none). Nothing has been
+// persisted, so this is pure DRAM bookkeeping. The caller holds the seal
+// lock of every planned block's ring; the body itself only takes shard
+// locks and the (thread-safe) allocator.
+func (c *Cache) unwindPlan(plan []*planBlock, scratch uint32) {
 	for _, pb := range plan {
 		if pb.hit {
 			sh := c.shardOf(pb.no)
@@ -662,15 +685,42 @@ func (c *Cache) unwindPlan(plan []*planBlock) {
 			c.alloc.pushBlock(pb.nb)
 		}
 	}
+	if scratch != Fresh {
+		c.alloc.pushBlock(scratch)
+	}
+}
+
+// ablationCopy is phase A's cost hook for the configured ablation: the
+// extra NVM bytes the ablated design writes on the critical path for plan
+// block pb, stored and flushed into the seal's scratch block (the phase's
+// one fence covers them).
+func (c *Cache) ablationCopy(pb *planBlock, scratch uint32) {
+	off := c.lay.blockOff(scratch)
+	switch c.opts.Ablation {
+	case AblationDoubleWrite:
+		// The redundant log copy a journal keeps of every block.
+		c.mem.Store(off, pb.data)
+	case AblationUBJ:
+		if !pb.hit {
+			return
+		}
+		// Commit-in-place must first copy the frozen version aside: the
+		// in-NVM memcpy of Section 5.4.4. pb.prev is pinned and immutable.
+		buf := bufpool.Get()
+		c.mem.Load(c.lay.blockOff(pb.prev), buf)
+		c.mem.Store(off, buf)
+		bufpool.Put(buf)
+	}
+	c.mem.CLFlush(off, BlockSize)
 }
 
 // dropFilledLocked removes a clean read-fill entry that raced in between
 // a commit's plan phase (which decided its block was a write miss) and
 // the entry install. Only a concurrent fill can have installed it — every
-// other writer of this block serializes on the commit exclusion the caller
-// holds (the block's ring seal lock; c.mu on the serial path) — so it is
-// always a clean RoleBuffer entry whose loss loses nothing; dropping a
-// committed version here would be a protocol break, hence the panic.
+// other writer of this block serializes on the block's ring seal lock,
+// which the caller holds — so it is always a clean RoleBuffer entry whose
+// loss loses nothing; dropping a committed version here would be a
+// protocol break, hence the panic.
 // Caller holds sh.mu.
 func (c *Cache) dropFilledLocked(sh *shard, no uint64, i int32) {
 	e := c.readEntry(i)

@@ -24,10 +24,10 @@ type CacheStats struct {
 	TouchBatchDrained int64
 
 	// Zero-copy read views (view.go). ZeroCopyViews alias pinned NVM
-	// bytes; CopiedViews fell back to a private copy (serial/ablation
-	// modes, mid-seal fresh blocks). ViewDeferredFrees
-	// counts block frees handed off to a view's last unpin; OpenViews is
-	// the live gauge of unclosed views.
+	// bytes; CopiedViews fell back to a private copy (a block freshly
+	// written by a seal still in flight, which has no sealed NVM
+	// version). ViewDeferredFrees counts block frees handed off to a
+	// view's last unpin; OpenViews is the live gauge of unclosed views.
 	ZeroCopyViews     int64
 	CopiedViews       int64
 	ViewDeferredFrees int64

@@ -47,8 +47,8 @@ import (
 //
 // Views over a mid-seal (log-role) block take the locked path and pin the
 // previous sealed version; the role switch's free of that version goes
-// through freeDataBlock too. Serial/ablation modes mutate cached bytes in
-// place (UBJ), so there ReadView degrades to a private copy.
+// through freeDataBlock too. A mid-seal fresh block has no sealed NVM
+// version, so that view alone degrades to a private copy.
 
 // View is a read-only window onto one cached disk block, returned by
 // ReadView. Bytes() stays valid — a stable snapshot of the block's
@@ -79,7 +79,7 @@ func (v *View) Bytes() []byte {
 func (v *View) BlockNo() uint64 { return v.no }
 
 // ZeroCopy reports whether the view aliases pinned NVM bytes (false for
-// the private-copy fallbacks: serial mode, mid-seal fresh blocks).
+// the private-copy fallback: a mid-seal fresh block).
 func (v *View) ZeroCopy() bool { return v.pinned }
 
 // Close releases the view: the pin is dropped (completing any free the
@@ -141,13 +141,12 @@ func (c *Cache) freeDataBlock(b uint32) {
 func (c *Cache) OpenViews() int64 { return c.viewsOpen.Load() }
 
 // ReadView returns a zero-copy View of the current committed contents of
-// disk block no, populating the cache on a miss exactly like Read. In
-// concurrent mode a hit pins the NVM block and aliases its bytes — the
-// simulated NVM cost matches Read's, but the host-side 4 KiB copy and
-// its allocation disappear; serial/ablation modes fall back to a private
-// copy with identical semantics. The caller must
-// Close the view; until then the bytes are a stable snapshot even across
-// concurrent commits (COW) and evictions (deferred free).
+// disk block no, populating the cache on a miss exactly like Read. A hit
+// pins the NVM block and aliases its bytes — the simulated NVM cost
+// matches Read's, but the host-side 4 KiB copy and its allocation
+// disappear. The caller must Close the view; until then the bytes are a
+// stable snapshot even across concurrent commits (COW) and evictions
+// (deferred free).
 func (c *Cache) ReadView(no uint64) (View, error) {
 	c.checkPoison()
 	if c.closed.Load() {
@@ -156,9 +155,6 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 	if no >= c.disk.Blocks() {
 		return View{}, fmt.Errorf("core: ReadView of block %d beyond disk (%d blocks): %w",
 			no, c.disk.Blocks(), ErrOutOfRange)
-	}
-	if c.serial {
-		return c.readViewCopy(no)
 	}
 	for {
 		if !c.opts.lockedReadHit {
@@ -179,21 +175,6 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 			return View{}, err
 		}
 	}
-}
-
-// readViewCopy serves ReadView as a private copy through the ordinary
-// Read path: the serial/ablation modes, which mutate cached bytes in
-// place, leaving no stable window to alias. The copy lives in a bufpool
-// buffer owned by the view.
-func (c *Cache) readViewCopy(no uint64) (View, error) {
-	buf := bufpool.Get()
-	if err := c.Read(no, buf); err != nil {
-		bufpool.Put(buf)
-		return View{}, err
-	}
-	c.rec.Inc(metrics.CacheViewCopied)
-	c.viewsOpen.Add(1)
-	return View{c: c, no: no, owned: true, data: buf}, nil
 }
 
 // readViewFast is the lock-free hit path for views: readFast's seqlock

@@ -15,9 +15,10 @@ import (
 //     would cost Tinca);
 //   - COW block write vs. UBJ-style commit-in-place with a critical-path
 //     memcpy (the Section 5.4.4 comparison);
-//   - ring-buffer size sensitivity (1MB default);
-//   - replacement rule 2 (transaction-pinned blocks) on vs. off — the
-//     disk writes the rule saves (crash consistency disabled when off).
+//   - ring-buffer size sensitivity (1MB default).
+//
+// Both ablations are cost hooks on the same seal Tinca runs, so each row
+// differs from the Tinca row by its mechanism's NVM bytes alone.
 func Ablations(o Options) (*Table, error) {
 	o = o.withDefaults()
 	t := NewTable("Ablations: Tinca design choices (Fio random write)",
@@ -57,7 +58,6 @@ func Ablations(o Options) (*Table, error) {
 		{"Tinca (role switch + COW)", nil},
 		{"ablation: double writes in cache", func(c *stack.Config) { c.Ablation = core.AblationDoubleWrite }},
 		{"ablation: UBJ-style commit-in-place", func(c *stack.Config) { c.Ablation = core.AblationUBJ }},
-		{"ablation: txn pinning off (unsafe)", func(c *stack.Config) { c.DisableTxnPin = true }},
 		{"ring 64KB", func(c *stack.Config) { c.RingBytes = 64 << 10 }},
 		{"ring 4MB", func(c *stack.Config) { c.RingBytes = 4 << 20 }},
 	}

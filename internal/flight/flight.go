@@ -55,10 +55,12 @@ const (
 	EvSealPersist  // Block = ring Head after the seal; emitted after the Tail flip (commit point)
 	EvSealComplete // volatile epilogue done (unpin, LRU, destage enqueue)
 
-	// Serial-commit lifecycle (core/txn.go commitSerialLocked).
+	// Lifecycle of the one-transaction-at-a-time commit the cache no
+	// longer has. Nothing emits these three; they stay so later numbers
+	// do not shift and older images still decode.
 	EvSerialBegin  // Block = txn blocks
 	EvSerialCommit // Block = ring Head; emitted after the Tail flip
-	EvSealAbort    // alloc failure unwound the seal; Block = ring Head after revoke
+	EvSealAbort    // alloc failure unwound the commit; Block = ring Head after revoke
 
 	// Recovery phase boundaries (core/recovery.go). Arg carries the
 	// phase's entry count where one applies.

@@ -31,6 +31,44 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 }
 
+// TestEventTypeNumbering pins every EventType's persisted value: the
+// numbers live in NVM images (and the crash sweep's commit-point oracle
+// matches on them), so deleting or reordering a constant must fail here
+// rather than silently shift iota under existing images.
+func TestEventTypeNumbering(t *testing.T) {
+	want := []struct {
+		ev EventType
+		n  uint16
+	}{
+		{EvNone, 0},
+		{EvSealBegin, 1},
+		{EvSealPersist, 2},
+		{EvSealComplete, 3},
+		{EvSerialBegin, 4},
+		{EvSerialCommit, 5},
+		{EvSealAbort, 6},
+		{EvRecoverBegin, 7},
+		{EvRecoverScan, 8},
+		{EvRecoverRedo, 9},
+		{EvRecoverUndo, 10},
+		{EvRecoverRebuild, 11},
+		{EvRecoverDone, 12},
+		{EvDestage, 13},
+		{EvEvictBatch, 14},
+		{EvRecoverFail, 15},
+		{EvCkptBegin, 16},
+		{EvCkptDone, 17},
+	}
+	for _, w := range want {
+		if uint16(w.ev) != w.n {
+			t.Errorf("%v = %d, want %d", w.ev, uint16(w.ev), w.n)
+		}
+	}
+	if int(evSentinel) != len(want) {
+		t.Errorf("%d event types defined, %d pinned: pin the new one", int(evSentinel), len(want))
+	}
+}
+
 func TestDecodeRejectsTornAndEmpty(t *testing.T) {
 	var zero [RecordSize]byte
 	if _, ok := decode(zero[:]); ok {

@@ -85,7 +85,7 @@ const (
 	CacheTouchDrained = "cache.touch_drained"   // queued promotions applied to the exact list
 	// Zero-copy read views (internal/core/view.go).
 	CacheViewZeroCopy  = "cache.view_zero_copy"  // views served by aliasing pinned NVM bytes
-	CacheViewCopied    = "cache.view_copied"     // views served as private copies (serial/ablation/opt-out)
+	CacheViewCopied    = "cache.view_copied"     // views served as private copies (mid-seal fresh blocks)
 	CacheViewDeferFree = "cache.view_defer_free" // block frees deferred to a view's last unpin
 	// Scrape-time gauges published by the stack's /metrics handler: the
 	// backing values live outside the Recorder (the sharded index and the

@@ -114,7 +114,8 @@ const BlockSize = blockdev.BlockSize
 // the full system.
 type Cache = core.Cache
 
-// CacheOptions configure a Cache (ring size, ablation modes).
+// CacheOptions configure a Cache (ring size, commit rings, write-through,
+// destage, checkpoints, ablation cost hooks).
 type CacheOptions = core.Options
 
 // Txn is a running Tinca transaction (tinca_init_txn/tinca_commit/
@@ -156,7 +157,7 @@ type GroupCommit = core.GroupCommit
 // CacheStats is the typed counter snapshot returned by Cache.Stats.
 type CacheStats = core.CacheStats
 
-// Ablation modes for the design-choice benches.
+// Ablation cost hooks on the commit seal, for the design-choice benches.
 const (
 	AblationNone        = core.AblationNone
 	AblationDoubleWrite = core.AblationDoubleWrite
