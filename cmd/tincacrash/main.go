@@ -56,6 +56,7 @@ import (
 
 	"tinca/internal/crash"
 	"tinca/internal/sim"
+	"tinca/internal/stack"
 )
 
 func main() {
@@ -143,7 +144,7 @@ type sweepArgs struct {
 // runBlackbox crashes one flight-recorded trial and prints the forensic
 // report plus the recovery breakdown.
 func runBlackbox(seed int64, ops int, boundary int64, evictP float64) int {
-	res, err := crash.Blackbox(seed, ops, boundary, evictP)
+	res, err := crash.Blackbox(crash.SweepConfig{Kind: stack.Tinca, Seed: seed, Ops: ops}, boundary, evictP)
 	if err != nil {
 		return fatalf("%v", err)
 	}
@@ -171,10 +172,11 @@ func runBlackbox(seed int64, ops int, boundary int64, evictP float64) int {
 	return 0
 }
 
-// writeFailureBlackboxes re-runs up to five failing serial-sweep trials
-// with the forensic path and writes each report into dir (best effort —
-// CI uploads the directory as an artifact on failure).
-func writeFailureBlackboxes(dir string, a sweepArgs, failures []crash.Failure) {
+// writeFailureBlackboxes re-runs up to five failing trials of the serial
+// sweep cfg with the forensic path — same configuration, so the same
+// persist stream — and writes each report into dir (best effort — CI
+// uploads the directory as an artifact on failure).
+func writeFailureBlackboxes(dir string, cfg crash.SweepConfig, failures []crash.Failure) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "tincacrash: blackbox-out: %v\n", err)
 		return
@@ -184,7 +186,7 @@ func writeFailureBlackboxes(dir string, a sweepArgs, failures []crash.Failure) {
 		n = 5
 	}
 	for _, f := range failures[:n] {
-		res, err := crash.Blackbox(a.seed, a.ops, f.Boundary, f.EvictP)
+		res, err := crash.Blackbox(cfg, f.Boundary, f.EvictP)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tincacrash: blackbox-out boundary %d: %v\n", f.Boundary, err)
 			continue
@@ -279,7 +281,7 @@ func runSweep(a sweepArgs) int {
 		fmt.Printf("  ... and %d more\n", len(res.Failures)-len(show))
 	}
 	if a.bbOut != "" && a.groupBlocks == 0 {
-		writeFailureBlackboxes(a.bbOut, a, res.Failures)
+		writeFailureBlackboxes(a.bbOut, cfg, res.Failures)
 	}
 	switch {
 	case a.groupBlocks > 0:

@@ -61,9 +61,6 @@ type Options struct {
 	// Figure 3(b) leftmost bar: writes reach NVM without ordering
 	// instructions). Unsafe across crashes.
 	NoPersistBarriers bool
-	// WriteThrough writes every cached block to disk synchronously and
-	// keeps slots clean (write-back is the paper's default mode).
-	WriteThrough bool
 	// JournalBoundary, when non-zero, classifies writes to device blocks
 	// >= the boundary (the journal area above the file system span) under
 	// separate hit/miss counters, so data-block hit rates are comparable
@@ -358,15 +355,11 @@ func (c *Cache) WriteBlock(no uint64, p []byte) error {
 	if c.closed {
 		return ErrClosed
 	}
-	dirty := !c.opts.WriteThrough
-	if c.opts.WriteThrough {
-		c.disk.WriteBlock(no, p)
-	}
 	if s, ok := c.hash[no]; ok {
 		// Write hit: in-place overwrite, then one metadata block write.
 		c.rec.Inc(c.writeHitCounter(no, true))
 		c.writeData(s, p)
-		c.meta[s] = slotMeta{valid: true, dirty: dirty, disk: no}
+		c.meta[s] = slotMeta{valid: true, dirty: true, disk: no}
 		c.persistSlotMeta(s)
 		c.touch(s)
 		return nil
@@ -374,7 +367,7 @@ func (c *Cache) WriteBlock(no uint64, p []byte) error {
 	c.rec.Inc(c.writeHitCounter(no, false))
 	s := c.pickSlot(no)
 	c.writeData(s, p)
-	c.meta[s] = slotMeta{valid: true, dirty: dirty, disk: no}
+	c.meta[s] = slotMeta{valid: true, dirty: true, disk: no}
 	c.persistSlotMeta(s) // validate with the new mapping
 	c.hash[no] = s
 	c.touch(s)

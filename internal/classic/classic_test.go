@@ -254,23 +254,3 @@ func TestWriteHitRateClassic(t *testing.T) {
 		t.Fatalf("hit rate = %v", got)
 	}
 }
-
-func TestWriteThroughModeClassic(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8, WriteThrough: true})
-	if err := r.cache.WriteBlock(9, blockOf('t')); err != nil {
-		t.Fatal(err)
-	}
-	p := make([]byte, BlockSize)
-	r.disk.ReadBlock(9, p)
-	if p[0] != 't' {
-		t.Fatal("write-through did not reach disk")
-	}
-	// Eviction of the clean slot must not re-write disk.
-	before := r.rec.Get(metrics.DiskBlocksWrite)
-	if err := r.cache.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.rec.Get(metrics.DiskBlocksWrite); got != before {
-		t.Fatalf("clean slots re-flushed: %d -> %d", before, got)
-	}
-}

@@ -80,13 +80,6 @@ type Options struct {
 	// Ablation adds a design-choice cost hook to every seal (default:
 	// none, the paper's design). It composes with every other option.
 	Ablation Ablation
-	// WriteThrough propagates every committed block to disk at commit
-	// time and keeps cached copies clean (the paper's default is
-	// write-back; write-through trades throughput for a disk that is
-	// always current). With DestageDepth > 0 the propagation is
-	// asynchronous: the disk is current after FlushAll/Close or a
-	// destage drain rather than at Commit return.
-	WriteThrough bool
 	// RotatePointers spreads Head/Tail pointer updates across
 	// DefaultPtrSlots cache lines instead of one fixed line each,
 	// dividing the hottest-line wear accordingly (an endurance extension
@@ -98,7 +91,7 @@ type Options struct {
 	// Observe enables the commit-pipeline observability harness:
 	// per-phase latency histograms (recorded into the device's shared
 	// metrics.Recorder under the metrics.HistCommit* names) for the
-	// group-commit seal phases, the destager and recovery. Off by default:
+	// group-commit seal phases, the evictor and recovery. Off by default:
 	// the hot path then pays one nil check per site and the histograms do
 	// not exist.
 	Observe bool
@@ -118,64 +111,41 @@ type Options struct {
 	// prefix of seals that reached their commit point. The hook must be
 	// fast and must not call back into the cache.
 	SealHook func(seq uint64)
-	// DestageDepth, when positive, enables the background destage path:
-	// a bounded queue of that many blocks drained by a destager
-	// goroutine that writes committed blocks back to disk off the commit
-	// critical path. In write-back mode the destager opportunistically
-	// cleans dirty blocks (so evictions rarely pay a synchronous disk
-	// write); when the queue is full the cleaning is skipped. In
-	// write-through mode enqueueing applies backpressure instead (the
-	// committer blocks until the queue drains). Zero keeps all disk
-	// write-back synchronous, as the paper's prototype does.
-	DestageDepth int
-	// DestageWorkers is how many destager goroutines drain the destage
-	// queue (DestageDepth must be positive). Zero means one, the
-	// historical behaviour; more workers let independent blocks' disk
-	// write-backs overlap on media that overlap them (Profile.Parallel).
-	DestageWorkers int
 	// EvictLowWater, when positive, enables the background watermark
 	// evictor: whenever the free block pool drops below this many blocks,
-	// a background goroutine batch-evicts the globally coldest victims
-	// (writing dirty ones back outside any lock) until the pool is back
-	// above EvictLowWater + EvictBatch. Foreground allocations then almost
-	// never pay an eviction scan or a synchronous disk write; they fall
-	// back to a direct one-victim evict only when the pool is completely
-	// empty. Zero (the default) keeps all eviction synchronous on the
-	// allocating goroutine, as the paper's prototype does — and keeps
-	// single-threaded workloads deterministic for the crash sweeps.
+	// a background goroutine evicts the globally coldest victims,
+	// EvictLowWater per pass (writing dirty ones back outside any lock),
+	// until the pool is back at 2×EvictLowWater. Foreground allocations
+	// then almost never pay an eviction scan or a synchronous disk write;
+	// they fall back to a direct one-victim evict only when the pool is
+	// completely empty. Open clamps the mark to a quarter of the cache
+	// capacity, so the refill target never exceeds half of it. Zero (the
+	// default) keeps all eviction synchronous on the allocating goroutine,
+	// as the paper's prototype does — and keeps single-threaded workloads
+	// deterministic for the crash sweeps.
 	EvictLowWater int
-	// EvictBatch is how many victims one background eviction pass
-	// reclaims (the hysteresis above the low watermark). Zero picks a
-	// default; meaningless without EvictLowWater.
-	EvictBatch int
-	// IndexBuckets sets the initial per-shard capacity (in 16B cells) of
-	// the open-addressed block index. Zero pre-sizes each shard for the
-	// cache capacity so the steady state never resizes; small values force
-	// the incremental grow path (used by the resize stress tests). Rounded
-	// up to a power of two.
-	IndexBuckets int
 	// FlightRecorder enables the crash-surviving black box (DESIGN.md
 	// §13): a flight.DefaultSlots-record event ring carved out of the NVM
-	// layout, written crash-consistently at seal, recovery, destage and
+	// layout, written crash-consistently at seal, recovery, checkpoint and
 	// eviction boundaries via silent persists that charge no simulated
 	// time, counters or wear — figures are bit-identical with the
 	// recorder on or off. The region costs a few cache blocks of
 	// capacity; layouts with the recorder off are byte-identical to
 	// before the feature existed.
 	FlightRecorder bool
-	// Checkpoint enables the checkpoint region (DESIGN.md §14): a delta
-	// journal plus two alternating entry-table snapshot frames carved out
-	// of the NVM layout. A checkpoint writer runs at commit points on the
-	// simulated clock; recovery then loads the newest valid frame and
-	// replays only the journaled deltas instead of scanning the whole
-	// entry table, making restart time proportional to the resident set
-	// rather than the capacity. Bumps the layout version; images with the
-	// option off are byte-identical to before the feature existed.
-	Checkpoint bool
-	// CheckpointIntervalNS is the minimum simulated time between
-	// checkpoint writes (DefaultCheckpointIntervalNS when 0). Requires
-	// Checkpoint. The crash sweeps set it to 1 so every commit point
-	// writes a checkpoint and the sweep visits every checkpoint boundary.
+	// CheckpointIntervalNS, when positive, enables the checkpoint region
+	// (DESIGN.md §14): a delta journal plus two alternating entry-table
+	// snapshot frames carved out of the NVM layout. A checkpoint writer
+	// runs at commit points on the simulated clock, at least this many
+	// simulated ns apart (DefaultCheckpointIntervalNS is the usual
+	// choice; the crash sweeps set 1 so every commit point writes a
+	// checkpoint and the sweep visits every checkpoint boundary).
+	// Recovery then loads the newest valid frame and replays only the
+	// journaled deltas instead of scanning the whole entry table, making
+	// restart time proportional to the resident set rather than the
+	// capacity. Bumps the layout version; zero (the default) means no
+	// region, and such images are byte-identical to before the feature
+	// existed.
 	CheckpointIntervalNS int64
 	// CommitRings splits the single commit log ring into this many
 	// independent per-shard rings (DESIGN.md §8): ring r serializes the
@@ -199,6 +169,12 @@ type Options struct {
 	// implementation TestRecoverySerialParallelParity and
 	// TestMultiRingSerialParallelParity compare the fan-out against.
 	serialRecovery bool
+	// indexBuckets sets the initial per-shard capacity (in 16B cells) of
+	// the open-addressed block index. Zero pre-sizes each shard for the
+	// cache capacity so the steady state never resizes; small values force
+	// the incremental grow path. Rounded up to a power of two. Unexported:
+	// only the index-resize tests set it.
+	indexBuckets int
 }
 
 // Validate reports a descriptive error for a nonsensical configuration
@@ -219,35 +195,14 @@ func (o Options) Validate() error {
 	if o.GroupCommit.MaxWaitNS < 0 {
 		return fmt.Errorf("core: GroupCommit.MaxWaitNS %d is negative", o.GroupCommit.MaxWaitNS)
 	}
-	if o.DestageDepth < 0 {
-		return fmt.Errorf("core: DestageDepth %d is negative", o.DestageDepth)
-	}
 	if o.Fault < FaultNone || o.Fault > FaultSkipDataFlush {
 		return fmt.Errorf("core: unknown fault %d", int(o.Fault))
-	}
-	if o.DestageWorkers < 0 {
-		return fmt.Errorf("core: DestageWorkers %d is negative", o.DestageWorkers)
-	}
-	if o.DestageWorkers > 1 && o.DestageDepth == 0 {
-		return errors.New("core: DestageWorkers > 1 requires DestageDepth > 0 (there is no queue to drain)")
 	}
 	if o.EvictLowWater < 0 {
 		return fmt.Errorf("core: EvictLowWater %d is negative", o.EvictLowWater)
 	}
-	if o.EvictBatch < 0 {
-		return fmt.Errorf("core: EvictBatch %d is negative", o.EvictBatch)
-	}
-	if o.EvictBatch > 0 && o.EvictLowWater == 0 {
-		return errors.New("core: EvictBatch without EvictLowWater (no watermark to maintain)")
-	}
-	if o.IndexBuckets < 0 {
-		return fmt.Errorf("core: IndexBuckets %d is negative", o.IndexBuckets)
-	}
 	if o.CheckpointIntervalNS < 0 {
 		return fmt.Errorf("core: CheckpointIntervalNS %d is negative", o.CheckpointIntervalNS)
-	}
-	if o.CheckpointIntervalNS > 0 && !o.Checkpoint {
-		return errors.New("core: CheckpointIntervalNS without Checkpoint (no writer to pace)")
 	}
 	if o.CommitRings < 0 {
 		return fmt.Errorf("core: CommitRings %d is negative", o.CommitRings)
@@ -324,7 +279,7 @@ type shard struct {
 	pinned map[int32]bool
 
 	// wb marks entry slots whose contents are currently in flight to disk
-	// (eviction write-back, destage, flush or write-through propagation).
+	// (eviction write-back or flush).
 	// The flag serializes write-backers of one slot without holding mu
 	// across the disk write: whoever sets it owns the slot's disk traffic
 	// until it clears it, so an older version can never land over a newer
@@ -404,26 +359,19 @@ type Cache struct {
 	rings []ringState
 	gen   atomic.Uint64
 
-	// Watermark-evictor state (evictWake nil when EvictLowWater == 0).
-	evictLow    int
-	evictHigh   int
-	evictBatchN int
-	evictWake   chan struct{}
-	evictStop   chan struct{}
-	evictWG     sync.WaitGroup
+	// Watermark-evictor state (evictWake nil when EvictLowWater == 0):
+	// the clamped low-water mark, which is also the per-pass batch, and
+	// the refill target 2×evictLow.
+	evictLow  int
+	evictWake chan struct{}
+	evictStop chan struct{}
+	evictWG   sync.WaitGroup
 
 	closed atomic.Bool
 	// poisoned carries the injected-crash panic value after a crash
 	// fired mid-operation, so every later caller observes the crash
 	// instead of running on the half-written image.
 	poisoned atomic.Value
-
-	// Destage queue (nil when DestageDepth == 0).
-	destageCh      chan destageItem
-	destageWG      sync.WaitGroup
-	destagePending atomic.Int64
-	destageWakeMu  sync.Mutex
-	destageWake    *sync.Cond
 
 	// obs is the observability harness (nil when Observe is off; every
 	// instrumentation site branches on that nil).
@@ -437,8 +385,9 @@ type Cache struct {
 	// image; zero (Ran == false) after a fresh format.
 	recStats RecoveryStats
 
-	// ckpt is the checkpoint writer state (nil when Options.Checkpoint is
-	// off; every hook branches on that nil). See checkpoint.go.
+	// ckpt is the checkpoint writer state (nil when
+	// Options.CheckpointIntervalNS is zero; every hook branches on that
+	// nil). See checkpoint.go.
 	ckpt *ckptState
 }
 
@@ -478,7 +427,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		RingBytes:   opts.RingBytes,
 		PtrSlots:    ptrSlots,
 		FlightSlots: flightSlots,
-		Checkpoint:  opts.Checkpoint,
+		Checkpoint:  opts.CheckpointIntervalNS > 0,
 		Rings:       opts.CommitRings,
 	})
 	if err != nil {
@@ -503,11 +452,10 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	for r := range c.rings {
 		c.rings[r].init(c.rec, r)
 	}
-	c.destageWake = sync.NewCond(&c.destageWakeMu)
 	if opts.Observe || opts.Tracer != nil {
 		c.obs = newObs(mem.Clock(), mem.Recorder(), opts.Tracer)
 	}
-	buckets := opts.IndexBuckets
+	buckets := opts.indexBuckets
 	if buckets == 0 {
 		// Pre-size each shard for the whole capacity landing in it (the
 		// worst skew) staying under the 3/4 grow trigger is overkill;
@@ -524,12 +472,8 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		sh.wb = make(map[int32]bool)
 		sh.wbCond = sync.NewCond(&sh.mu)
 	}
-	if opts.Checkpoint {
-		iv := opts.CheckpointIntervalNS
-		if iv == 0 {
-			iv = DefaultCheckpointIntervalNS
-		}
-		c.ckpt = &ckptState{interval: iv, journaled: make([]bool, lay.Capacity)}
+	if opts.CheckpointIntervalNS > 0 {
+		c.ckpt = &ckptState{interval: opts.CheckpointIntervalNS, journaled: make([]bool, lay.Capacity)}
 	}
 	hasImage := c.mem.Load8(lay.HeaderOff+hdrMagic) == layoutMagic
 	if hasImage && c.sameGeometry() {
@@ -547,28 +491,10 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 			c.fl = flight.New(mem, mem.Clock(), lay.FlightOff, lay.FlightSlots)
 		}
 	}
-	if opts.DestageDepth > 0 {
-		workers := opts.DestageWorkers
-		if workers == 0 {
-			workers = 1
-		}
-		c.destageCh = make(chan destageItem, opts.DestageDepth)
-		for i := 0; i < workers; i++ {
-			c.destageWG.Add(1)
-			go c.destager()
-		}
-	}
 	if opts.EvictLowWater > 0 {
-		c.evictLow = opts.EvictLowWater
-		if c.evictLow > lay.Capacity/2 {
-			// A watermark above half the cache would thrash; clamp it.
-			c.evictLow = lay.Capacity / 2
-		}
-		c.evictBatchN = opts.EvictBatch
-		if c.evictBatchN == 0 {
-			c.evictBatchN = defaultEvictBatch
-		}
-		c.evictHigh = c.evictLow + c.evictBatchN
+		// The evictor refills to twice the mark: a mark above a quarter of
+		// the cache would refill past half of it and thrash; clamp it.
+		c.evictLow = min(opts.EvictLowWater, lay.Capacity/4)
 		c.evictWake = make(chan struct{}, 1)
 		c.evictStop = make(chan struct{})
 		c.evictWG.Add(1)
@@ -1034,8 +960,7 @@ func (c *Cache) Contains(no uint64) bool {
 }
 
 // writeBack writes slot's current contents to disk and clears its
-// modified bit: the shared engine of the destager, FlushAll and the
-// write-through propagation. The caller names the (no, slot) pair it
+// modified bit: FlushAll's engine. The caller names the (no, slot) pair it
 // believes dirty; everything is re-validated under the shard lock, the
 // disk write happens outside it under the slot's wb flag (so concurrent
 // write-backers of one slot serialize and an older version can never
@@ -1093,17 +1018,20 @@ func (c *Cache) FlushAll() error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.DrainDestage()
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
-	var dirty []destageItem
+	type item struct {
+		no   uint64
+		slot int32
+	}
+	var dirty []item
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.mu.Lock()
 		dirty = dirty[:0]
 		sh.idx.Range(func(no uint64, i int32) bool {
 			if e := c.readEntry(i); e.modified && e.role != RoleLog {
-				dirty = append(dirty, destageItem{no: no, slot: i})
+				dirty = append(dirty, item{no: no, slot: i})
 			}
 			return true
 		})
@@ -1122,18 +1050,13 @@ func (c *Cache) Close() error {
 	}
 	c.closed.Store(true)
 	// Barrier: wait for any in-flight commit to finish before the
-	// background workers go away (every seal runs and enqueues its destage
-	// work under its ring locks).
+	// background evictor goes away (every seal runs under its ring locks).
 	c.lockRings()
 	c.unlockRings() // the empty critical section is the barrier
 	if c.evictStop != nil {
 		close(c.evictStop)
 		c.evictWG.Wait()
 		c.evictStop = nil
-	}
-	if c.destageCh != nil {
-		close(c.destageCh)
-		c.destageWG.Wait()
 	}
 	return nil
 }

@@ -38,17 +38,16 @@ import (
 // ckptMagic marks a valid frame header ("tinchkpt").
 const ckptMagic uint64 = 0x74706b68636e6974
 
-// DefaultCheckpointIntervalNS is the simulated-time gap between
-// checkpoint writes when Options.Checkpoint is on and no interval is
-// given (1ms — a few thousand commits on the stock NVDIMM profile).
+// DefaultCheckpointIntervalNS is the customary Options.CheckpointIntervalNS
+// (1ms — a few thousand commits on the stock NVDIMM profile).
 const DefaultCheckpointIntervalNS int64 = 1_000_000
 
 // ckptState is the DRAM side of the checkpoint writer.
 type ckptState struct {
 	// mu guards everything below plus the journal region's append
 	// position. Leaf-level below the shard locks: ckptJournal takes it
-	// while holding one shard lock (different shards' mutators — the
-	// destager and evictor take no ring lock — would otherwise race on the
+	// while holding one shard lock (different shards' mutators — fills
+	// and the evictor take no ring lock — would otherwise race on the
 	// append position); only the pmem device lock is taken inside.
 	// writeCheckpointLocked additionally holds every ring's seal lock and
 	// all shard locks, which quiesces every mutator across its whole

@@ -439,34 +439,6 @@ func TestLRUValidateAfterChurn(t *testing.T) {
 	}
 }
 
-func TestWriteThroughMode(t *testing.T) {
-	r := newRig(t, 1<<20, Options{RingBytes: 4096, WriteThrough: true})
-	txn := r.cache.Begin()
-	txn.Write(5, blockOf('w'))
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Disk is current immediately after commit.
-	p := make([]byte, BlockSize)
-	r.disk.ReadBlock(5, p)
-	if p[0] != 'w' {
-		t.Fatal("write-through did not reach disk")
-	}
-	// The cached copy is clean: eviction must not write it again.
-	for no, dirty := range r.cache.ResidentBlocks() {
-		if dirty {
-			t.Fatalf("block %d dirty in write-through mode", no)
-		}
-	}
-	if err := r.cache.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Reads still served from NVM.
-	if got := mustRead(t, r.cache, 5)[0]; got != 'w' {
-		t.Fatalf("read = %q", got)
-	}
-}
-
 func TestComputeLayoutProperties(t *testing.T) {
 	// Property: for any sane device/ring/rotation combination, the layout
 	// regions are ordered, aligned and within the device.
@@ -563,7 +535,7 @@ func TestReformatOverOldImage(t *testing.T) {
 		flipped Options
 	}{
 		{"RingBytes", Options{RingBytes: 8192}},
-		{"Checkpoint", Options{RingBytes: 4096, Checkpoint: true}},
+		{"Checkpoint", Options{RingBytes: 4096, CheckpointIntervalNS: DefaultCheckpointIntervalNS}},
 		{"RotatePointers", Options{RingBytes: 4096, RotatePointers: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

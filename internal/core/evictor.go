@@ -20,9 +20,6 @@ import (
 // the serial evictor always used (DESIGN.md §8's ordering argument never
 // mentions who runs the sequence, only its order).
 
-// defaultEvictBatch is the batch size when Options.EvictBatch is zero.
-const defaultEvictBatch = 16
-
 // directEvictBatch is how many victims a foreground allocation reclaims
 // when it finds the pool empty: one, the paper's synchronous behaviour —
 // the batching belongs to the background evictor.
@@ -239,9 +236,9 @@ func (c *Cache) maybeWakeEvictor() {
 }
 
 // evictor is the background watermark evictor: woken when the free pool
-// dips under the low watermark, it batch-evicts the globally coldest
-// victims until the pool is back above low + batch, writing dirty victims
-// back outside any shard lock. It never takes a ring lock, so commits,
+// dips under the low watermark, it evicts the globally coldest victims,
+// evictLow per pass, until the pool is back at 2×evictLow, writing dirty
+// victims back outside any shard lock. It never takes a ring lock, so commits,
 // reads and seals proceed while it reclaims.
 func (c *Cache) evictor() {
 	defer c.evictWG.Done()
@@ -256,7 +253,7 @@ func (c *Cache) evictor() {
 	}
 }
 
-// evictorRun tops the free pool back up to the high watermark. An
+// evictorRun tops the free pool back up to the refill mark. An
 // injected crash on the evictor goroutine poisons the cache exactly as a
 // crash on a committing goroutine would.
 func (c *Cache) evictorRun(scratch *[]victim) {
@@ -266,14 +263,14 @@ func (c *Cache) evictorRun(scratch *[]victim) {
 		}
 	}()
 	for c.poisoned.Load() == nil && !c.closed.Load() {
-		if int(c.alloc.freeBlocks()) >= c.evictHigh {
+		if int(c.alloc.freeBlocks()) >= 2*c.evictLow {
 			return
 		}
 		var t0 int64
 		if c.obs != nil {
 			t0 = c.obs.now()
 		}
-		n, _ := c.evictBatch(c.evictBatchN, false, scratch)
+		n, _ := c.evictBatch(c.evictLow, false, scratch)
 		if n == 0 {
 			return // nothing evictable now; the foreground falls back
 		}

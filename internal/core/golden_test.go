@@ -102,11 +102,11 @@ func TestCommitLogGoldenImage(t *testing.T) {
 		// R=4) wrapped several times.
 		{"wrapped", Options{RingBytes: 512}, 40, nil},
 		// The checkpoint writer firing at every commit point.
-		{"ckpt", Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1}, 12, nil},
+		{"ckpt", Options{RingBytes: 4096, CheckpointIntervalNS: 1}, 12, nil},
 		// Crash mid-run and recover, at boundaries spread over the seal
 		// phases: recovery's own persists and charges are pinned too.
 		{"recover", Options{RingBytes: 4096}, 12, []int64{9, 26, 43, 60, 77, 94}},
-		{"recover-ckpt", Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1}, 12, []int64{30, 71, 112, 153}},
+		{"recover-ckpt", Options{RingBytes: 4096, CheckpointIntervalNS: 1}, 12, []int64{30, 71, 112, 153}},
 		// The ablation cost hooks, committed and crashed. Write hits start
 		// at the eighth commit, so the crash points reach past it.
 		{"dw-plain", Options{RingBytes: 4096, Ablation: AblationDoubleWrite}, 12, nil},

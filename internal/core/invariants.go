@@ -25,7 +25,6 @@ func (c *Cache) CheckInvariants() error {
 	// The ring seal locks quiesce every seal.
 	c.lockRings()
 	defer c.unlockRings()
-	c.DrainDestage()
 	c.lockAllShards()
 	defer c.unlockAllShards()
 

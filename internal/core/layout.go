@@ -55,10 +55,11 @@ const (
 	layoutMagic   uint64 = 0x61636e6974 // "tinca"
 	layoutVersion uint64 = 1
 	// layoutVersionCkpt is the on-NVM version written when the checkpoint
-	// region exists (Options.Checkpoint). Bumping the version keeps a
-	// checkpointed image from being opened by a build (or a configuration)
-	// that does not know the region is there; with the option off the
-	// layout and version are byte-identical to layoutVersion images.
+	// region exists (Options.CheckpointIntervalNS > 0). Bumping the
+	// version keeps a checkpointed image from being opened by a build (or
+	// a configuration) that does not know the region is there; with the
+	// option off the layout and version are byte-identical to
+	// layoutVersion images.
 	layoutVersionCkpt uint64 = 2
 	// layoutVersionRings is the on-NVM version written when the log is
 	// split into multiple per-shard rings (Options.CommitRings > 1): the
@@ -102,8 +103,9 @@ type Layout struct {
 	// Checkpoint region (DESIGN.md §14): a delta journal of
 	// CkptJournalSlots 8B records followed by two alternating snapshot
 	// frames, between the flight region and the entry table. Zero slots
-	// (the default, Options.Checkpoint off) collapses the region and keeps
-	// the layout byte-identical to the pre-checkpoint versions.
+	// (the default, Options.CheckpointIntervalNS zero) collapses the
+	// region and keeps the layout byte-identical to the pre-checkpoint
+	// versions.
 	CkptOff          int
 	CkptJournalSlots int
 	EntryOff         int

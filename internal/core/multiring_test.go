@@ -26,7 +26,7 @@ func mrOpts() Options {
 // in CI. Afterwards the per-ring counters must account for every seal,
 // invariants must hold, and a clean reopen must serve the data back.
 func TestMultiRingStress(t *testing.T) {
-	opts := Options{CommitRings: 16, Checkpoint: true, CheckpointIntervalNS: 1}
+	opts := Options{CommitRings: 16, CheckpointIntervalNS: 1}
 	r := newRig(t, 8<<20, opts)
 	const workers, per = 16, 30
 	var wg sync.WaitGroup
@@ -175,8 +175,7 @@ func TestMultiRingSerialParallelParity(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{CommitRings: 4, RingBytes: 2048, Checkpoint: true,
-			CheckpointIntervalNS: 1, serialRecovery: serial}
+		opts := Options{CommitRings: 4, RingBytes: 2048, CheckpointIntervalNS: 1, serialRecovery: serial}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // obs is the cache's observability harness: per-phase latency histograms
-// for the commit pipeline, the destager and recovery, plus an optional
+// for the commit pipeline, the evictor and recovery, plus an optional
 // span tracer. It exists only when Options.Observe (or a Tracer) was
 // given, so the hot path pays exactly one nil check per instrumentation
 // site when observability is off — the acceptance bar of the ROADMAP's
@@ -29,7 +29,7 @@ type obs struct {
 	seals atomic.Uint64 // seal ids for span grouping
 
 	wait, absorb, data, entries, ring, roleSw, tail, seal *metrics.Histogram
-	total, destage, evict, recovery                       *metrics.Histogram
+	total, evict, recovery                                *metrics.Histogram
 	recScan, recRedo, recUndo, recRebuild                 *metrics.Histogram
 	ckpt                                                  *metrics.Histogram
 
@@ -53,7 +53,6 @@ func newObs(clock *sim.Clock, rec *metrics.Recorder, tr *metrics.Tracer) *obs {
 		tail:       rec.Hist(metrics.HistCommitTail),
 		seal:       rec.Hist(metrics.HistCommitSeal),
 		total:      rec.Hist(metrics.HistCommitTotal),
-		destage:    rec.Hist(metrics.HistDestageWrite),
 		evict:      rec.Hist(metrics.HistEvictBatch),
 		recovery:   rec.Hist(metrics.HistRecovery),
 		recScan:    rec.Hist(metrics.HistRecoveryScan),
@@ -100,7 +99,6 @@ const (
 	spanTail       = "seal.tail"
 	spanSeal       = "seal"
 	spanCommit     = "commit"
-	spanDestage    = "destage.write"
 	spanEvictBatch = "evict.batch"
 	spanRecover    = "recovery"
 	spanCkpt       = "ckpt.write"
@@ -124,7 +122,7 @@ func (o *obs) phaseLatencies() []PhaseLatency {
 	if o == nil {
 		return nil
 	}
-	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.total, o.destage, o.evict, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
+	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.total, o.evict, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
 	out := make([]PhaseLatency, 0, len(hs))
 	for _, h := range hs {
 		s := h.Snapshot()

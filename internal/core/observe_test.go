@@ -212,15 +212,3 @@ func TestTracerSpansFromCommits(t *testing.T) {
 		}
 	}
 }
-
-func TestObserveDestage(t *testing.T) {
-	r := newRig(t, 8<<20, Options{Observe: true, DestageDepth: 8})
-	commitSome(t, r.cache, 1, 20)
-	r.cache.DrainDestage()
-	if n := r.rec.HistSnapshot(metrics.HistDestageWrite).Count; n == 0 {
-		t.Fatal("no destage writes observed")
-	}
-	if n := r.rec.Get(metrics.DestageDone); n == 0 {
-		t.Fatal("destager did no work; test premise broken")
-	}
-}

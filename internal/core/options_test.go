@@ -23,15 +23,14 @@ func TestOptionsValidate(t *testing.T) {
 		{"ablation double write", Options{Ablation: AblationDoubleWrite}, ""},
 		{"ablation out of range", Options{Ablation: Ablation(99)}, "unknown ablation"},
 		{"negative ablation", Options{Ablation: Ablation(-1)}, "unknown ablation"},
-		{"write-through", Options{WriteThrough: true}, ""},
-		{"write-through + UBJ", Options{WriteThrough: true, Ablation: AblationUBJ}, ""},
 		{"group commit knobs", Options{GroupCommit: GroupCommit{MaxBatch: 16, MaxWaitNS: 1000}}, ""},
 		{"negative max batch", Options{GroupCommit: GroupCommit{MaxBatch: -1}}, "MaxBatch"},
 		{"negative max wait", Options{GroupCommit: GroupCommit{MaxWaitNS: -1}}, "MaxWaitNS"},
-		{"destage depth", Options{DestageDepth: 8}, ""},
-		{"negative destage depth", Options{DestageDepth: -1}, "DestageDepth"},
-		{"destage + ablation", Options{DestageDepth: 4, Ablation: AblationUBJ}, ""},
-		{"ablation composes", Options{Ablation: AblationUBJ, CommitRings: 4, Checkpoint: true, DestageDepth: 4}, ""},
+		{"evictor low water", Options{EvictLowWater: 8}, ""},
+		{"negative low water", Options{EvictLowWater: -1}, "EvictLowWater"},
+		{"evictor + ablation", Options{EvictLowWater: 4, Ablation: AblationUBJ}, ""},
+		{"negative checkpoint interval", Options{CheckpointIntervalNS: -1}, "CheckpointIntervalNS"},
+		{"ablation composes", Options{Ablation: AblationUBJ, CommitRings: 4, CheckpointIntervalNS: DefaultCheckpointIntervalNS, EvictLowWater: 4}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

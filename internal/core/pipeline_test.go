@@ -33,7 +33,7 @@ func TestConcurrentMissFills(t *testing.T) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 32, EvictBatch: 32})
+	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,70 @@ func TestConcurrentMissFills(t *testing.T) {
 	}
 }
 
+// TestEvictorRefillMark pins the evictor's derived refill mark: one
+// background run reclaims EvictLowWater (L) victims per pass until the free
+// pool holds at least 2L blocks, so from an empty pool it settles at
+// exactly 2L after two passes; and Open clamps a mark above a quarter of
+// the capacity, so the refill never reaches past half the cache. The
+// background goroutine is stopped first and the run is driven directly,
+// which makes every count exact.
+func TestEvictorRefillMark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		low  int
+		want func(capacity int) int // the effective mark L
+	}{
+		{"mark", 16, func(int) int { return 16 }},
+		{"clamped", 1 << 20, func(capacity int) int { return capacity / 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := sim.NewClock()
+			rec := metrics.NewRecorder()
+			mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
+			disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
+			c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: tc.low})
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(c.evictStop)
+			c.evictWG.Wait()
+			c.evictStop = nil
+
+			low := tc.want(c.Capacity())
+			if c.evictLow != low {
+				t.Fatalf("effective low-water mark %d, want %d (capacity %d)", c.evictLow, low, c.Capacity())
+			}
+			// Overcommit with the evictor parked: every fill past capacity
+			// direct-evicts one victim, leaving the pool empty.
+			p := make([]byte, BlockSize)
+			for no := uint64(0); no < uint64(2*c.Capacity()); no++ {
+				if err := c.Read(no, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if free := c.FreeBlocks(); free != 0 {
+				t.Fatalf("free pool %d after an overcommitted sweep, want 0", free)
+			}
+			var scratch []victim
+			c.evictorRun(&scratch)
+			if free := c.FreeBlocks(); free != 2*low {
+				t.Fatalf("free pool %d after a refill run, want 2×%d", free, low)
+			}
+			if bg := c.Stats().BgEvictions; bg != int64(2*low) {
+				t.Fatalf("refill run evicted %d victims, want two passes of %d", bg, low)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestMissPipelineStress mixes concurrent miss fills, commits, aborts,
-// background eviction, multi-worker destage and FlushAll on a cache
+// background eviction and FlushAll on a cache
 // several times smaller than the working set. Run under -race this is the
 // primary data-race check for the concurrent miss pipeline; functionally
 // it checks the same value oracles as the commit stress test plus the
@@ -93,13 +155,7 @@ func TestMissPipelineStress(t *testing.T) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{
-		RingBytes:      8192,
-		DestageDepth:   8,
-		DestageWorkers: 2,
-		EvictLowWater:  48,
-		EvictBatch:     32,
-	})
+	c, err := Open(mem, disk, Options{RingBytes: 8192, EvictLowWater: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +272,7 @@ func TestEvictorCrashRecovers(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, EvictLowWater: 64, EvictBatch: 32}
+		opts := Options{RingBytes: 4096, EvictLowWater: 48}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -367,7 +423,7 @@ func BenchmarkReadMissSteadyState(b *testing.B) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 16, EvictBatch: 16})
+	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 16})
 	if err != nil {
 		b.Fatal(err)
 	}

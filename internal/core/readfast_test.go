@@ -30,9 +30,9 @@ func wordBlock(v uint64) []byte {
 // hit path: 8 readers hammer a small hot set while (a) one committer keeps
 // rewriting those same blocks through COW redirects and group seals,
 // (b) a cold scanner streams through more blocks than the cache holds so
-// the evictor constantly reclaims slots, and (c) write-through destaging
-// flips the same hot slots from modified to banked-clean under the
-// readers. Three oracles:
+// slots are constantly reclaimed, and (c) in the evictor case the
+// background evictor writes dirty victims back and tears their slots
+// down off the allocating goroutine, under the readers. Three oracles:
 //
 //  1. every block read is word-uniform (no torn read),
 //  2. per reader, the value seen for a given block never decreases
@@ -44,7 +44,7 @@ func TestReadHitSeqlockStress(t *testing.T) {
 		opts Options
 	}{
 		{"write-back", Options{RingBytes: 4096}},
-		{"write-through-destage", Options{RingBytes: 4096, WriteThrough: true, DestageDepth: 4}},
+		{"evictor", Options{RingBytes: 4096, EvictLowWater: 16}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -142,6 +142,9 @@ func TestReadHitSeqlockStress(t *testing.T) {
 			}
 			if st.ReadHitFast+st.ReadHitSlow != st.ReadHits {
 				t.Fatalf("fast %d + slow %d != hits %d", st.ReadHitFast, st.ReadHitSlow, st.ReadHits)
+			}
+			if cfg.opts.EvictLowWater > 0 && st.BgEvictions == 0 {
+				t.Fatalf("background evictor never reclaimed: %+v", st)
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // elapsed (i.e. all of them) writes a frame, so armed crash boundaries
 // land before, inside, and after checkpoint writes.
 func ckptOpts() Options {
-	return Options{Checkpoint: true, CheckpointIntervalNS: 1}
+	return Options{CheckpointIntervalNS: 1}
 }
 
 // TestCheckpointCleanReopen pins the happy path: a checkpointed cache
@@ -182,7 +182,7 @@ func TestRecoveryWrappedRing(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{RingBytes: 64}},
-		{"ckpt", Options{RingBytes: 64, Checkpoint: true, CheckpointIntervalNS: 1}},
+		{"ckpt", Options{RingBytes: 64, CheckpointIntervalNS: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			covered := 0
@@ -232,7 +232,7 @@ func TestRecoveryFullCapacity(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{RingBytes: 4096}},
-		{"ckpt", Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1}},
+		{"ckpt", Options{RingBytes: 4096, CheckpointIntervalNS: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Size the workload once: fill well past capacity so the steady
@@ -301,7 +301,7 @@ func TestRecoverySerialParallelParity(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, Checkpoint: true, CheckpointIntervalNS: 1, serialRecovery: serial}
+		opts := Options{RingBytes: 4096, CheckpointIntervalNS: 1, serialRecovery: serial}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -64,9 +64,9 @@
 //
 // Locking. The ring locks provide the seal-vs-seal exclusion (two seals
 // sharing a block share its ring), the shard locks protect per-entry
-// state, and the allocator and destage queue are lock-free / internally
-// synchronized. Lock order: ring seal locks in index order, shard locks,
-// the checkpoint writer's k.mu, the device.
+// state, and the allocator is lock-free / internally synchronized. Lock
+// order: ring seal locks in index order, shard locks, the checkpoint
+// writer's k.mu, the device.
 //
 // Ablations (DESIGN.md §6) are cost-only hooks inside these phases: they
 // add the ablated mechanism's NVM traffic to phase A, written into one
@@ -578,24 +578,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		}
 	}
 	c.mem.SFence()
-
-	// Write-through without a destager propagates synchronously, before
-	// the commit point.
-	if c.opts.WriteThrough && c.destageCh == nil {
-		buf := bufpool.Get()
-		for _, pb := range plan {
-			// writeBack performs the disk write outside the shard lock
-			// under the slot's wb flag, so it coordinates with any
-			// write-back the background evictor may have in flight.
-			c.writeBack(c.shardOf(pb.no), pb.no, pb.slot, buf)
-		}
-		bufpool.Put(buf)
-		c.mem.SFence()
-	}
 	if c.obs != nil {
-		// The synchronous write-through propagation (when configured)
-		// bills to the switch phase: it sits between the role switches
-		// and the commit point.
 		ts = c.obs.phase(c.obs.roleSw, sealID, spanSwitch, ts, g)
 	}
 
@@ -620,8 +603,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	}
 
 	// Volatile epilogue: release the scratch block, unpin, touch LRU (rule
-	// 2b: committed blocks are most recently used), hand off to the
-	// destager, book the counters.
+	// 2b: committed blocks are most recently used), book the counters.
 	if scratch != Fresh {
 		c.alloc.pushBlock(scratch)
 	}
@@ -631,11 +613,6 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 		delete(sh.pinned, pb.slot)
 		c.touchLocked(sh, pb.slot)
 		sh.mu.Unlock()
-	}
-	if c.destageCh != nil {
-		for _, pb := range plan {
-			c.destageEnqueue(pb.no, pb.slot)
-		}
 	}
 	for _, pb := range plan {
 		if pb.hit {

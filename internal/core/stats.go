@@ -70,12 +70,7 @@ type CacheStats struct {
 	CrossShardTxns    int64
 	RingSealConflicts int64
 
-	// Destage.
-	DestageDone    int64 // blocks written back by the destager
-	DestageDropped int64 // opportunistic cleanings skipped (queue full)
-	DestageQueue   int64 // current queue depth (gauge)
-
-	// Checkpoint writer (0 when Options.Checkpoint is off).
+	// Checkpoint writer (0 when Options.CheckpointIntervalNS is zero).
 	Checkpoints           int64 // frames persisted
 	CheckpointEntries     int64 // valid entries snapshotted, cumulative
 	CheckpointJournalRecs int64 // delta-journal records persisted
@@ -93,7 +88,7 @@ type CacheStats struct {
 	// Commit latency (populated only when Options.Observe is on).
 	// CommitLatency digests per-transaction Commit latency (enqueue to
 	// acknowledgement, simulated ns); CommitPhases breaks the seal down
-	// into the pipeline's phases plus the destager and recovery, in
+	// into the pipeline's phases plus the evictor and recovery, in
 	// pipeline order. Empty when observability is off.
 	CommitLatency metrics.LatencySummary
 	CommitPhases  []PhaseLatency
@@ -138,7 +133,7 @@ type RecoveryStats struct {
 	// EvRecoverFail flight record are the forensic trail.
 	Failed bool
 
-	// Checkpoint fast path (Options.Checkpoint images only).
+	// Checkpoint fast path (checkpointed images only).
 	FromCheckpoint bool   // recovery loaded a frame instead of scanning
 	CkptEpoch      uint64 // epoch of the frame recovery loaded
 	DeltaSlots     int64  // journaled slots replayed on top of the frame
@@ -181,9 +176,6 @@ func (c *Cache) Stats() CacheStats {
 		GroupSeals:            r.Get(metrics.TxnGroupSeals),
 		GroupedTxns:           r.Get(metrics.TxnGroupSize),
 		AbsorbedBlocks:        r.Get(metrics.TxnAbsorbed),
-		DestageDone:           r.Get(metrics.DestageDone),
-		DestageDropped:        r.Get(metrics.DestageDropped),
-		DestageQueue:          r.Get(metrics.DestageQueueDepth),
 		Checkpoints:           r.Get(metrics.CkptWrites),
 		CheckpointEntries:     r.Get(metrics.CkptEntries),
 		CheckpointJournalRecs: r.Get(metrics.CkptJournalRecs),

@@ -16,21 +16,24 @@ import (
 // primary data-race check for the sharded hot path and the group-commit
 // pipeline; functionally it checks that private blocks end with their
 // writer's last value, contended blocks end with *some* writer's value,
-// and the structural invariants hold afterwards.
+// and the structural invariants hold afterwards. The evictor case runs on
+// an NVM smaller than the working set, so the background evictor's
+// write-backs race the seals and readers.
 func TestConcurrentCommitStress(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		opts Options
+		name     string
+		nvmBytes int
+		opts     Options
 	}{
-		{"write-back", Options{RingBytes: 8192}},
-		{"timed-batch", Options{RingBytes: 8192, GroupCommit: GroupCommit{MaxBatch: 8, MaxWaitNS: 20_000}}},
-		{"write-through-destage", Options{RingBytes: 8192, WriteThrough: true, DestageDepth: 4}},
+		{"write-back", 8 << 20, Options{RingBytes: 8192}},
+		{"timed-batch", 8 << 20, Options{RingBytes: 8192, GroupCommit: GroupCommit{MaxBatch: 8, MaxWaitNS: 20_000}}},
+		{"evictor", 512 << 10, Options{RingBytes: 8192, EvictLowWater: 16}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			clock := sim.NewClock()
 			rec := metrics.NewRecorder()
-			mem := pmem.New(8<<20, pmem.NVDIMM, clock, rec)
+			mem := pmem.New(cfg.nvmBytes, pmem.NVDIMM, clock, rec)
 			disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
 			c, err := Open(mem, disk, cfg.opts)
 			if err != nil {
@@ -106,18 +109,18 @@ func TestConcurrentCommitStress(t *testing.T) {
 			if st.GroupSeals > st.GroupedTxns {
 				t.Fatalf("more seals (%d) than transactions (%d)", st.GroupSeals, st.GroupedTxns)
 			}
+			if cfg.opts.EvictLowWater > 0 && st.BgEvictions == 0 {
+				t.Fatalf("background evictor never reclaimed: %+v", st)
+			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// Write-through (sync or destaged): after Close the disk holds
-			// every final value.
-			if cfg.opts.WriteThrough {
-				p := make([]byte, BlockSize)
-				for g := 0; g < workers; g++ {
-					disk.ReadBlock(uint64(privBase+g*privSpan), p)
-					if p[0] != byte(g+1) {
-						t.Fatalf("disk: worker %d private block = %d", g, p[0])
-					}
+			// Close flushes: the disk now holds every final value.
+			p := make([]byte, BlockSize)
+			for g := 0; g < workers; g++ {
+				disk.ReadBlock(uint64(privBase+g*privSpan), p)
+				if p[0] != byte(g+1) {
+					t.Fatalf("disk: worker %d private block = %d", g, p[0])
 				}
 			}
 		})

@@ -347,7 +347,7 @@ func TestReadViewStress(t *testing.T) {
 }
 
 // TestIndexResizeUnderLoad starts the bucket index at its 64-cell floor
-// (IndexBuckets 8 rounds up to it) on a cache big enough that each shard
+// (indexBuckets 8 rounds up to it) on a cache big enough that each shard
 // holds more live mappings than the 3/4 grow trigger, and drives a
 // capacity-overflowing working set through concurrent readers, view
 // holders and a committer, so lock-free lookups keep overlapping
@@ -360,7 +360,7 @@ func TestIndexResizeUnderLoad(t *testing.T) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(4<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, IndexBuckets: 8})
+	c, err := Open(mem, disk, Options{RingBytes: 4096, indexBuckets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestIndexResizeUnderLoad(t *testing.T) {
 
 	st := c.Stats()
 	if st.IndexGrows == 0 {
-		t.Fatalf("index never grew from IndexBuckets=8: %+v", st)
+		t.Fatalf("index never grew from indexBuckets=8: %+v", st)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -426,7 +426,7 @@ func TestIndexResizeUnderLoad(t *testing.T) {
 }
 
 // TestCrashSweepIndexParity re-runs a per-boundary crash sweep with the
-// block index started at its minimum size (IndexBuckets: 8, so the skewed
+// block index started at its minimum size (indexBuckets: 8, so the skewed
 // workload forces a resize mid-sweep) and with the default pre-sized
 // table (which never resizes) and requires the crash boundary, the
 // adversarial crash image and the recovered contents to be identical: the
@@ -444,7 +444,7 @@ func TestCrashSweepIndexParity(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(3<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, IndexBuckets: buckets}
+		opts := Options{RingBytes: 4096, indexBuckets: buckets}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -506,7 +506,7 @@ func TestCrashSweepIndexParity(t *testing.T) {
 		}
 		if !gCrashed {
 			if gGrows == 0 || dGrows != 0 {
-				t.Fatalf("index grows: %d from IndexBuckets=8 (want > 0), %d pre-sized (want 0)", gGrows, dGrows)
+				t.Fatalf("index grows: %d from indexBuckets=8 (want > 0), %d pre-sized (want 0)", gGrows, dGrows)
 			}
 			t.Logf("index parity sweep covered %d boundaries", k)
 			return

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"tinca/internal/core"
@@ -26,26 +27,26 @@ type BlackboxResult struct {
 	Err error
 }
 
-// Blackbox runs one deterministic Tinca trial with the flight recorder
-// on, crashes at the given persist-op boundary (negative = midway through
-// the workload, sized by a counting run), decodes the surviving flight
-// ring into a forensic report, then remounts and reports the §4.5
-// recovery breakdown. The returned error is reserved for harness
-// problems; verification failures land in BlackboxResult.Err.
-func Blackbox(seed int64, ops int, boundary int64, evictP float64) (*BlackboxResult, error) {
-	if ops <= 0 {
-		ops = 200
+// Blackbox runs one deterministic serial trial of a Tinca sweep
+// configuration (seed, trace length and layout options; the flight
+// recorder is always on), crashes at the given persist-op boundary
+// (negative = midway through the workload, sized by a counting run),
+// decodes the surviving flight ring into a forensic report, then remounts
+// and reports the §4.5 recovery breakdown. Passing the SweepConfig that
+// found a failure re-runs that failure's exact persist stream. The
+// returned error is reserved for harness problems; verification failures
+// land in BlackboxResult.Err.
+func Blackbox(cfg SweepConfig, boundary int64, evictP float64) (*BlackboxResult, error) {
+	if cfg.Kind != stack.Tinca {
+		return nil, errors.New("crash: blackbox requires the Tinca stack")
 	}
-	sp := trialSpec{
-		kind:      stack.Tinca,
-		trace:     GenTrace(seed, ops),
-		boundary:  -1,
-		evictP:    1,
-		imageSeed: imageSeed(seed, -1, 1),
+	if cfg.Ops <= 0 {
+		cfg.Ops = 200
 	}
+	trace := GenTrace(cfg.Seed, cfg.Ops)
 	res := &BlackboxResult{Boundary: boundary}
 	if boundary < 0 {
-		cout, err := runTrial(sp)
+		cout, err := runTrial(cfg.trial(trace, -1, 1))
 		if err != nil {
 			return nil, fmt.Errorf("crash: blackbox counting run: %w", err)
 		}
@@ -53,6 +54,7 @@ func Blackbox(seed int64, ops int, boundary int64, evictP float64) (*BlackboxRes
 		res.Boundary = cout.boundarySpace / 2
 	}
 
+	sp := cfg.trial(trace, res.Boundary, evictP)
 	s, err := stack.New(sp.stackConfig(nil))
 	if err != nil {
 		return nil, err
@@ -72,7 +74,7 @@ func Blackbox(seed int64, ops int, boundary int64, evictP float64) (*BlackboxRes
 	}
 
 	lay := s.TCache.Layout()
-	s.Crash(sim.NewRand(imageSeed(seed, res.Boundary, evictP)), evictP)
+	s.Crash(sim.NewRand(sp.imageSeed), sp.evictP)
 
 	// Decode before Remount: the report must show the pre-crash timeline,
 	// not recovery's own events.

@@ -41,25 +41,13 @@ func Minimize(cfg SweepConfig, f Failure) (*MinimizeResult, error) {
 	if cfg.Group.Blocks > 0 {
 		return nil, errors.New("crash: minimization supports serial sweeps only")
 	}
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = 100
-	}
 	trials := 0
 	run := func(tr []Op, b int64) (trialOut, error) {
 		trials++
-		return runSerialTrial(trialSpec{
-			kind:      cfg.Kind,
-			trace:     tr,
-			boundary:  b,
-			evictP:    f.EvictP,
-			fault:     cfg.Fault,
-			ckpt:      cfg.Checkpoint,
-			imageSeed: imageSeed(cfg.Seed, b, f.EvictP),
-		})
+		return runSerialTrial(cfg.trial(tr, b, f.EvictP))
 	}
 
-	trace := GenTrace(cfg.Seed, ops)
+	trace := GenTrace(cfg.Seed, cfg.traceOps())
 	out, err := run(trace, f.Boundary)
 	if err == nil {
 		return nil, fmt.Errorf("crash: failure at boundary %d evictP %v did not reproduce", f.Boundary, f.EvictP)
@@ -119,15 +107,7 @@ func Minimize(cfg SweepConfig, f Failure) (*MinimizeResult, error) {
 		EvictP:   f.EvictP,
 		Err:      curErr,
 		Trials:   trials,
-		Spec: ReplaySpec{
-			Kind:     cfg.Kind,
-			Boundary: curB,
-			EvictP:   f.EvictP,
-			Fault:    cfg.Fault,
-			Ckpt:     cfg.Checkpoint,
-			Seed:     cfg.Seed,
-			Trace:    cur,
-		},
+		Spec:     cfg.replaySpec(cur, curB, f.EvictP),
 	}, nil
 }
 

@@ -136,9 +136,7 @@ func imageSeed(seed, boundary int64, evictP float64) int64 {
 // violations are collected in SweepResult.Failures; the returned error is
 // reserved for harness problems (the workload itself not running).
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	if cfg.Ops <= 0 {
-		cfg.Ops = 100
-	}
+	cfg.Ops = cfg.traceOps()
 	if len(cfg.EvictPs) == 0 {
 		cfg.EvictPs = []float64{0, 0.5, 1}
 	}
@@ -167,17 +165,23 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		return nil, fmt.Errorf("crash: %d raw committers exceed the spare disk region", cfg.Group.RawCommitters)
 	}
 
-	base := trialSpec{kind: cfg.Kind, fault: cfg.Fault, ckpt: cfg.Checkpoint, rings: cfg.Rings, l3: cfg.L3, group: cfg.Group}
+	if cfg.Group.Blocks > 0 && cfg.Group.FSWorkers <= 0 {
+		cfg.Group.FSWorkers = 4
+	}
+	var trace []Op
+	var traces [][]Op
 	if cfg.Group.Blocks > 0 {
-		if cfg.Group.FSWorkers <= 0 {
-			base.group.FSWorkers = 4
-		}
-		base.traces = make([][]Op, base.group.FSWorkers)
-		for w := range base.traces {
-			base.traces[w] = GenTraceNS(cfg.Seed+int64(w)*101, cfg.Ops, fmt.Sprintf("w%d", w))
+		traces = make([][]Op, cfg.Group.FSWorkers)
+		for w := range traces {
+			traces[w] = GenTraceNS(cfg.Seed+int64(w)*101, cfg.Ops, fmt.Sprintf("w%d", w))
 		}
 	} else {
-		base.trace = GenTrace(cfg.Seed, cfg.Ops)
+		trace = GenTrace(cfg.Seed, cfg.Ops)
+	}
+	trial := func(b int64, p float64) trialSpec {
+		sp := cfg.trial(trace, b, p)
+		sp.traces = traces
+		return sp
 	}
 
 	// Counting run: no armed crash, evictP 1 (every line persists — the
@@ -186,11 +190,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	// stream is scheduling-dependent, so the count is approximate:
 	// boundaries past a particular trial's stream simply never fire and
 	// are verified as completed runs.
-	counting := base
-	counting.boundary = -1
-	counting.evictP = 1
-	counting.imageSeed = imageSeed(cfg.Seed, -1, 1)
-	cout, err := runTrial(counting)
+	cout, err := runTrial(trial(-1, 1))
 	if err != nil {
 		return nil, fmt.Errorf("crash: counting run failed: %w", err)
 	}
@@ -224,11 +224,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
-				sp := base
-				sp.boundary = jb.b
-				sp.evictP = jb.p
-				sp.imageSeed = imageSeed(cfg.Seed, jb.b, jb.p)
-				out, err := runTrial(sp)
+				out, err := runTrial(trial(jb.b, jb.p))
 				mu.Lock()
 				done++
 				res.Runs++
@@ -264,20 +260,51 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 // ReplayLine renders the reproducer line for a sweep failure (serial
 // sweeps only — group trials are scheduling-dependent).
 func (cfg SweepConfig) ReplayLine(f Failure) string {
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = 100
+	return cfg.replaySpec(GenTrace(cfg.Seed, cfg.traceOps()), f.Boundary, f.EvictP).String()
+}
+
+// traceOps is the trace length with Ops' default applied.
+func (cfg SweepConfig) traceOps() int {
+	if cfg.Ops <= 0 {
+		return 100
 	}
+	return cfg.Ops
+}
+
+// trial is the one SweepConfig→trialSpec conversion: every sweep option
+// that shapes a trial's stack or persist stream is copied here, and the
+// crash image seed is derived from (Seed, boundary, evictP). Sweep,
+// Minimize, Replay and Blackbox all build their trials through it, so a
+// reproducer or forensic re-run sees the persist stream the sweep saw.
+func (cfg SweepConfig) trial(trace []Op, boundary int64, evictP float64) trialSpec {
+	return trialSpec{
+		kind:      cfg.Kind,
+		trace:     trace,
+		boundary:  boundary,
+		evictP:    evictP,
+		imageSeed: imageSeed(cfg.Seed, boundary, evictP),
+		fault:     cfg.Fault,
+		ckpt:      cfg.Checkpoint,
+		rings:     cfg.Rings,
+		l3:        cfg.L3,
+		group:     cfg.Group,
+	}
+}
+
+// replaySpec renders one serial trial of this sweep as a reproducer;
+// ReplaySpec.config is its inverse.
+func (cfg SweepConfig) replaySpec(trace []Op, boundary int64, evictP float64) ReplaySpec {
 	return ReplaySpec{
 		Kind:     cfg.Kind,
-		Boundary: f.Boundary,
-		EvictP:   f.EvictP,
+		Boundary: boundary,
+		EvictP:   evictP,
 		Fault:    cfg.Fault,
 		Ckpt:     cfg.Checkpoint,
+		Rings:    cfg.Rings,
 		L3:       cfg.L3,
 		Seed:     cfg.Seed,
-		Trace:    GenTrace(cfg.Seed, ops),
-	}.String()
+		Trace:    trace,
+	}
 }
 
 // ---- trial machinery ----------------------------------------------------
@@ -331,7 +358,6 @@ func (sp trialSpec) stackConfig(hook func(uint64)) stack.Config {
 		// surviving ring feeds the blackbox cross-checks after the crash.
 		cfg.FlightRecorder = true
 		if sp.ckpt {
-			cfg.Checkpoint = true
 			cfg.CheckpointIntervalNS = 1
 		}
 		if sp.rings > 1 {

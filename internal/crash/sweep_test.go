@@ -196,54 +196,87 @@ func TestSweepGroupCommit(t *testing.T) {
 // TestSweepCatchesInjectedFault validates the harness itself: a cache
 // that skips the committed-data flushes (FaultSkipDataFlush) must be
 // caught by the sweep at evictP 0, then shrunk to a tiny deterministic
-// reproducer whose replay line fails on its own.
+// reproducer whose replay line fails on its own. The multi-ring and
+// tiered cases check that the sweep's layout options survive into the
+// replay line and the minimized reproducer: a reproducer that dropped
+// them would replay a different persist stream.
 func TestSweepCatchesInjectedFault(t *testing.T) {
-	cfg := SweepConfig{
-		Kind:    stack.Tinca,
-		Seed:    5,
-		Ops:     25,
-		EvictPs: []float64{0},
-		Fault:   core.FaultSkipDataFlush,
-	}
-	res, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("sweep missed the injected skip-data-flush fault; the oracle is vacuous")
-	}
-	t.Logf("fault caught at %d/%d trials; first: boundary %d: %v",
-		len(res.Failures), res.Runs, res.Failures[0].Boundary, res.Failures[0].Err)
+	for _, tc := range []struct {
+		name  string
+		rings int
+		l3    bool
+	}{
+		{"single-ring", 0, false},
+		{"rings=4", 4, false},
+		{"l3", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SweepConfig{
+				Kind:    stack.Tinca,
+				Seed:    5,
+				Ops:     25,
+				EvictPs: []float64{0},
+				Fault:   core.FaultSkipDataFlush,
+				Rings:   tc.rings,
+				L3:      tc.l3,
+			}
+			res, err := Sweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Failures) == 0 {
+				t.Fatal("sweep missed the injected skip-data-flush fault; the oracle is vacuous")
+			}
+			t.Logf("fault caught at %d/%d trials; first: boundary %d: %v",
+				len(res.Failures), res.Runs, res.Failures[0].Boundary, res.Failures[0].Err)
 
-	min, err := Minimize(cfg, res.Failures[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(min.Trace) > 10 {
-		t.Fatalf("minimizer left %d ops, want <= 10: %v", len(min.Trace), min.Trace)
-	}
-	t.Logf("minimized to %d ops (boundary %d) in %d trials: %s",
-		len(min.Trace), min.Boundary, min.Trials, min.Spec)
+			// The sweep's own replay line carries its options and fails.
+			line := cfg.ReplayLine(res.Failures[0])
+			spec, err := ParseReplaySpec(line)
+			if err != nil {
+				t.Fatalf("replay line does not parse: %v\n%s", err, line)
+			}
+			if spec.Rings != tc.rings || spec.L3 != tc.l3 {
+				t.Fatalf("replay line lost sweep options (rings=%d l3=%v): %s", tc.rings, tc.l3, line)
+			}
+			if _, err := Replay(spec); err == nil {
+				t.Fatalf("replay line does not reproduce: %s", line)
+			}
 
-	// The reproducer line must round-trip and still fail.
-	line := min.Spec.String()
-	spec, err := ParseReplaySpec(line)
-	if err != nil {
-		t.Fatalf("reproducer line does not parse: %v\n%s", err, line)
-	}
-	if _, err := Replay(spec); err == nil {
-		t.Fatalf("reproducer does not reproduce: %s", line)
-	}
+			min, err := Minimize(cfg, res.Failures[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(min.Trace) > 10 {
+				t.Fatalf("minimizer left %d ops, want <= 10: %v", len(min.Trace), min.Trace)
+			}
+			if min.Spec.Rings != tc.rings || min.Spec.L3 != tc.l3 {
+				t.Fatalf("minimized spec lost sweep options (rings=%d l3=%v): %s", tc.rings, tc.l3, min.Spec)
+			}
+			t.Logf("minimized to %d ops (boundary %d) in %d trials: %s",
+				len(min.Trace), min.Boundary, min.Trials, min.Spec)
 
-	// And the same sweep without the fault must be clean — the failures
-	// above are the fault, not harness noise.
-	cfg.Fault = core.FaultNone
-	res, err = Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 0 {
-		t.Fatalf("fault-free control sweep failed: %v", res.Failures[0].Err)
+			// The reproducer line must round-trip and still fail.
+			line = min.Spec.String()
+			spec, err = ParseReplaySpec(line)
+			if err != nil {
+				t.Fatalf("reproducer line does not parse: %v\n%s", err, line)
+			}
+			if _, err := Replay(spec); err == nil {
+				t.Fatalf("reproducer does not reproduce: %s", line)
+			}
+
+			// And the same sweep without the fault must be clean — the
+			// failures above are the fault, not harness noise.
+			cfg.Fault = core.FaultNone
+			res, err = Sweep(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Failures) != 0 {
+				t.Fatalf("fault-free control sweep failed: %v", res.Failures[0].Err)
+			}
+		})
 	}
 }
 
@@ -306,6 +339,19 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(spec, back) {
 		t.Fatalf("ckpt spec does not round-trip:\n  %s\n  %s", spec.String(), back.String())
+	}
+	// And multi-ring ones: without rings=4 the replay would seal on the
+	// single-ring layout, a different persist stream.
+	spec.Rings = 4
+	if !strings.Contains(spec.String(), " rings=4 ") {
+		t.Fatalf("rings missing from the line: %s", spec.String())
+	}
+	back, err = ParseReplaySpec(spec.String())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, spec.String())
+	}
+	if !reflect.DeepEqual(spec, back) {
+		t.Fatalf("rings spec does not round-trip:\n  %s\n  %s", spec.String(), back.String())
 	}
 	// Same for tiered reproducers: without l3=1 the replay would mount
 	// a flat disk where the failure needed the tier.

@@ -1,9 +1,10 @@
 // Deterministic trace generation and the compact textual encoding used
 // by failure reproducers. A sweep failure is fully described by a
 // ReplaySpec — stack kind, persist-op boundary, eviction probability,
-// injected fault, and the exact op trace — which round-trips through a
-// single shell-safe line, so `tincacrash -replay '<line>'` re-executes
-// the failing trial byte-for-byte.
+// injected fault, the sweep's layout options, and the exact op trace —
+// which round-trips through a single shell-safe line, so
+// `tincacrash -replay '<line>'` re-executes the failing trial
+// byte-for-byte.
 package crash
 
 import (
@@ -232,9 +233,16 @@ type ReplaySpec struct {
 	EvictP   float64
 	Fault    core.Fault
 	Ckpt     bool  // checkpoint writer on at every commit point
+	Rings    int   // CommitRings (multi-ring layout) when > 1
 	L3       bool  // L3 object tier behind a small L2 disk
 	Seed     int64 // sweep seed; combined with Boundary/EvictP for the crash image
 	Trace    []Op
+}
+
+// config is the sweep configuration whose trial r reproduces (the inverse
+// of SweepConfig.replaySpec).
+func (r ReplaySpec) config() SweepConfig {
+	return SweepConfig{Kind: r.Kind, Seed: r.Seed, Fault: r.Fault, Checkpoint: r.Ckpt, Rings: r.Rings, L3: r.L3}
 }
 
 func kindName(k stack.Kind) string {
@@ -299,6 +307,9 @@ func (r ReplaySpec) String() string {
 	if r.Ckpt {
 		ck = " ckpt=1"
 	}
+	if r.Rings > 1 {
+		ck += fmt.Sprintf(" rings=%d", r.Rings)
+	}
 	if r.L3 {
 		ck += " l3=1"
 	}
@@ -329,6 +340,8 @@ func ParseReplaySpec(s string) (ReplaySpec, error) {
 			r.Fault, err = ParseFault(val)
 		case "ckpt":
 			r.Ckpt = val == "1" || val == "true"
+		case "rings":
+			r.Rings, err = strconv.Atoi(val)
 		case "l3":
 			r.L3 = val == "1" || val == "true"
 		case "seed":
@@ -352,16 +365,7 @@ func ParseReplaySpec(s string) (ReplaySpec, error) {
 // verification error the trial produces (nil if the trial is consistent)
 // and the trial result.
 func Replay(r ReplaySpec) (Result, error) {
-	out, err := runSerialTrial(trialSpec{
-		kind:      r.Kind,
-		trace:     r.Trace,
-		boundary:  r.Boundary,
-		evictP:    r.EvictP,
-		fault:     r.Fault,
-		ckpt:      r.Ckpt,
-		l3:        r.L3,
-		imageSeed: imageSeed(r.Seed, r.Boundary, r.EvictP),
-	})
+	out, err := runSerialTrial(r.config().trial(r.Trace, r.Boundary, r.EvictP))
 	res := Result{Crashed: out.crashed, OpsAcked: out.acked}
 	if out.inflight != nil {
 		res.Inflight = out.inflight.String()

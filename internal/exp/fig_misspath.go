@@ -40,7 +40,7 @@ func MissPathScaling(o Options) (*Table, error) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.NCQ(blockdev.SSD, 8), clock, rec)
-		c, err := core.Open(mem, disk, core.Options{RingBytes: 4096, EvictLowWater: 48, EvictBatch: 48})
+		c, err := core.Open(mem, disk, core.Options{RingBytes: 4096, EvictLowWater: 48})
 		if err != nil {
 			return result{}, err
 		}

@@ -34,7 +34,6 @@ func RecoveryScale(o Options) (*Table, error) {
 			c.NVMBytes = nvmMB << 20
 			c.FlightRecorder = true
 			if ckpt {
-				c.Checkpoint = true
 				// A real interval (not every-commit): the figure should show
 				// the steady-state cost, a frame every ~100µs of simulated
 				// time plus journal deltas in between.

@@ -38,7 +38,7 @@ const RecordSize = pmem.LineSize
 
 // DefaultSlots is the default ring capacity. 256 records x 64B = 16KiB of
 // NVM — four data blocks' worth, a rounding error against the cache it
-// instruments, yet deep enough to hold the full seal/destage/evict recent
+// instruments, yet deep enough to hold the full seal/evict recent
 // history of any crash the sweep can produce.
 const DefaultSlots = 256
 
@@ -53,7 +53,7 @@ const (
 	// seal generation.
 	EvSealBegin    // Block = planned log entries, Arg = batch size (txns)
 	EvSealPersist  // Block = ring Head after the seal; emitted after the Tail flip (commit point)
-	EvSealComplete // volatile epilogue done (unpin, LRU, destage enqueue)
+	EvSealComplete // volatile epilogue done (unpin, LRU, counters)
 
 	// Lifecycle of the one-transaction-at-a-time commit the cache no
 	// longer has. Nothing emits these three; they stay so later numbers
@@ -71,7 +71,9 @@ const (
 	EvRecoverRebuild // Arg = resident blocks rebuilt
 	EvRecoverDone
 
-	// Background machinery.
+	// Background machinery. EvDestage belonged to an asynchronous
+	// destager the cache no longer has: nothing emits it, and it stays so
+	// later numbers do not shift and older images still decode.
 	EvDestage    // Block = disk block destaged
 	EvEvictBatch // Arg = victims evicted in the batch
 
@@ -213,8 +215,8 @@ func decode(line []byte) (r Record, ok bool) {
 }
 
 // Ring is the writer side of the flight recorder. One Ring instance is
-// owned by a core.Cache; Emit is safe for concurrent use (destager,
-// evictor and committers all log). The Ring's mutex is leaf-level: it is
+// owned by a core.Cache; Emit is safe for concurrent use (the evictor
+// and committers both log). The Ring's mutex is leaf-level: it is
 // taken with core's cache/shard locks held and takes only the pmem device
 // lock inside.
 type Ring struct {

@@ -107,19 +107,13 @@ const (
 	TxnAbsorbed   = "txn.absorbed_blocks" // duplicate blocks absorbed within a seal
 	// Multi-ring commit counters (internal/core/seal.go). Per-ring
 	// counters use RingSealName/RingQueueDepthName; RingQueueDepth* is a
-	// ±gauge (enqueue/dequeue deltas), like DestageQueueDepth.
+	// ±gauge (enqueue/dequeue deltas).
 	TxnCrossShard        = "txn.cross_shard"         // commits spanning more than one ring
 	TxnRingSealConflicts = "txn.ring_seal_conflicts" // ring locks a cross-ring seal found contended
 	JournalCommit        = "jbd.commit"              // journal transactions committed
 	JournalBlocks        = "jbd.log_blocks"          // log (data) blocks written to journal
 	JournalMeta          = "jbd.meta_blocks"         // descriptor/commit/revoke blocks
 	JournalCkptBlks      = "jbd.checkpoint_blks"     // blocks checkpointed to home location
-
-	// Destage counters (charged by internal/core's background destager).
-	// DestageQueueDepth is used as a gauge: +1 on enqueue, -1 on dequeue.
-	DestageQueueDepth = "destage.queue_depth"
-	DestageDone       = "destage.done"    // blocks written back by the destager
-	DestageDropped    = "destage.dropped" // write-back cleanings skipped (queue full)
 
 	// Checkpoint counters (charged by internal/core's checkpoint writer).
 	CkptWrites      = "ckpt.writes"       // checkpoint frames persisted
@@ -162,10 +156,9 @@ const (
 	HistCommitSeal    = "commit.seal_ns"    // whole seal (phases 0–E)
 	HistCommitTotal   = "commit.total_ns"   // per-txn Commit latency (enqueue→ack)
 
-	// Destager, evictor and recovery (internal/core).
-	HistDestageWrite = "destage.write_ns" // one queued block written back
-	HistEvictBatch   = "evict.batch_ns"   // one background eviction batch
-	HistRecovery     = "recovery.ns"      // one full recovery pass
+	// Evictor and recovery (internal/core).
+	HistEvictBatch = "evict.batch_ns" // one background eviction batch
+	HistRecovery   = "recovery.ns"    // one full recovery pass
 	// Per-phase recovery breakdown (internal/core/recovery.go). Scan, undo
 	// and rebuild record one sample per recovery pass, zeros included;
 	// redo records only when the redo branch actually ran (a zero-length
@@ -205,7 +198,7 @@ const (
 
 // Recorder is a registry of named counters and latency histograms. Most
 // counters are monotonic; a few are used as ±gauges (see Set and the
-// DestageQueueDepth convention above). The zero value is not usable;
+// RingQueueDepthName convention above). The zero value is not usable;
 // construct with NewRecorder. All methods are safe for concurrent use.
 //
 // The data path calls Add/Inc/Observe concurrently from every layer of
@@ -242,8 +235,8 @@ func (r *Recorder) Counter(name string) *atomic.Int64 { return r.counter(name) }
 func (r *Recorder) Inc(name string) { r.counter(name).Add(1) }
 
 // Set overwrites the named counter, making it an explicit gauge. Counters
-// written with Set (or with mixed-sign Add deltas, as DestageQueueDepth
-// is) report a level, not a total; Snapshot.Sub deltas of gauges are
+// written with Set (or with mixed-sign Add deltas, as the per-ring queue
+// depths are) report a level, not a total; Snapshot.Sub deltas of gauges are
 // level changes and PerOp normalization of them is rarely meaningful.
 func (r *Recorder) Set(name string, v int64) { r.counter(name).Store(v) }
 

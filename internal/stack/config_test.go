@@ -21,8 +21,8 @@ func TestConfigValidate(t *testing.T) {
 		{"tinca knobs delegate", Config{Kind: Tinca, Options: core.Options{RingBytes: 65}}, "cache line"},
 		{"tinca group commit", Config{Kind: Tinca, Options: core.Options{GroupCommit: core.GroupCommit{MaxBatch: 4}}}, ""},
 		{"tinca bad group commit", Config{Kind: Tinca, Options: core.Options{GroupCommit: core.GroupCommit{MaxBatch: -2}}}, "MaxBatch"},
-		{"tinca destage", Config{Kind: Tinca, Options: core.Options{DestageDepth: 8}}, ""},
-		{"classic destage", Config{Kind: Classic, Options: core.Options{DestageDepth: 8}}, "only to the Tinca kind"},
+		{"tinca evictor", Config{Kind: Tinca, Options: core.Options{EvictLowWater: 8}}, ""},
+		{"classic evictor", Config{Kind: Classic, Options: core.Options{EvictLowWater: 8}}, "only to the Tinca kind"},
 		{"unknown journal mode", Config{JournalMode: JournalMode(9)}, "journal mode"},
 		{"checkpoint frac high", Config{CheckpointFrac: 1.5}, "CheckpointFrac"},
 		{"checkpoint frac negative", Config{CheckpointFrac: -0.1}, "CheckpointFrac"},
@@ -54,7 +54,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{Kind: Kind(42)}); err == nil {
 		t.Fatal("New accepted an unknown kind")
 	}
-	if _, err := New(Config{Kind: Tinca, Options: core.Options{DestageDepth: -1}}); err == nil {
-		t.Fatal("New accepted a negative destage depth")
+	if _, err := New(Config{Kind: Tinca, Options: core.Options{EvictLowWater: -1}}); err == nil {
+		t.Fatal("New accepted a negative low-water mark")
 	}
 }

@@ -82,13 +82,12 @@ func (k Kind) String() string {
 // suitable for fast laptop-scale experiments.
 //
 // The Tinca cache's knobs are the embedded core.Options, declared once
-// and promoted: cfg.RingBytes, cfg.GroupCommit, cfg.IndexBuckets,
+// and promoted: cfg.RingBytes, cfg.GroupCommit, cfg.EvictLowWater,
 // cfg.CommitRings and the rest read and write the embedded struct
 // directly, so existing field-access code keeps working. (Composite
 // literals name the embedded struct: Config{Options: core.Options{...}}.)
-// Two of the embedded knobs apply beyond the Tinca kind: WriteThrough
-// selects the write policy of either cache flavour, and Observe enables
-// latency histograms in every layer.
+// Two of the embedded knobs apply beyond the Tinca kind: Observe enables
+// latency histograms in every layer, and Tracer records their spans.
 type Config struct {
 	Kind        Kind
 	NVMBytes    int              // NVM cache size (default 32MB)
@@ -97,7 +96,7 @@ type Config struct {
 	FSBlocks    uint64           // file-system span in 4KB blocks (default 32768 = 128MB)
 	InodeCount  uint64           // default FSBlocks/16
 
-	// Tinca cache knobs (plus WriteThrough/Observe/Tracer, which apply to
+	// Tinca cache knobs (plus Observe/Tracer, which apply to
 	// every kind), embedded from the core so they are declared exactly
 	// once. See core.Options for each field's documentation.
 	core.Options
@@ -162,11 +161,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Kind != Tinca && c.DestageDepth != 0 {
-		return fmt.Errorf("stack: DestageDepth applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && (c.DestageWorkers != 0 || c.EvictLowWater != 0 || c.EvictBatch != 0) {
-		return fmt.Errorf("stack: DestageWorkers/EvictLowWater/EvictBatch apply only to the Tinca kind, not %v", c.Kind)
+	if c.Kind != Tinca && c.EvictLowWater != 0 {
+		return fmt.Errorf("stack: EvictLowWater applies only to the Tinca kind, not %v", c.Kind)
 	}
 	if c.Kind != Tinca && c.Fault != core.FaultNone {
 		return fmt.Errorf("stack: Fault applies only to the Tinca kind, not %v", c.Kind)
@@ -174,14 +170,11 @@ func (c Config) Validate() error {
 	if c.Kind != Tinca && c.SealHook != nil {
 		return fmt.Errorf("stack: SealHook applies only to the Tinca kind, not %v", c.Kind)
 	}
-	if c.Kind != Tinca && c.IndexBuckets != 0 {
-		return fmt.Errorf("stack: IndexBuckets applies only to the Tinca kind, not %v", c.Kind)
-	}
 	if c.Kind != Tinca && c.FlightRecorder {
 		return fmt.Errorf("stack: FlightRecorder applies only to the Tinca kind, not %v", c.Kind)
 	}
-	if c.Kind != Tinca && (c.Checkpoint || c.CheckpointIntervalNS != 0) {
-		return fmt.Errorf("stack: Checkpoint/CheckpointIntervalNS apply only to the Tinca kind, not %v", c.Kind)
+	if c.Kind != Tinca && c.CheckpointIntervalNS != 0 {
+		return fmt.Errorf("stack: CheckpointIntervalNS applies only to the Tinca kind, not %v", c.Kind)
 	}
 	if c.Kind != Tinca && c.CommitRings != 0 {
 		return fmt.Errorf("stack: CommitRings applies only to the Tinca kind, not %v", c.Kind)
@@ -365,7 +358,6 @@ func (s *Stack) bringUp(format bool) error {
 			Assoc:             cfg.ClassicAssoc,
 			NoMetaUpdates:     cfg.NoMetaUpdates,
 			NoPersistBarriers: cfg.NoPersistBarriers,
-			WriteThrough:      cfg.WriteThrough,
 		}
 		if cfg.Kind == Classic {
 			copts.JournalBoundary = cfg.FSBlocks

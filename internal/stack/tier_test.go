@@ -13,7 +13,7 @@ import (
 func l3Config() Config {
 	cfg := Config{
 		Kind:        Tinca,
-		NVMBytes:    2 << 20, // small NVM so evictions/destages reach the tier
+		NVMBytes:    2 << 20, // small NVM so evictions reach the tier
 		NVMProfile:  pmem.NVDIMM,
 		DiskProfile: blockdev.Null,
 		FSBlocks:    4096,
@@ -21,7 +21,7 @@ func l3Config() Config {
 		L3Profile:   objstore.NullStore,
 		L3L2Blocks:  512, // far below the span: real tiering pressure
 	}
-	cfg.DestageDepth = 4
+	cfg.EvictLowWater = 16
 	cfg.JournalBlocks = 256
 	return cfg
 }

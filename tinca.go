@@ -55,7 +55,7 @@
 //
 // Deeper visibility is opt-in via StackConfig (DESIGN.md Section 9):
 // Observe enables latency histograms in every layer (commit pipeline
-// phases, destage, recovery, journal, per-op FS read/write), surfaced as
+// phases, eviction, recovery, journal, per-op FS read/write), surfaced as
 // LatencySummary values in the Stats structs; TraceEvents allocates a
 // span ring exported as Chrome trace_event JSON (Stack.Tracer); and
 // Stack.ServeMetrics starts a live HTTP endpoint with Prometheus text
@@ -114,8 +114,8 @@ const BlockSize = blockdev.BlockSize
 // the full system.
 type Cache = core.Cache
 
-// CacheOptions configure a Cache (ring size, commit rings, write-through,
-// destage, checkpoints, ablation cost hooks).
+// CacheOptions configure a Cache (ring size, commit rings, background
+// eviction, checkpoints, ablation cost hooks).
 type CacheOptions = core.Options
 
 // Txn is a running Tinca transaction (tinca_init_txn/tinca_commit/
