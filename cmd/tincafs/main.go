@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("tincafs: %s stack, %dMB NVM cache, %dMB file system\n", *kindFlag, *nvmMB, *fsMB)
 	if *l3 {
 		fmt.Printf("tiering: %s object store behind a %dMB L2 disk, %d prefetch workers\n",
-			s.Cfg.L3Profile.Name, *l3L2MB, s.Cfg.L3Prefetch)
+			s.Store.Profile().Name, *l3L2MB, s.Cfg.L3Prefetch)
 	}
 	if *metricsAddr != "" {
 		addr, err := s.ServeMetrics(*metricsAddr)

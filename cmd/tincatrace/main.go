@@ -72,7 +72,7 @@ func main() {
 		Options:           tinca.CacheOptions{Observe: *observe || *metricsAddr != ""},
 	}
 	if *traceOut != "" {
-		cfg.TraceEvents = 1 << 16
+		cfg.Tracer = tinca.NewTracer(0)
 		// The flight-recorder timeline merges into the trace export as an
 		// instant-event track (Tinca only; silent persists, so it does not
 		// change the replay's simulated numbers).

@@ -11,7 +11,6 @@ package blockdev
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -48,17 +47,12 @@ type Profile struct {
 	WriteNS int64 // per 4KB block write
 	// Parallel is the device's internal queue depth: how many in-flight
 	// requests the medium overlaps (NCQ on SATA, multiple channels on
-	// flash). When k requests are in flight concurrently, each charges
-	// serviceNS/min(k, Parallel) to the shared clock, so k fully
-	// overlapped requests advance simulated time by roughly one service
-	// time in total — but only when the host actually issues them
-	// concurrently. A host that serializes its I/O (for example under a
-	// global lock) keeps inflight at 1 and pays full price, which is
+	// flash), charged by the sim.Window model. A host that serializes its
+	// I/O (for example under a global lock) pays full price, which is
 	// exactly the behaviour the miss-path scaling figure measures. 0 or 1
-	// keeps the fully serialized charging model; every stock profile uses
-	// it, so existing figures and crash sweeps are unchanged.
-	Parallel    int
-	Description string
+	// serializes; every stock profile does, so existing figures and crash
+	// sweeps are unchanged.
+	Parallel int
 }
 
 // NCQ derives a profile with the given internal queue depth (named after
@@ -77,13 +71,13 @@ func NCQ(p Profile, depth int) Profile {
 // the HDD figure is dominated by positioning time, giving the ~5x
 // throughput drop the paper observes when swapping SSD for HDD.
 var (
-	SSD = Profile{Name: "SSD", ReadNS: 70_000, WriteNS: 90_000,
-		Description: "SATA flash SSD (paper's default disk)"}
-	HDD = Profile{Name: "HDD", ReadNS: 4_000_000, WriteNS: 4_500_000,
-		Description: "7.2K RPM hard disk, positioning dominated"}
+	// SSD is a SATA flash SSD, the paper's default disk.
+	SSD = Profile{Name: "SSD", ReadNS: 70_000, WriteNS: 90_000}
+	// HDD is a 7.2K RPM hard disk, positioning dominated.
+	HDD = Profile{Name: "HDD", ReadNS: 4_000_000, WriteNS: 4_500_000}
 	// Null is an infinitely fast disk, useful for isolating NVM-layer
 	// behaviour in unit tests.
-	Null = Profile{Name: "null", ReadNS: 0, WriteNS: 0, Description: "no-cost disk"}
+	Null = Profile{Name: "null", ReadNS: 0, WriteNS: 0}
 )
 
 // Device is a simulated block device. All methods are safe for concurrent
@@ -96,10 +90,10 @@ type Device struct {
 	clock  *sim.Clock
 	rec    *metrics.Recorder
 
-	// inflight counts requests currently inside ReadBlock/WriteBlock,
-	// for the Profile.Parallel overlap model. It doubles as the queue-depth
-	// gauge IOStats and the shared Recorder expose.
-	inflight atomic.Int64
+	// win is the Profile.Parallel overlap window of requests inside
+	// ReadBlock/WriteBlock. It doubles as the queue-depth gauge IOStats
+	// and the shared Recorder expose.
+	win *sim.Window
 
 	// Per-device I/O counters. The shared Recorder aggregates the same
 	// quantities across every device charging it; these stay per device so
@@ -131,7 +125,7 @@ func (d *Device) Stats() IOStats {
 		BlocksWritten: d.blocksWritten.Load(),
 		BytesRead:     d.bytesRead.Load(),
 		BytesWritten:  d.bytesWritten.Load(),
-		QueueDepth:    d.inflight.Load(),
+		QueueDepth:    d.win.InFlight(),
 	}
 }
 
@@ -149,6 +143,7 @@ func New(nblocks uint64, prof Profile, clock *sim.Clock, rec *metrics.Recorder) 
 		prof:   prof,
 		clock:  clock,
 		rec:    rec,
+		win:    sim.NewWindow(prof.Parallel),
 	}
 }
 
@@ -164,55 +159,15 @@ func (d *Device) check(no uint64) {
 	}
 }
 
-// charge advances the simulated clock by one request's service time,
-// discounted by the overlap the profile's queue depth grants to the
-// requests currently in flight. The additive clock sums charges across
-// goroutines; dividing a fully overlapped request's cost by the overlap
-// factor makes the sum approximate the elapsed time of a device that
-// serves min(inflight, Parallel) requests at once. Serialized callers
-// (inflight == 1) always pay full price.
-//
-// In-flight membership is logical, not physical: admit (below) parks
-// each request on entry so every goroutine that is ready to issue one
-// joins the window before anyone charges. Without that, the window
-// would only capture requests that overlap in host real time — but
-// nothing in the simulator sleeps, so a request occupies the device for
-// mere nanoseconds of real time and concurrent issuers on few (or one)
-// host cores would almost never coincide, understating the overlap the
-// queue depth is meant to model.
-func (d *Device) charge(ns int64) {
-	if q := int64(d.prof.Parallel); q > 1 {
-		if k := d.inflight.Load(); k > 1 {
-			if k > q {
-				k = q
-			}
-			ns /= k
-		}
-	}
-	d.clock.AdvanceNS(ns)
-}
-
-// admit enters a request into the in-flight window. For overlap-capable
-// profiles it then yields the processor: every other goroutine that is
-// about to issue a request gets to execute its own admit before this
-// one reads the queue depth in charge, so logically concurrent requests
-// count each other even when the host runs goroutines one at a time.
-// Serialized hosts are unaffected — a request issued under a global
-// lock keeps every other issuer blocked on that lock, not runnable, so
-// yielding cannot admit them and inflight stays at 1. Stock profiles
-// (Parallel <= 1) skip the yield entirely.
+// admit enters a request into the overlap window (sim.Window), keeping
+// the shared queue-depth gauge in step with the per-device count.
 func (d *Device) admit() {
-	d.inflight.Add(1)
 	d.rec.Inc(metrics.DiskQueueDepth)
-	if d.prof.Parallel > 1 {
-		runtime.Gosched()
-	}
+	d.win.Enter()
 }
 
-// release exits a request from the in-flight window, keeping the shared
-// queue-depth gauge in step with the per-device counter.
 func (d *Device) release() {
-	d.inflight.Add(-1)
+	d.win.Leave()
 	d.rec.Add(metrics.DiskQueueDepth, -1)
 }
 
@@ -239,7 +194,7 @@ func (d *Device) ReadBlock(no uint64, p []byte) {
 	d.bytesRead.Add(BlockSize)
 	d.rec.Inc(metrics.DiskBlocksRead)
 	d.rec.Add(metrics.DiskBytesRead, BlockSize)
-	d.charge(d.prof.ReadNS)
+	d.win.Charge(d.clock, d.prof.ReadNS)
 }
 
 // WriteBlock stores p (BlockSize bytes) as block no. Disk writes are
@@ -265,7 +220,7 @@ func (d *Device) WriteBlock(no uint64, p []byte) {
 	d.bytesWritten.Add(BlockSize)
 	d.rec.Inc(metrics.DiskBlocksWrite)
 	d.rec.Add(metrics.DiskBytesWrite, BlockSize)
-	d.charge(d.prof.WriteNS)
+	d.win.Charge(d.clock, d.prof.WriteNS)
 }
 
 // WrittenBlocks reports how many distinct blocks hold data, for tests.

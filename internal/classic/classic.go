@@ -50,9 +50,6 @@ var ErrClosed = errors.New("classic: cache closed")
 
 // Options configure a Classic cache.
 type Options struct {
-	// Assoc is the set associativity; DefaultAssoc when 0 (clamped to the
-	// capacity for small caches).
-	Assoc int
 	// NoMetaUpdates suppresses synchronous metadata-block writes (the
 	// Figure 4 ablation: "if updating metadata is fully waived").
 	// Mapping changes then live only in DRAM; unsafe across crashes.
@@ -67,6 +64,11 @@ type Options struct {
 	// with Tinca's. Purely instrumentation; caching behaviour is
 	// unchanged.
 	JournalBoundary uint64
+
+	// assoc is the set associativity; DefaultAssoc when 0 (clamped to the
+	// capacity for small caches). Unexported: only tests shrink it, so a
+	// few blocks exercise set conflicts.
+	assoc int
 }
 
 // slotMeta is the decoded metadata record of one cache slot. The record
@@ -215,7 +217,7 @@ type Cache struct {
 
 // Open formats or recovers a Classic cache on the NVM device.
 func Open(mem *pmem.Device, disk *blockdev.Device, opts Options) (*Cache, error) {
-	lay, err := computeLayout(mem.Size(), opts.Assoc)
+	lay, err := computeLayout(mem.Size(), opts.assoc)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestSlotMetaRoundTrip(t *testing.T) {
 }
 
 func TestWriteReadBack(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	if err := r.cache.WriteBlock(5, blockOf('x')); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWriteReadBack(t *testing.T) {
 }
 
 func TestMetadataWrittenPerWrite(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	for i := 0; i < 10; i++ {
 		if err := r.cache.WriteBlock(uint64(i), blockOf(byte(i))); err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestMetadataWrittenPerWrite(t *testing.T) {
 }
 
 func TestNoMetaUpdatesOption(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8, NoMetaUpdates: true})
+	r := newRig(t, 1<<20, Options{assoc: 8, NoMetaUpdates: true})
 	for i := 0; i < 10; i++ {
 		if err := r.cache.WriteBlock(uint64(i), blockOf(byte(i))); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestNoMetaUpdatesOption(t *testing.T) {
 }
 
 func TestNoPersistBarriersOption(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8, NoPersistBarriers: true})
+	r := newRig(t, 1<<20, Options{assoc: 8, NoPersistBarriers: true})
 	base := r.rec.Get(metrics.NVMCLFlush) // formatting flushes the header
 	if err := r.cache.WriteBlock(1, blockOf(1)); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestNoPersistBarriersOption(t *testing.T) {
 }
 
 func TestEvictionWritesBackDirty(t *testing.T) {
-	r := newRig(t, 256<<10, Options{Assoc: 4})
+	r := newRig(t, 256<<10, Options{assoc: 4})
 	capacity := r.cache.Capacity()
 	total := capacity + 16
 	for i := 0; i < total; i++ {
@@ -134,7 +134,7 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 }
 
 func TestReadMissFills(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	r.disk.WriteBlock(33, blockOf('d'))
 	p := make([]byte, BlockSize)
 	if err := r.cache.ReadBlock(33, p); err != nil {
@@ -149,7 +149,7 @@ func TestReadMissFills(t *testing.T) {
 }
 
 func TestFlushAllAndClose(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	if err := r.cache.WriteBlock(2, blockOf('f')); err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestFlushAllAndClose(t *testing.T) {
 }
 
 func TestRecoverRebuildsMapping(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	for i := 0; i < 20; i++ {
 		if err := r.cache.WriteBlock(uint64(i), blockOf(byte('a'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r.mem.Crash(nil, 0) // power loss: only flushed state survives
-	c2, err := Open(r.mem, r.disk, Options{Assoc: 8})
+	c2, err := Open(r.mem, r.disk, Options{assoc: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCrashNeverAliasesBlocks(t *testing.T) {
 		rec := metrics.NewRecorder()
 		mem := pmem.New(256<<10, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := Open(mem, disk, Options{Assoc: 2})
+		c, err := Open(mem, disk, Options{assoc: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestCrashNeverAliasesBlocks(t *testing.T) {
 			return
 		}
 		mem.Crash(rng, 0.5)
-		c2, err := Open(mem, disk, Options{Assoc: 2})
+		c2, err := Open(mem, disk, Options{assoc: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestCrashNeverAliasesBlocks(t *testing.T) {
 }
 
 func TestWriteHitRateClassic(t *testing.T) {
-	r := newRig(t, 1<<20, Options{Assoc: 8})
+	r := newRig(t, 1<<20, Options{assoc: 8})
 	r.cache.WriteBlock(1, blockOf(1))
 	r.cache.WriteBlock(1, blockOf(2))
 	if got := r.cache.WriteHitRate(); got != 0.5 {

@@ -37,22 +37,9 @@ const (
 	AblationUBJ
 )
 
-// GroupCommit tunes the group-commit pipeline: concurrently arriving
-// Txn.Commit calls are coalesced by a leader into a single ring-buffer
-// seal (one Tail flip and a handful of fences amortized over the batch).
-type GroupCommit struct {
-	// MaxBatch bounds how many transactions one seal may coalesce.
-	// Zero picks DefaultGroupBatch.
-	MaxBatch int
-	// MaxWaitNS is a real-time window the seal leader waits for the
-	// batch to fill before sealing what it has. Zero (the default) seals
-	// opportunistically: whatever is queued when the leader takes over.
-	// Non-zero values trade commit latency for larger batches; simulated
-	// time is unaffected by the wait itself.
-	MaxWaitNS int64
-}
-
-// DefaultGroupBatch is the default cap on transactions per seal.
+// DefaultGroupBatch caps how many concurrently arriving Txn.Commit calls
+// one ring-buffer seal coalesces (one Tail flip and a handful of fences
+// amortized over the batch).
 const DefaultGroupBatch = 8
 
 // Fault selects a deliberate violation of the commit protocol's persist
@@ -86,8 +73,13 @@ type Options struct {
 	// motivated by the wear profile the endurance experiment exposes; see
 	// EXPERIMENTS.md).
 	RotatePointers bool
-	// GroupCommit tunes batch formation for the group-commit seal.
-	GroupCommit GroupCommit
+	// SealWaitNS is a real-time window the seal leader waits for its
+	// batch to fill (up to DefaultGroupBatch transactions) before sealing
+	// what it has. Zero (the default) seals opportunistically: whatever is
+	// queued when the leader takes over. Non-zero values trade commit
+	// latency for larger batches; simulated time is unaffected by the wait
+	// itself.
+	SealWaitNS int64
 	// Observe enables the commit-pipeline observability harness:
 	// per-phase latency histograms (recorded into the device's shared
 	// metrics.Recorder under the metrics.HistCommit* names) for the
@@ -189,11 +181,8 @@ func (o Options) Validate() error {
 	if o.Ablation < AblationNone || o.Ablation > AblationUBJ {
 		return fmt.Errorf("core: unknown ablation %d", int(o.Ablation))
 	}
-	if o.GroupCommit.MaxBatch < 0 {
-		return fmt.Errorf("core: GroupCommit.MaxBatch %d is negative", o.GroupCommit.MaxBatch)
-	}
-	if o.GroupCommit.MaxWaitNS < 0 {
-		return fmt.Errorf("core: GroupCommit.MaxWaitNS %d is negative", o.GroupCommit.MaxWaitNS)
+	if o.SealWaitNS < 0 {
+		return fmt.Errorf("core: SealWaitNS %d is negative", o.SealWaitNS)
 	}
 	if o.Fault < FaultNone || o.Fault > FaultSkipDataFlush {
 		return fmt.Errorf("core: unknown fault %d", int(o.Fault))
@@ -211,13 +200,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: CommitRings %d must be a power of two between 1 and %d", o.CommitRings, shardCount)
 	}
 	return nil
-}
-
-func (o Options) groupBatch() int {
-	if o.GroupCommit.MaxBatch == 0 {
-		return DefaultGroupBatch
-	}
-	return o.GroupCommit.MaxBatch
 }
 
 // Common errors. The cross-layer conditions (closed, out of range,

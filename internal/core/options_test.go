@@ -23,9 +23,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"ablation double write", Options{Ablation: AblationDoubleWrite}, ""},
 		{"ablation out of range", Options{Ablation: Ablation(99)}, "unknown ablation"},
 		{"negative ablation", Options{Ablation: Ablation(-1)}, "unknown ablation"},
-		{"group commit knobs", Options{GroupCommit: GroupCommit{MaxBatch: 16, MaxWaitNS: 1000}}, ""},
-		{"negative max batch", Options{GroupCommit: GroupCommit{MaxBatch: -1}}, "MaxBatch"},
-		{"negative max wait", Options{GroupCommit: GroupCommit{MaxWaitNS: -1}}, "MaxWaitNS"},
+		{"group commit knobs", Options{SealWaitNS: 1000}, ""},
+		{"negative max wait", Options{SealWaitNS: -1}, "SealWaitNS"},
 		{"evictor low water", Options{EvictLowWater: 8}, ""},
 		{"negative low water", Options{EvictLowWater: -1}, "EvictLowWater"},
 		{"evictor + ablation", Options{EvictLowWater: 4, Ablation: AblationUBJ}, ""},

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tinca/internal/blockdev"
 	"tinca/internal/metrics"
@@ -130,6 +131,12 @@ func TestReadHitSeqlockStress(t *testing.T) {
 			}()
 
 			readerWG.Wait()
+			// The evictor case asserts a background pass ran: keep the
+			// scanner missing until one has, instead of racing the readers.
+			for deadline := time.Now().Add(10 * time.Second); cfg.opts.EvictLowWater > 0 &&
+				c.Stats().BgEvictions == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			stop.Store(true)
 			auxWG.Wait()
 

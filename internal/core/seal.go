@@ -216,7 +216,7 @@ func (c *Cache) ringGroupCommit(r int, t *Txn) error {
 		if c.obs != nil {
 			tWait = c.obs.now()
 		}
-		if w := c.opts.GroupCommit.MaxWaitNS; w > 0 && len(rs.queue) < c.opts.groupBatch() {
+		if w := c.opts.SealWaitNS; w > 0 && len(rs.queue) < DefaultGroupBatch {
 			// Optional batch-formation window (real time; the simulated
 			// clock never advances while sleeping).
 			rs.qmu.Unlock()
@@ -264,15 +264,14 @@ func (c *Cache) ringGroupCommit(r int, t *Txn) error {
 }
 
 // takeRingBatchLocked pops ring rs's next batch: FIFO, capped by
-// GroupCommit.MaxBatch, and capped so the merged write set cannot exceed
+// DefaultGroupBatch, and capped so the merged write set cannot exceed
 // the ring (the sum of per-txn block counts is a conservative bound; every
 // queued txn individually fits, so at least one is always taken). Caller
 // holds rs.qmu.
 func (c *Cache) takeRingBatchLocked(rs *ringState) []*commitReq {
-	maxBatch := c.opts.groupBatch()
 	blocks := 0
 	n := 0
-	for n < len(rs.queue) && n < maxBatch {
+	for n < len(rs.queue) && n < DefaultGroupBatch {
 		blocks += len(rs.queue[n].t.order)
 		if n > 0 && blocks > c.lay.RingSlots {
 			break

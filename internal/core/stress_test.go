@@ -26,7 +26,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 		opts     Options
 	}{
 		{"write-back", 8 << 20, Options{RingBytes: 8192}},
-		{"timed-batch", 8 << 20, Options{RingBytes: 8192, GroupCommit: GroupCommit{MaxBatch: 8, MaxWaitNS: 20_000}}},
+		{"timed-batch", 8 << 20, Options{RingBytes: 8192, SealWaitNS: 20_000}},
 		{"evictor", 512 << 10, Options{RingBytes: 8192, EvictLowWater: 16}},
 	} {
 		cfg := cfg

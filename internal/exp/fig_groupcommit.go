@@ -33,7 +33,7 @@ func GroupCommitScaling(o Options) (*Table, error) {
 		mem := pmem.New(16<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
 		c, err := core.Open(mem, disk, core.Options{
-			GroupCommit: core.GroupCommit{MaxBatch: 8, MaxWaitNS: 200_000},
+			SealWaitNS: 200_000,
 		})
 		if err != nil {
 			return 0, 0, 0, err

@@ -80,8 +80,8 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 		mem := pmem.New(16<<20, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
 		c, err := core.Open(mem, disk, core.Options{
-			GroupCommit: core.GroupCommit{MaxBatch: 8, MaxWaitNS: 200_000},
-			Observe:     true,
+			SealWaitNS: 200_000,
+			Observe:    true,
 		})
 		if err != nil {
 			return nil, err

@@ -47,7 +47,7 @@ func nvmCapacityBlocks(nvmBytes int) (int, error) {
 // Writer: the same tiered stack under a pure commit workload (4x NVM
 // capacity, three passes, so destage traffic continuously feeds the
 // upload pipeline), once with the uploader paused and once live. The
-// batched lanes (UploadTrigger absorption + 16-way PUT overlap + DRAM
+// batched lanes (upload-watermark absorption + 16-way PUT overlap + DRAM
 // payload retention) must price the pipeline into the noise:
 // uploader_overhead_pct is the added foreground time, asserted <= 5%.
 func ColdStartWarmup(o Options) (*Table, error) {
@@ -223,7 +223,7 @@ func ColdStartWarmup(o Options) (*Table, error) {
 	t.SetMetric("uploader_overhead_pct", overheadPct)
 	t.SetMetric("coldstart_span_x_cache", float64(span)/float64(capacity))
 
-	t.Note = fmt.Sprintf("scan span = %d blocks (10x NVM capacity) out of a pre-populated store; prefetch overlaps object GETs the request window prices at serviceNS/k. Writer: %d passes over 4x capacity; the live uploader's drag stays within the ±5%% budget via UploadTrigger batching, 16 PUT lanes and DRAM payload retention", span, passes)
+	t.Note = fmt.Sprintf("scan span = %d blocks (10x NVM capacity) out of a pre-populated store; prefetch overlaps object GETs the request window prices at serviceNS/k. Writer: %d passes over 4x capacity; the live uploader's drag stays within the ±5%% budget via upload-watermark batching, 16 PUT lanes and DRAM payload retention", span, passes)
 	return t, nil
 }
 

@@ -37,7 +37,7 @@ func WriterScaling(o Options) (*Table, error) {
 		mem := pmem.New(16<<20, pmem.Banks(pmem.NVDIMM, 16), clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
 		c, err := core.Open(mem, disk, core.Options{
-			GroupCommit: core.GroupCommit{MaxBatch: 8, MaxWaitNS: 200_000},
+			SealWaitNS:  200_000,
 			CommitRings: rings,
 		})
 		if err != nil {

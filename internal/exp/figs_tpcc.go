@@ -24,7 +24,9 @@ func runTPCC(o Options, kind stack.Kind, users int, mod func(*stack.Config)) (tp
 		// The paper's 32GB database against an 8GB NVM cache keeps
 		// replacement active; the same 4:1 dataset:cache ratio here.
 		c.NVMBytes = 5 << 20
-		c.RingBytes = 256 << 10
+		if kind == stack.Tinca {
+			c.RingBytes = 256 << 10
+		}
 		c.FSBlocks = 24576 // 96MB file system span
 		c.GroupCommitBlocks = 1 << 20
 		if mod != nil {

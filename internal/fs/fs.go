@@ -45,10 +45,6 @@ type Options struct {
 	// transaction when this much simulated time has passed since the last
 	// commit (JBD2's 5-second commit window). Zero disables the timer.
 	GroupCommitIntervalNS int64
-	// PageCacheBlocks bounds the DRAM page cache that absorbs repeated
-	// reads (the OS page cache both evaluated stacks enjoy). Zero uses a
-	// default of 1024 blocks (4MB).
-	PageCacheBlocks int
 	// Clock supplies mtimes and is charged OpCostNS per operation;
 	// optional.
 	Clock *sim.Clock
@@ -61,7 +57,16 @@ type Options struct {
 	// the hot path pays a single nil check.
 	Rec     *metrics.Recorder
 	Observe bool
+
+	// pageCacheBlocks bounds the DRAM page cache that absorbs repeated
+	// reads (the OS page cache both evaluated stacks enjoy). Zero uses
+	// defaultPageCacheBlocks. Unexported: only tests shrink it, so large
+	// files read back through the backend.
+	pageCacheBlocks int
 }
+
+// defaultPageCacheBlocks is the DRAM page cache size (4MB).
+const defaultPageCacheBlocks = 1024
 
 // FS is a mounted file system. All methods are safe for concurrent use.
 // Mutating operations are serialized by one big write lock (the
@@ -210,9 +215,9 @@ func Mount(b Backend, opts Options) (*FS, error) {
 const rootIno = 1
 
 func newFS(b Backend, g geometry, opts Options) *FS {
-	pcBlocks := opts.PageCacheBlocks
+	pcBlocks := opts.pageCacheBlocks
 	if pcBlocks == 0 {
-		pcBlocks = 1024
+		pcBlocks = defaultPageCacheBlocks
 	}
 	words := func(n uint64) int { return int((n + 63) / 64) }
 	rlockOK := false

@@ -164,7 +164,7 @@ func TestSparseFileHolesReadZero(t *testing.T) {
 func TestLargeFileIndirect(t *testing.T) {
 	// Cross the direct (10 blocks) and into the single-indirect range,
 	// then into the double-indirect range.
-	f := newFSForTest(t, 1<<16, Options{PageCacheBlocks: 8})
+	f := newFSForTest(t, 1<<16, Options{pageCacheBlocks: 8})
 	f.Create("/big")
 	blockIdxs := []uint64{0, 9, 10, 100, 521, 522, 1500} // direct/indirect/double
 	for _, l := range blockIdxs {
@@ -723,7 +723,7 @@ func TestTruncateShrinkFreesIndirectChains(t *testing.T) {
 	// A file spanning direct, single- and double-indirect ranges, shrunk
 	// in stages: each stage must free exactly the punched blocks and keep
 	// the file system fsck-clean.
-	f := newFSForTest(t, 1<<15, Options{PageCacheBlocks: 16})
+	f := newFSForTest(t, 1<<15, Options{pageCacheBlocks: 16})
 	f.Create("/big")
 	// 600 blocks: 10 direct + 512 single + 78 double-indirect.
 	if err := f.WriteAt("/big", 0, make([]byte, 600*BlockSize)); err != nil {

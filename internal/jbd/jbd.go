@@ -114,10 +114,6 @@ type Options struct {
 	// Blocks is the journal area length (superblock + ring). Must be at
 	// least 8.
 	Blocks uint64
-	// CheckpointFrac triggers checkpointing when the ring is fuller than
-	// this fraction (default 0.5), modelling JBD2's background flush that
-	// keeps the journal from filling.
-	CheckpointFrac float64
 	// Observe enables commit-phase latency histograms (jbd.* names in the
 	// shared Recorder), measured on Clock. Both must be set; off by
 	// default, costing the commit path nothing.
@@ -395,13 +391,10 @@ func (j *Journal) checkpointOldest() error {
 	return j.writeSuper()
 }
 
-// MaybeCheckpoint checkpoints old transactions until the ring occupancy
-// drops below the configured fraction. The file system calls it after
-// commits, modelling JBD2's kjournald background work.
+// MaybeCheckpoint checkpoints old transactions until at most frac of the
+// ring is occupied. The file system calls it after commits, modelling
+// JBD2's kjournald background work.
 func (j *Journal) MaybeCheckpoint(frac float64) error {
-	if frac <= 0 {
-		frac = 0.5
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {

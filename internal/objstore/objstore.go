@@ -16,7 +16,6 @@ package objstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -37,9 +36,8 @@ type Profile struct {
 	// NSPerMB is the transfer time per MiB moved in either direction
 	// (1e7 ≈ 100MB/s per stream).
 	NSPerMB int64
-	// Parallel is how many in-flight requests the service overlaps: k
-	// concurrent requests each charge serviceNS/min(k, Parallel), the
-	// same logical-window model blockdev uses for NCQ. 0 or 1 serializes.
+	// Parallel is how many in-flight requests the service overlaps, the
+	// sim.Window model blockdev uses for NCQ. 0 or 1 serializes.
 	Parallel int
 	// MaxInflight bounds concurrently admitted requests; callers past the
 	// bound block until a slot frees. 0 defaults to 2*Parallel (min 1).
@@ -49,7 +47,6 @@ type Profile struct {
 	PutCostNano   int64
 	GetCostNano   int64
 	PerGBCostNano int64
-	Description   string
 }
 
 // S3 models a same-region S3-class service: ~4ms to first byte, ~100MB/s
@@ -64,12 +61,10 @@ var S3 = Profile{
 	PutCostNano:   5_000,
 	GetCostNano:   400,
 	PerGBCostNano: 20_000_000,
-	Description:   "same-region S3-class object store",
 }
 
 // NullStore is an infinitely fast, free object store for unit tests.
-var NullStore = Profile{Name: "null-objstore", Parallel: 1, MaxInflight: 64,
-	Description: "no-cost object store"}
+var NullStore = Profile{Name: "null-objstore", Parallel: 1, MaxInflight: 64}
 
 // Store is a simulated object store: uint64-keyed objects of whole bytes.
 // All methods are safe for concurrent use.
@@ -80,8 +75,8 @@ type Store struct {
 	clock   *sim.Clock
 	rec     *metrics.Recorder
 
-	sem      chan struct{} // MaxInflight admission bound
-	inflight atomic.Int64  // overlap window (logical concurrency)
+	sem chan struct{} // MaxInflight admission bound
+	win *sim.Window   // Parallel overlap window (logical concurrency)
 
 	puts      atomic.Int64
 	gets      atomic.Int64
@@ -125,42 +120,22 @@ func NewStore(prof Profile, clock *sim.Clock, rec *metrics.Recorder) *Store {
 		clock:   clock,
 		rec:     rec,
 		sem:     make(chan struct{}, maxIn),
+		win:     sim.NewWindow(prof.Parallel),
 	}
 }
 
 // Profile returns the service profile.
 func (s *Store) Profile() Profile { return s.prof }
 
-// admit enters the bounded in-flight window; like blockdev.Device.admit,
-// it yields once so logically concurrent requests see each other in the
-// overlap window even on a single host core.
+// admit takes a MaxInflight slot, then enters the overlap window.
 func (s *Store) admit() {
 	s.sem <- struct{}{}
-	s.inflight.Add(1)
-	if s.prof.Parallel > 1 {
-		runtime.Gosched()
-	}
+	s.win.Enter()
 }
 
 func (s *Store) release() {
-	s.inflight.Add(-1)
+	s.win.Leave()
 	<-s.sem
-}
-
-// charge advances the clock by one request's service time, discounted by
-// the overlap min(inflight, Parallel) grants (see blockdev.Device.charge
-// for why the additive clock makes division the right model).
-func (s *Store) charge(ns int64) int64 {
-	if q := int64(s.prof.Parallel); q > 1 {
-		if k := s.inflight.Load(); k > 1 {
-			if k > q {
-				k = q
-			}
-			ns /= k
-		}
-	}
-	s.clock.AdvanceNS(ns)
-	return ns
 }
 
 func (s *Store) serviceNS(bytes int) int64 {
@@ -189,7 +164,7 @@ func (s *Store) Put(key uint64, data []byte) {
 	s.rec.Inc(metrics.ObjPuts)
 	s.rec.Add(metrics.ObjBytesUp, int64(len(data)))
 	s.bill(s.prof.PutCostNano, len(data))
-	s.charge(s.serviceNS(len(data)))
+	s.win.Charge(s.clock, s.serviceNS(len(data)))
 	s.rec.Observe(metrics.HistObjPut, s.serviceNS(len(data)))
 }
 
@@ -214,14 +189,14 @@ func (s *Store) Get(key uint64, p []byte) bool {
 		s.getMisses.Add(1)
 		s.rec.Inc(metrics.ObjGetMisses)
 		s.bill(s.prof.GetCostNano, 0)
-		s.charge(s.prof.RequestNS)
+		s.win.Charge(s.clock, s.prof.RequestNS)
 		s.rec.Observe(metrics.HistObjGet, s.prof.RequestNS)
 		return false
 	}
 	s.bytesDown.Add(int64(n))
 	s.rec.Add(metrics.ObjBytesDown, int64(n))
 	s.bill(s.prof.GetCostNano, n)
-	s.charge(s.serviceNS(n))
+	s.win.Charge(s.clock, s.serviceNS(n))
 	s.rec.Observe(metrics.HistObjGet, s.serviceNS(n))
 	return true
 }

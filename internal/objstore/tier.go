@@ -57,6 +57,18 @@ type Tier struct {
 	span  uint64 // addressable blocks (what Blocks() reports)
 	opts  TierOptions
 
+	// uploadTrigger is the dirty-block watermark that arms the upload
+	// lanes: MaxDirty/2, clamped to [1, MaxDirty]. Below it destages
+	// accumulate in L2 — write absorption: a block rewritten before the
+	// watermark trips costs one PUT, not several — and the burst above it
+	// gives every PUT lane work at once, so the store's request-overlap
+	// window prices the batch instead of a serial request train. Drain
+	// and Close ignore the watermark.
+	uploadTrigger int
+	// prefetchDepth is how many objects ahead of the detected stream the
+	// prefetcher runs: two per prefetch worker.
+	prefetchDepth int
+
 	mapBlocks uint64 // map region at the head of dev
 	nslots    int    // data slots behind the map region
 
@@ -69,7 +81,7 @@ type Tier struct {
 	dirtyObjs map[uint64]int // object key -> dirty blocks in it
 	uploading map[uint64]bool
 	paused    bool
-	draining  bool // Drain in progress: lanes ignore UploadTrigger
+	draining  bool // Drain in progress: lanes ignore uploadTrigger
 	closing   bool
 	writeCond *sync.Cond // backpressure / drain: dirty count dropped
 	upCond    *sync.Cond // work for the uploader / eviction progress
@@ -147,21 +159,12 @@ type TierOptions struct {
 	UploadWorkers int
 	// MaxDirty bounds dirty (not yet uploaded) slots; WriteBlock stalls
 	// at the bound until the uploader catches up (default 3/4 of the
-	// data slots). The bound also caps the DRAM payload buffer.
+	// data slots). The bound also caps the DRAM payload buffer, and half
+	// of it is the watermark that arms the upload lanes.
 	MaxDirty int
-	// UploadTrigger is the dirty-block watermark that arms the upload
-	// lanes (default MaxDirty/2, clamped to [1, MaxDirty]). Below it
-	// destages accumulate in L2 — write absorption: a block rewritten
-	// before the watermark trips costs one PUT, not several — and the
-	// burst above it gives every PUT lane work at once, so the store's
-	// request-overlap window prices the batch instead of a serial
-	// request train. Drain and Close ignore the watermark.
-	UploadTrigger int
-	// PrefetchWorkers fetch ahead concurrently; 0 disables read-ahead.
+	// PrefetchWorkers fetch ahead concurrently, two objects each ahead of
+	// the detected stream; 0 disables read-ahead.
 	PrefetchWorkers int
-	// PrefetchDepth is how many objects ahead of the detected stream
-	// the prefetcher runs (default 2*PrefetchWorkers).
-	PrefetchDepth int
 	// StagingObjects caps the DRAM staging area (default 32 objects).
 	StagingObjects int
 }
@@ -210,9 +213,6 @@ func NewTier(span uint64, dev *blockdev.Device, store *Store, rec *metrics.Recor
 	if opts.StagingObjects <= 0 {
 		opts.StagingObjects = 32
 	}
-	if opts.PrefetchDepth <= 0 {
-		opts.PrefetchDepth = 2 * opts.PrefetchWorkers
-	}
 	mapBlocks := MapBlocks(dev.Blocks())
 	nslots := int(dev.Blocks() - mapBlocks)
 	if nslots < opts.ObjectBlocks {
@@ -225,31 +225,24 @@ func NewTier(span uint64, dev *blockdev.Device, store *Store, rec *metrics.Recor
 	if opts.MaxDirty > nslots {
 		opts.MaxDirty = nslots
 	}
-	if opts.UploadTrigger <= 0 {
-		opts.UploadTrigger = opts.MaxDirty / 2
-	}
-	if opts.UploadTrigger < 1 {
-		opts.UploadTrigger = 1
-	}
-	if opts.UploadTrigger > opts.MaxDirty {
-		// A trigger past the backpressure bound could never trip.
-		opts.UploadTrigger = opts.MaxDirty
-	}
 	t := &Tier{
-		dev:       dev,
-		store:     store,
-		rec:       rec,
-		span:      span,
-		opts:      opts,
-		mapBlocks: mapBlocks,
-		nslots:    nslots,
-		slots:     make([]slotState, nslots),
-		byBlock:   make(map[uint64]int32),
-		dirtyObjs: make(map[uint64]int),
-		uploading: make(map[uint64]bool),
-		metaMu:    make([]sync.Mutex, mapBlocks),
-		staging:   make(map[uint64]*stagedObj),
-		fetching:  make(map[uint64]*objFetch),
+		dev:   dev,
+		store: store,
+		rec:   rec,
+		span:  span,
+		opts:  opts,
+		// A trigger past the backpressure bound could never trip.
+		uploadTrigger: min(max(opts.MaxDirty/2, 1), opts.MaxDirty),
+		prefetchDepth: 2 * opts.PrefetchWorkers,
+		mapBlocks:     mapBlocks,
+		nslots:        nslots,
+		slots:         make([]slotState, nslots),
+		byBlock:       make(map[uint64]int32),
+		dirtyObjs:     make(map[uint64]int),
+		uploading:     make(map[uint64]bool),
+		metaMu:        make([]sync.Mutex, mapBlocks),
+		staging:       make(map[uint64]*stagedObj),
+		fetching:      make(map[uint64]*objFetch),
 	}
 	t.writeCond = sync.NewCond(&t.mu)
 	t.upCond = sync.NewCond(&t.mu)
@@ -261,7 +254,7 @@ func NewTier(span uint64, dev *blockdev.Device, store *Store, rec *metrics.Recor
 		go t.uploadWorker()
 	}
 	if opts.PrefetchWorkers > 0 {
-		t.pfCh = make(chan uint64, 4*opts.PrefetchDepth+opts.PrefetchWorkers)
+		t.pfCh = make(chan uint64, 4*t.prefetchDepth+opts.PrefetchWorkers)
 		for w := 0; w < opts.PrefetchWorkers; w++ {
 			t.wg.Add(1)
 			go t.prefetchWorker()
@@ -660,7 +653,7 @@ func (t *Tier) noteAccess(key uint64) {
 		if t.streak >= 2 {
 			maxObj := (t.span - 1) / uint64(t.opts.ObjectBlocks)
 			next := int64(key)
-			for i := 0; i < t.opts.PrefetchDepth; i++ {
+			for i := 0; i < t.prefetchDepth; i++ {
 				next += t.stride
 				if next < 0 || next > int64(maxObj) {
 					break
@@ -784,7 +777,7 @@ func (t *Tier) uploadWorker() {
 			// drain, or when eviction is starved for clean slots
 			// (dirtyCnt == nslots >= trigger then, so the gate is open
 			// whenever allocSlotLocked could be waiting on uploads).
-			if !t.paused && (t.draining || t.dirtyCnt >= t.opts.UploadTrigger) {
+			if !t.paused && (t.draining || t.dirtyCnt >= t.uploadTrigger) {
 				for k, n := range t.dirtyObjs {
 					if !t.uploading[k] && n > best {
 						key, best = k, n

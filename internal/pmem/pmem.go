@@ -27,9 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tinca/internal/metrics"
@@ -52,27 +50,20 @@ type Profile struct {
 	LineFlushNS int64 // per-line clflush (includes the instruction cost)
 	FenceNS     int64 // per sfence
 	// Parallel is the DIMM's internal load parallelism: how many in-flight
-	// block-sized Loads the memory channels/banks overlap. When k Loads are
-	// in flight concurrently, each charges serviceNS/min(k, Parallel) to
-	// the shared clock, so k fully overlapped copies advance simulated
-	// time by roughly one copy in total — but only when the host actually
-	// issues them concurrently. A host that serializes its reads (for
-	// example under a shard mutex) keeps inflight at 1 and pays full
-	// price, which is exactly the structure the read-hit scaling figure
-	// measures. Only multi-line Load is overlapped; the small atomic
-	// Load8/Load16 and every persistence-relevant store/flush/fence keep
-	// the fully serialized charging model. 0 or 1 disables overlap; every
-	// stock profile uses it, so existing figures and crash sweeps are
-	// unchanged.
+	// block-sized Loads the memory channels/banks overlap, charged by the
+	// sim.Window model. A host that serializes its reads (for example
+	// under a shard mutex) pays full price, which is exactly the structure
+	// the read-hit scaling figure measures. Only multi-line Load is
+	// overlapped; the small atomic Load8/Load16 keep the fully serialized
+	// charging model. 0 or 1 disables overlap; every stock profile uses
+	// it, so existing figures and crash sweeps are unchanged.
 	Parallel int
 	// PersistParallel is the DIMM's internal write-bank parallelism: the
-	// persist-side analogue of Parallel (see Banks). When k goroutines
-	// concurrently issue persistence-relevant operations — stores, flushes,
-	// fences — each charges serviceNS/min(k, PersistParallel), so commit
-	// paths that genuinely overlap their persists (e.g. independent
-	// per-shard ring seals) advance simulated time by roughly one seal's
-	// worth per bank. A path that serializes its persists (a single seal
-	// leader, everything under one mutex) keeps inflight at 1 and pays
+	// persist-side analogue of Parallel (see Banks) over stores, flushes
+	// and fences, so commit paths that genuinely overlap their persists
+	// (e.g. independent per-shard ring seals) advance simulated time by
+	// roughly one seal's worth per bank. A path that serializes its
+	// persists (a single seal leader, everything under one mutex) pays
 	// full price — exactly the structure the writer-scaling figure
 	// measures. Only the charged service time is discounted: data
 	// movement, crash-boundary counting (persistOps), wear and every
@@ -170,15 +161,11 @@ type Device struct {
 	rec   *metrics.Recorder
 	wear  []uint32 // per-line media writes (endurance accounting)
 
-	// inflightLoads counts block-sized Loads currently inside Load, for
-	// the Profile.Parallel overlap model. Untouched (always 0 vs 1
-	// transitions with no charging effect) on stock profiles.
-	inflightLoads atomic.Int64
-
-	// inflightPersists counts persistence-relevant operations currently
-	// issued, for the Profile.PersistParallel overlap model. Never touched
-	// on stock profiles (PersistParallel <= 1 skips even the increment).
-	inflightPersists atomic.Int64
+	// loads and persists are the overlap windows of block-sized Loads
+	// (Profile.Parallel) and of persistence-relevant operations
+	// (Profile.PersistParallel). Issuers serialized by a host mutex keep
+	// a window at one and pay full price.
+	loads, persists *sim.Window
 
 	// atomic16 marks the start words of 16B ranges last written by
 	// Store16: on a torn crash those two words persist together (the
@@ -228,6 +215,8 @@ func New(size int, prof Profile, clock *sim.Clock, rec *metrics.Recorder) *Devic
 		rec:      rec,
 		wear:     make([]uint32, nlines),
 		atomic16: make([]bool, size/8),
+		loads:    sim.NewWindow(prof.Parallel),
+		persists: sim.NewWindow(prof.PersistParallel),
 	}
 }
 
@@ -275,57 +264,20 @@ func (d *Device) maybeCrash(op string) {
 	}
 }
 
-// admitPersist enters a persistence-relevant operation into the in-flight
-// window for bank-capable profiles (PersistParallel > 1), mirroring
-// admitLoad: the yield lets every other goroutine about to persist run
-// its own admitPersist before this one reads the window in chargePersist,
-// so logically concurrent persists count each other even when the host
-// runs goroutines one at a time. Issuers serialized by a host mutex stay
-// blocked on that mutex, not runnable, so inflight stays at 1 and they
-// pay full price. Stock profiles skip everything, including the atomic.
-func (d *Device) admitPersist() {
-	if d.prof.PersistParallel > 1 {
-		d.inflightPersists.Add(1)
-		runtime.Gosched()
-	}
-}
-
-func (d *Device) releasePersist() {
-	if d.prof.PersistParallel > 1 {
-		d.inflightPersists.Add(-1)
-	}
-}
-
-// chargePersist advances the simulated clock by one persist operation's
-// service time, discounted by the overlap the profile's bank depth grants
-// to the persists currently in flight (see chargeLoad for the additive-
-// clock argument). Equal to a plain AdvanceNS on stock profiles.
-func (d *Device) chargePersist(ns int64) {
-	if q := int64(d.prof.PersistParallel); q > 1 {
-		if k := d.inflightPersists.Load(); k > 1 {
-			if k > q {
-				k = q
-			}
-			ns /= k
-		}
-	}
-	d.clock.AdvanceNS(ns)
-}
-
 // Store copies p into the device at off. The write is volatile: it is not
 // durable until the covering lines are flushed (or happen to be evicted at
 // crash time).
 func (d *Device) Store(off int, p []byte) {
 	d.check(off, len(p))
-	d.admitPersist()
+	d.persists.Enter()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.releasePersist()
+	defer d.persists.Leave()
 	d.maybeCrash("store")
 	copy(d.volatile[off:off+len(p)], p)
 	d.clearAtomic16(off, len(p))
 	d.markDirty(off, len(p))
-	d.chargePersist(int64(coveringLines(off, len(p))) * d.prof.LineStoreNS)
+	d.persists.Charge(d.clock, int64(coveringLines(off, len(p)))*d.prof.LineStoreNS)
 	d.rec.Add(metrics.NVMBytesWrite, int64(len(p)))
 }
 
@@ -336,15 +288,15 @@ func (d *Device) Store8(off int, v uint64) {
 		panic("pmem: Store8 misaligned")
 	}
 	d.check(off, 8)
-	d.admitPersist()
+	d.persists.Enter()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.releasePersist()
+	defer d.persists.Leave()
 	d.maybeCrash("store8")
 	binary.LittleEndian.PutUint64(d.volatile[off:off+8], v)
 	d.clearAtomic16(off, 8)
 	d.markDirty(off, 8)
-	d.chargePersist(d.prof.LineStoreNS)
+	d.persists.Charge(d.clock, d.prof.LineStoreNS)
 	d.rec.Inc(metrics.NVMAtomic8)
 	d.rec.Add(metrics.NVMBytesWrite, 8)
 }
@@ -356,51 +308,18 @@ func (d *Device) Store16(off int, v [16]byte) {
 		panic("pmem: Store16 misaligned")
 	}
 	d.check(off, 16)
-	d.admitPersist()
+	d.persists.Enter()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.releasePersist()
+	defer d.persists.Leave()
 	d.maybeCrash("store16")
 	copy(d.volatile[off:off+16], v[:])
 	d.atomic16[off/8] = true
 	d.atomic16[off/8+1] = false
 	d.markDirty(off, 16)
-	d.chargePersist(d.prof.LineStoreNS)
+	d.persists.Charge(d.clock, d.prof.LineStoreNS)
 	d.rec.Inc(metrics.NVMAtomic16)
 	d.rec.Add(metrics.NVMBytesWrite, 16)
-}
-
-// admitLoad enters a Load into the in-flight window. For overlap-capable
-// profiles it then yields the processor: every other goroutine about to
-// issue a Load gets to execute its own admitLoad before this one reads the
-// window in chargeLoad, so logically concurrent copies count each other
-// even when the host runs goroutines one at a time. Serialized hosts are
-// unaffected — a Load issued under a mutex keeps every other issuer
-// blocked on that mutex, not runnable, so yielding cannot admit them and
-// inflight stays at 1. Stock profiles (Parallel <= 1) skip the yield.
-func (d *Device) admitLoad() {
-	d.inflightLoads.Add(1)
-	if d.prof.Parallel > 1 {
-		runtime.Gosched()
-	}
-}
-
-// chargeLoad advances the simulated clock by one Load's service time,
-// discounted by the overlap the profile's channel depth grants to the
-// Loads currently in flight (see blockdev.Device.charge for the full
-// argument; the additive clock sums charges across goroutines, so the
-// discount makes the sum approximate a DIMM serving min(inflight,
-// Parallel) copies at once). Serialized callers always pay full price.
-func (d *Device) chargeLoad(ns int64) {
-	if q := int64(d.prof.Parallel); q > 1 {
-		if k := d.inflightLoads.Load(); k > 1 {
-			if k > q {
-				k = q
-			}
-			ns /= k
-		}
-	}
-	d.clock.AdvanceNS(ns)
 }
 
 // Load copies n bytes at off into p (len(p) bytes are read). Reads see the
@@ -410,14 +329,14 @@ func (d *Device) chargeLoad(ns int64) {
 // discounted.
 func (d *Device) Load(off int, p []byte) {
 	d.check(off, len(p))
-	d.admitLoad()
+	d.loads.Enter()
 	d.mu.Lock()
 	copy(p, d.volatile[off:off+len(p)])
 	d.mu.Unlock()
 	lines := coveringLines(off, len(p))
 	d.rec.Add(metrics.NVMBytesRead, int64(len(p)))
-	d.chargeLoad(int64(lines) * d.prof.LineReadNS)
-	d.inflightLoads.Add(-1)
+	d.loads.Charge(d.clock, int64(lines)*d.prof.LineReadNS)
+	d.loads.Leave()
 }
 
 // ViewBytes returns a slice aliasing the CPU-visible contents of [off,
@@ -436,14 +355,14 @@ func (d *Device) Load(off int, p []byte) {
 // every store that published the range's contents.
 func (d *Device) ViewBytes(off, n int) []byte {
 	d.check(off, n)
-	d.admitLoad()
+	d.loads.Enter()
 	d.mu.Lock()
 	v := d.volatile[off : off+n : off+n]
 	d.mu.Unlock()
 	lines := coveringLines(off, n)
 	d.rec.Add(metrics.NVMBytesRead, int64(n))
-	d.chargeLoad(int64(lines) * d.prof.LineReadNS)
-	d.inflightLoads.Add(-1)
+	d.loads.Charge(d.clock, int64(lines)*d.prof.LineReadNS)
+	d.loads.Leave()
 	return v
 }
 
@@ -479,10 +398,10 @@ func (d *Device) Load16(off int) (v [16]byte) {
 // persistence domain, charging one clflush per line.
 func (d *Device) CLFlush(off, n int) {
 	d.check(off, n)
-	d.admitPersist()
+	d.persists.Enter()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.releasePersist()
+	defer d.persists.Leave()
 	d.maybeCrash("clflush")
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
@@ -497,7 +416,7 @@ func (d *Device) CLFlush(off, n int) {
 	}
 	lines := int64(last - first + 1)
 	d.rec.Add(metrics.NVMCLFlush, lines)
-	d.chargePersist(lines * d.prof.LineFlushNS)
+	d.persists.Charge(d.clock, lines*d.prof.LineFlushNS)
 	if d.observe {
 		d.obsFlush.Record(lines)
 	}
@@ -508,13 +427,13 @@ func (d *Device) CLFlush(off, n int) {
 // and counts; the ordering guarantee it provides in hardware is what makes
 // the persist-then-continue sequencing of callers valid.
 func (d *Device) SFence() {
-	d.admitPersist()
+	d.persists.Enter()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.releasePersist()
+	defer d.persists.Leave()
 	d.maybeCrash("sfence")
 	d.rec.Inc(metrics.NVMSFence)
-	d.chargePersist(d.prof.FenceNS)
+	d.persists.Charge(d.clock, d.prof.FenceNS)
 	if d.observe {
 		now := int64(d.clock.Now())
 		d.obsFence.Record(now - d.lastFenceNS)

@@ -99,3 +99,36 @@ func TestZipfSkewed(t *testing.T) {
 	// theta <= 1 is clamped rather than panicking.
 	_ = Zipf(r, 0.5, 10)
 }
+
+// TestWindowCharge pins the overlap rule: k requests in flight each pay
+// ns/min(k, depth), and a depth of 0 or 1 never discounts.
+func TestWindowCharge(t *testing.T) {
+	for _, tc := range []struct {
+		depth, inflight int
+		want            int64
+	}{
+		{0, 3, 1200},
+		{1, 3, 1200},
+		{4, 1, 1200},
+		{4, 3, 400},
+		{2, 3, 600},
+	} {
+		w, c := NewWindow(tc.depth), NewClock()
+		for i := 0; i < tc.inflight; i++ {
+			w.Enter()
+		}
+		if got := w.Charge(c, 1200); got != tc.want || int64(c.Now()) != tc.want {
+			t.Errorf("depth %d, %d in flight: charged %d (clock %d), want %d",
+				tc.depth, tc.inflight, got, c.Now(), tc.want)
+		}
+		if w.InFlight() != int64(tc.inflight) {
+			t.Errorf("InFlight = %d, want %d", w.InFlight(), tc.inflight)
+		}
+		for i := 0; i < tc.inflight; i++ {
+			w.Leave()
+		}
+		if w.InFlight() != 0 {
+			t.Errorf("InFlight after Leave = %d", w.InFlight())
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 //	               _count. Scrape it, or `curl` it and eyeball.
 //	/trace         Chrome trace_event JSON of the tracer ring (load in
 //	               chrome://tracing or https://ui.perfetto.dev). 404
-//	               when the stack was built without TraceEvents/Tracer.
+//	               when the stack was built without Options.Tracer.
 //	/blackbox      Plain-text forensic report decoded live from the NVM
 //	               flight ring: last sealed generation, txns in flight,
 //	               last-N event timeline. 404 when the stack was built
@@ -73,7 +73,7 @@ func (s *Stack) ServeMetrics(addr string) (string, error) {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if s.Tracer == nil {
-			http.Error(w, "stack built without a tracer (set TraceEvents)", http.StatusNotFound)
+			http.Error(w, "stack built without a tracer (set Options.Tracer)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

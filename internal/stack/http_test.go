@@ -15,7 +15,7 @@ import (
 
 func buildObservedStack(t *testing.T) *Stack {
 	t.Helper()
-	s, err := New(Config{Kind: Tinca, Options: core.Options{Observe: true}, TraceEvents: 1 << 12})
+	s, err := New(Config{Kind: Tinca, Options: core.Options{Observe: true, Tracer: metrics.NewTracer(1 << 12)}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

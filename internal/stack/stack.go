@@ -82,19 +82,22 @@ func (k Kind) String() string {
 // suitable for fast laptop-scale experiments.
 //
 // The Tinca cache's knobs are the embedded core.Options, declared once
-// and promoted: cfg.RingBytes, cfg.GroupCommit, cfg.EvictLowWater,
+// and promoted: cfg.RingBytes, cfg.SealWaitNS, cfg.EvictLowWater,
 // cfg.CommitRings and the rest read and write the embedded struct
 // directly, so existing field-access code keeps working. (Composite
 // literals name the embedded struct: Config{Options: core.Options{...}}.)
 // Two of the embedded knobs apply beyond the Tinca kind: Observe enables
 // latency histograms in every layer, and Tracer records their spans.
+//
+// Every knob has at least two callers that want different values; a
+// value no caller varies is a constant below (fsOpCostNS, checkpointFrac)
+// or a default derived inside its layer.
 type Config struct {
 	Kind        Kind
 	NVMBytes    int              // NVM cache size (default 32MB)
 	NVMProfile  pmem.Profile     // default PCM (the paper's default)
 	DiskProfile blockdev.Profile // default SSD
 	FSBlocks    uint64           // file-system span in 4KB blocks (default 32768 = 128MB)
-	InodeCount  uint64           // default FSBlocks/16
 
 	// Tinca cache knobs (plus Observe/Tracer, which apply to
 	// every kind), embedded from the core so they are declared exactly
@@ -109,38 +112,37 @@ type Config struct {
 	// strided miss streams. With L3 set, DiskProfile describes the L2
 	// device (sized by L3L2Blocks) rather than a full-span disk.
 	L3              bool
-	L3Profile       objstore.Profile // object store service model (default objstore.S3)
-	L3L2Blocks      uint64           // L2 data capacity in blocks (default 4096 = 16MB)
-	L3ObjectBlocks  int              // blocks per object (default 16 = 64KB)
-	L3Prefetch      int              // prefetch workers; 0 = default 4, negative disables
-	L3MaxDirty      int              // dirty-slot backpressure bound (default 3/4 of L2)
-	L3UploadWorkers int              // concurrent object PUT lanes (default 8)
+	L3L2Blocks      uint64 // L2 data capacity in blocks (default 4096 = 16MB)
+	L3ObjectBlocks  int    // blocks per object (default 16 = 64KB)
+	L3Prefetch      int    // prefetch workers; 0 = default 4, negative disables
+	L3MaxDirty      int    // dirty-slot backpressure bound (default 3/4 of L2)
+	L3UploadWorkers int    // concurrent object PUT lanes (default 8)
 
-	// Classic knobs.
+	// Classic knobs. JournalMode applies to the Classic kind; the two
+	// ablations to both Classic kinds.
 	JournalMode       JournalMode // DataJournal (paper default) or Ordered
 	JournalBlocks     uint64      // journal area length (default 4096 = 16MB)
-	ClassicAssoc      int
-	NoMetaUpdates     bool // Figure 4 ablation
-	NoPersistBarriers bool // Figure 3(b) ablation
-	CheckpointFrac    float64
+	NoMetaUpdates     bool        // Figure 4 ablation
+	NoPersistBarriers bool        // Figure 3(b) ablation
 
-	// File-system knobs.
+	// File-system knobs (every kind).
 	GroupCommitBlocks     int
 	GroupCommitIntervalNS int64
-	PageCacheBlocks       int
-	// FSOpCostNS is the per-operation CPU cost (syscall + VFS) charged to
-	// the simulated clock; default 2µs. Set negative to disable.
-	FSOpCostNS int64
 
-	// Observability knobs (DESIGN.md Section 9). Observe and Tracer live
-	// in the embedded core.Options (they configure every layer, not just
-	// the cache); TraceEvents is stack-only sugar:
-	//
-	// TraceEvents, when positive, allocates a span tracer ring of that
-	// many events (rounded up to a power of two) and implies Observe.
-	// Export the ring with Stack.Tracer.WriteChromeTrace.
-	TraceEvents int
+	// l3Profile is the object store's service model; withDefaults picks
+	// objstore.S3. Unexported: only the tier tests swap in NullStore.
+	l3Profile objstore.Profile
 }
+
+const (
+	// fsOpCostNS is the per-operation CPU cost (syscall + VFS path) the
+	// file system charges to the simulated clock.
+	fsOpCostNS = 2000
+	// checkpointFrac is the journal fill fraction past which the Classic
+	// stack checkpoints, modelling JBD2's background flush that keeps the
+	// journal from filling.
+	checkpointFrac = 0.5
+)
 
 // Validate reports a descriptive error for a nonsensical configuration
 // instead of silently clamping it. New runs it (after applying defaults)
@@ -161,39 +163,19 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Kind != Tinca && c.EvictLowWater != 0 {
-		return fmt.Errorf("stack: EvictLowWater applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.Fault != core.FaultNone {
-		return fmt.Errorf("stack: Fault applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.SealHook != nil {
-		return fmt.Errorf("stack: SealHook applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.FlightRecorder {
-		return fmt.Errorf("stack: FlightRecorder applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.CheckpointIntervalNS != 0 {
-		return fmt.Errorf("stack: CheckpointIntervalNS applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.CommitRings != 0 {
-		return fmt.Errorf("stack: CommitRings applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if c.Kind != Tinca && c.L3 {
-		return fmt.Errorf("stack: L3 tiering applies only to the Tinca kind, not %v", c.Kind)
-	}
-	if !c.L3 && (c.L3Profile.Name != "" || c.L3L2Blocks != 0 || c.L3ObjectBlocks != 0 ||
-		c.L3Prefetch != 0 || c.L3MaxDirty != 0 || c.L3UploadWorkers != 0) {
-		return fmt.Errorf("stack: L3Profile/L3L2Blocks/L3ObjectBlocks/L3Prefetch/L3MaxDirty/L3UploadWorkers require L3")
-	}
-	if c.L3 && c.L3ObjectBlocks < 0 {
-		return fmt.Errorf("stack: L3ObjectBlocks %d is negative", c.L3ObjectBlocks)
-	}
 	if c.JournalMode < DataJournal || c.JournalMode > Ordered {
 		return fmt.Errorf("stack: unknown journal mode %d", int(c.JournalMode))
 	}
-	if c.CheckpointFrac < 0 || c.CheckpointFrac > 1 {
-		return fmt.Errorf("stack: CheckpointFrac %v outside [0,1]", c.CheckpointFrac)
+	if err := c.checkKindKnobs(); err != nil {
+		return err
+	}
+	if !c.L3 && (c.L3L2Blocks != 0 || c.L3ObjectBlocks != 0 ||
+		c.L3Prefetch != 0 || c.L3MaxDirty != 0 || c.L3UploadWorkers != 0) {
+		return fmt.Errorf("stack: L3L2Blocks/L3ObjectBlocks/L3Prefetch/L3MaxDirty/L3UploadWorkers require L3")
+	}
+	if c.L3ObjectBlocks < 0 || c.L3MaxDirty < 0 || c.L3UploadWorkers < 0 {
+		return fmt.Errorf("stack: L3ObjectBlocks %d, L3MaxDirty %d, L3UploadWorkers %d: none may be negative",
+			c.L3ObjectBlocks, c.L3MaxDirty, c.L3UploadWorkers)
 	}
 	if c.GroupCommitBlocks < 0 {
 		return fmt.Errorf("stack: GroupCommitBlocks %d is negative", c.GroupCommitBlocks)
@@ -201,8 +183,40 @@ func (c Config) Validate() error {
 	if c.GroupCommitIntervalNS < 0 {
 		return fmt.Errorf("stack: GroupCommitIntervalNS %d is negative", c.GroupCommitIntervalNS)
 	}
-	if c.PageCacheBlocks < 0 {
-		return fmt.Errorf("stack: PageCacheBlocks %d is negative", c.PageCacheBlocks)
+	return nil
+}
+
+// checkKindKnobs rejects a knob set on a kind that never reads it: the
+// cache knobs embedded from core.Options (bar Observe and Tracer) and L3
+// belong to the Tinca kind, the two cache ablations to both Classic kinds,
+// and JournalMode to the Classic kind's journal.
+func (c Config) checkKindKnobs() error {
+	o := c.Options
+	tinca := c.Kind == Tinca
+	for _, k := range []struct {
+		name  string
+		set   bool
+		wrong bool   // c.Kind never reads the knob
+		kinds string // the kinds that do
+	}{
+		{"RingBytes", o.RingBytes != 0, !tinca, "the Tinca kind"},
+		{"Ablation", o.Ablation != core.AblationNone, !tinca, "the Tinca kind"},
+		{"RotatePointers", o.RotatePointers, !tinca, "the Tinca kind"},
+		{"SealWaitNS", o.SealWaitNS != 0, !tinca, "the Tinca kind"},
+		{"Fault", o.Fault != core.FaultNone, !tinca, "the Tinca kind"},
+		{"SealHook", o.SealHook != nil, !tinca, "the Tinca kind"},
+		{"EvictLowWater", o.EvictLowWater != 0, !tinca, "the Tinca kind"},
+		{"FlightRecorder", o.FlightRecorder, !tinca, "the Tinca kind"},
+		{"CheckpointIntervalNS", o.CheckpointIntervalNS != 0, !tinca, "the Tinca kind"},
+		{"CommitRings", o.CommitRings != 0, !tinca, "the Tinca kind"},
+		{"L3 tiering", c.L3, !tinca, "the Tinca kind"},
+		{"JournalMode", c.JournalMode != DataJournal, c.Kind != Classic, "the Classic kind"},
+		{"NoMetaUpdates", c.NoMetaUpdates, tinca, "the Classic kinds"},
+		{"NoPersistBarriers", c.NoPersistBarriers, tinca, "the Classic kinds"},
+	} {
+		if k.set && k.wrong {
+			return fmt.Errorf("stack: %s applies only to %s, not %v", k.name, k.kinds, c.Kind)
+		}
 	}
 	return nil
 }
@@ -223,17 +237,9 @@ func (c Config) withDefaults() Config {
 	if c.JournalBlocks == 0 {
 		c.JournalBlocks = 4096
 	}
-	if c.CheckpointFrac == 0 {
-		c.CheckpointFrac = 0.5
-	}
-	if c.FSOpCostNS == 0 {
-		c.FSOpCostNS = 2000
-	} else if c.FSOpCostNS < 0 {
-		c.FSOpCostNS = 0
-	}
 	if c.L3 {
-		if c.L3Profile.Name == "" {
-			c.L3Profile = objstore.S3
+		if c.l3Profile.Name == "" {
+			c.l3Profile = objstore.S3
 		}
 		if c.L3L2Blocks == 0 {
 			c.L3L2Blocks = 4096
@@ -270,9 +276,9 @@ type Stack struct {
 	Store *objstore.Store
 	Tier  *objstore.Tier
 
-	// Tracer is the span ring when Cfg.TraceEvents/Cfg.Tracer asked for
-	// one; nil otherwise. It survives Crash/Remount (spans are DRAM-side
-	// diagnostics, not simulated state).
+	// Tracer is the span ring Cfg.Tracer set; nil otherwise. It survives
+	// Crash/Remount (spans are DRAM-side diagnostics, not simulated
+	// state).
 	Tracer *metrics.Tracer
 
 	metricsSrv *http.Server // non-nil while ServeMetrics is live
@@ -286,9 +292,6 @@ func New(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Tracer == nil && cfg.TraceEvents > 0 {
-		cfg.Tracer = metrics.NewTracer(cfg.TraceEvents)
-	}
 	if cfg.Tracer != nil {
 		cfg.Observe = true
 	}
@@ -304,7 +307,7 @@ func New(cfg Config) (*Stack, error) {
 		// plus the persistent slot map); the object store provides the
 		// full span's capacity behind it.
 		s.Disk = blockdev.New(objstore.DevBlocksFor(cfg.L3L2Blocks), cfg.DiskProfile, s.Clock, s.Rec)
-		s.Store = objstore.NewStore(cfg.L3Profile, s.Clock, s.Rec)
+		s.Store = objstore.NewStore(cfg.l3Profile, s.Clock, s.Rec)
 	} else {
 		diskBlocks := cfg.FSBlocks + cfg.JournalBlocks
 		s.Disk = blockdev.New(diskBlocks, cfg.DiskProfile, s.Clock, s.Rec)
@@ -320,9 +323,8 @@ func (s *Stack) bringUp(format bool) error {
 	fsOpts := fs.Options{
 		GroupCommitBlocks:     cfg.GroupCommitBlocks,
 		GroupCommitIntervalNS: cfg.GroupCommitIntervalNS,
-		PageCacheBlocks:       cfg.PageCacheBlocks,
 		Clock:                 s.Clock,
-		OpCostNS:              cfg.FSOpCostNS,
+		OpCostNS:              fsOpCostNS,
 		Rec:                   s.Rec,
 		Observe:               cfg.Observe,
 	}
@@ -355,7 +357,6 @@ func (s *Stack) bringUp(format bool) error {
 
 	case Classic, ClassicNoJournal:
 		copts := classic.Options{
-			Assoc:             cfg.ClassicAssoc,
 			NoMetaUpdates:     cfg.NoMetaUpdates,
 			NoPersistBarriers: cfg.NoPersistBarriers,
 		}
@@ -378,7 +379,7 @@ func (s *Stack) bringUp(format bool) error {
 				return err
 			}
 			s.Journal = j
-			backend = &journalBackend{j: j, cc: cc, frac: cfg.CheckpointFrac, ordered: cfg.JournalMode == Ordered}
+			backend = &journalBackend{j: j, cc: cc, ordered: cfg.JournalMode == Ordered}
 		} else {
 			backend = &directBackend{store: cc}
 		}
@@ -389,7 +390,7 @@ func (s *Stack) bringUp(format bool) error {
 
 	var err error
 	if format {
-		s.FS, err = fs.Format(backend, cfg.FSBlocks, cfg.InodeCount, fsOpts)
+		s.FS, err = fs.Format(backend, cfg.FSBlocks, 0, fsOpts)
 	} else {
 		s.FS, err = fs.Mount(backend, fsOpts)
 	}
@@ -576,7 +577,6 @@ func (t *tincaTxn) Abort()        { t.t.Abort() }
 type journalBackend struct {
 	j        *jbd.Journal
 	cc       *classic.Cache
-	frac     float64
 	ordered  bool
 	metaNext uint64 // first data-area block (set by SetMetadataBoundary)
 }
@@ -587,7 +587,7 @@ func (b *journalBackend) SetMetadataBoundary(dataStart uint64) { b.metaNext = da
 
 func (b *journalBackend) ReadBlock(no uint64, p []byte) error { return b.j.ReadBlock(no, p) }
 func (b *journalBackend) Begin() fs.BackendTxn                { return &journalTxn{b: b} }
-func (b *journalBackend) Sync() error                         { return b.j.MaybeCheckpoint(b.frac) }
+func (b *journalBackend) Sync() error                         { return b.j.MaybeCheckpoint(checkpointFrac) }
 func (b *journalBackend) Close() error {
 	if err := b.j.Close(); err != nil {
 		return err
@@ -630,7 +630,7 @@ func (t *journalTxn) Commit() error {
 	if err := t.b.j.CommitTxn(jbd.Txn{Updates: updates, Revoked: t.revoked}); err != nil {
 		return err
 	}
-	return t.b.j.MaybeCheckpoint(t.b.frac)
+	return t.b.j.MaybeCheckpoint(checkpointFrac)
 }
 
 func (t *journalTxn) Abort() { t.updates = nil }

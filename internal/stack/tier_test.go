@@ -18,7 +18,7 @@ func l3Config() Config {
 		DiskProfile: blockdev.Null,
 		FSBlocks:    4096,
 		L3:          true,
-		L3Profile:   objstore.NullStore,
+		l3Profile:   objstore.NullStore,
 		L3L2Blocks:  512, // far below the span: real tiering pressure
 	}
 	cfg.EvictLowWater = 16

@@ -26,20 +26,20 @@
 // across goroutines; concurrently arriving Txn.Commit calls coalesce into
 // a single ring-buffer seal — one Tail flip and a handful of fences
 // amortized over the whole batch, with duplicate blocks absorbed into one
-// NVM write. The GroupCommit knob in CacheOptions (and StackConfig) tunes
-// batch formation:
+// NVM write. One seal coalesces up to eight transactions; the SealWaitNS
+// knob in CacheOptions (and StackConfig) optionally holds the seal leader
+// back (real time) so a batch can fill, trading commit latency for
+// throughput:
 //
 //	sys, err := tinca.NewStack(tinca.StackConfig{
-//		Kind:        tinca.KindTinca,
-//		GroupCommit: tinca.GroupCommit{MaxBatch: 16, MaxWaitNS: 20_000},
+//		Kind:    tinca.KindTinca,
+//		Options: tinca.CacheOptions{SealWaitNS: 20_000},
 //	})
 //
-// MaxBatch bounds how many transactions one seal may coalesce (default 8);
-// MaxWaitNS optionally holds the seal leader back (real time) so a batch
-// can fill, trading commit latency for throughput. The zero value seals
-// opportunistically and is right for most workloads. Configurations are
-// validated eagerly: OpenCache and NewStack return descriptive errors for
-// nonsensical combinations instead of silently clamping.
+// The zero value seals opportunistically and is right for most workloads.
+// Configurations are validated eagerly: OpenCache and NewStack return
+// descriptive errors for nonsensical combinations (including a knob the
+// chosen stack kind never reads) instead of silently clamping.
 //
 // # Observability
 //
@@ -56,8 +56,8 @@
 // Deeper visibility is opt-in via StackConfig (DESIGN.md Section 9):
 // Observe enables latency histograms in every layer (commit pipeline
 // phases, eviction, recovery, journal, per-op FS read/write), surfaced as
-// LatencySummary values in the Stats structs; TraceEvents allocates a
-// span ring exported as Chrome trace_event JSON (Stack.Tracer); and
+// LatencySummary values in the Stats structs; a Tracer (NewTracer) records
+// spans exported as Chrome trace_event JSON (Stack.Tracer); and
 // Stack.ServeMetrics starts a live HTTP endpoint with Prometheus text
 // /metrics and net/http/pprof. All of it charges zero simulated time —
 // enabling observability never changes the simulated results.
@@ -147,12 +147,6 @@ var (
 func OpenCache(mem *NVM, disk *Disk, opts CacheOptions) (*Cache, error) {
 	return core.Open(mem, disk, opts)
 }
-
-// GroupCommit tunes how concurrently arriving Txn.Commit calls coalesce
-// into one ring-buffer seal. Set it via CacheOptions.GroupCommit or
-// StackConfig.GroupCommit; the zero value (opportunistic batching, max
-// batch 8) is right for most workloads. See the package comment.
-type GroupCommit = core.GroupCommit
 
 // CacheStats is the typed counter snapshot returned by Cache.Stats.
 type CacheStats = core.CacheStats
@@ -254,8 +248,8 @@ type PhaseLatency = core.PhaseLatency
 
 // Tracer is the fixed-size ring of structured span events recording the
 // commit pipeline's phases; export it with WriteChromeTrace for
-// chrome://tracing / Perfetto. Obtain one from StackConfig.TraceEvents
-// (Stack.Tracer) or NewTracer.
+// chrome://tracing / Perfetto. Allocate one with NewTracer and pass it
+// as StackConfig's Tracer (Stack.Tracer then returns it).
 type Tracer = metrics.Tracer
 
 // NewTracer allocates a span ring of n events (rounded up to a power of
@@ -312,7 +306,7 @@ type JournalOptions = jbd.Options
 // Stack, or mount your own over any Backend.
 type FS = fs.FS
 
-// FSOptions configure mounting (group commit, page cache, op cost).
+// FSOptions configure mounting (group commit, op cost, observability).
 type FSOptions = fs.Options
 
 // FileInfo describes a file or directory.
