@@ -15,9 +15,10 @@
 // Exhaustive sweep (-sweep): counts every persist op the trace spans and
 // crashes one deterministic trial at *each* boundary, across an eviction
 // probability grid — no boundary left unsampled. With -group-blocks > 0
-// the sweep runs concurrent committers under group commit and applies
-// the batch prefix-atomicity oracle instead. On failure, the first
-// failing trial is shrunk to a minimal reproducer line.
+// the sweep runs concurrent committers under group commit, and the same
+// prefix oracle derives each worker's durability floor from the commits
+// it observed. On failure, the first failing trial is shrunk to a
+// minimal reproducer line.
 //
 //	tincacrash -sweep -kind tinca -ops 200
 //	tincacrash -sweep -kind tinca -ops 200 -checkpoint   # checkpoint writer at every commit point
@@ -26,15 +27,17 @@
 //	tincacrash -sweep -group-blocks 4 -fs-workers 4 -committers 2 -max-boundaries 200
 //	tincacrash -sweep -fault skip-data-flush -evictps 0   # harness self-test: must fail
 //
-// Replay (-replay): re-runs the trial a reproducer line describes.
+// Replay (-replay): re-runs the trial a reproducer line describes. A line
+// the stack kind cannot run (a Tinca-only option on a Classic kind) is a
+// harness error, exit status 2.
 //
 //	tincacrash -replay 'kind=tinca boundary=137 evictp=0 fault=none seed=5 trace=c:/f0001|...'
 //
 // Blackbox (-blackbox): one deterministic Tinca trial with the NVM flight
 // recorder on; crashes at -boundary (default: midway), prints the
 // forensic report decoded from the crash image (last sealed generation,
-// txns in flight, last-N event timeline), then remounts and prints the
-// §4.5 recovery breakdown.
+// txns in flight, last-N event timeline), then remounts, applies the
+// sweep's oracle and prints the §4.5 recovery breakdown.
 //
 //	tincacrash -blackbox -seed 7 -ops 200 -evictp 0.5
 //	tincacrash -blackbox -boundary 5000
@@ -43,7 +46,8 @@
 // blackbox report for each failing trial (up to 5) is written into DIR
 // for offline forensics (CI uploads them as artifacts).
 //
-// Exit status is non-zero if any trial finds an inconsistency.
+// Exit status is 1 if any trial finds an inconsistency, 2 on a harness
+// error (bad flags, a configuration the stack refuses).
 package main
 
 import (
@@ -79,7 +83,7 @@ func main() {
 		rings   = flag.Int("rings", 0, "CommitRings: split the NVM log into N per-shard rings (sweep mode, tinca only; 0 = single ring)")
 		l3      = flag.Bool("l3", false, "run every trial on the tiered stack: L3 object store behind a small L2 disk (sweep mode, tinca only)")
 
-		groupBlocks = flag.Int("group-blocks", 0, "FS group-commit threshold; > 0 selects the group oracle")
+		groupBlocks = flag.Int("group-blocks", 0, "FS group-commit threshold; > 0 runs concurrent FS workers under group commit")
 		fsWorkers   = flag.Int("fs-workers", 4, "concurrent FS op streams (group mode)")
 		committers  = flag.Int("committers", 2, "raw block-txn committers (group mode, tinca only)")
 		minimize    = flag.Bool("minimize", true, "shrink the first failure to a minimal reproducer (serial sweeps)")
@@ -294,7 +298,7 @@ func runSweep(a sweepArgs) int {
 			fmt.Printf("replay: tincacrash -replay '%s'\n", cfg.ReplayLine(res.Failures[0]))
 		} else {
 			fmt.Printf("minimal reproducer: %d ops at boundary %d (%d shrink trials): %v\n",
-				len(min.Trace), min.Boundary, min.Trials, min.Err)
+				len(min.Spec.Trace), min.Spec.Boundary, min.Trials, min.Err)
 			fmt.Printf("replay: tincacrash -replay '%s'\n", min.Spec)
 		}
 	default:

@@ -7,8 +7,6 @@ import (
 
 	"tinca/internal/core"
 	"tinca/internal/flight"
-	"tinca/internal/pmem"
-	"tinca/internal/sim"
 	"tinca/internal/stack"
 )
 
@@ -21,17 +19,18 @@ type BlackboxResult struct {
 	Crashed       bool  // whether the armed crash actually fired
 	Report        string
 	Recovery      core.RecoveryStats
-	// Err holds any post-recovery verification failure (fsck, cache
-	// invariants, flight window). The report above is still valid — it was
-	// decoded before recovery ran — which is exactly when it matters.
+	// Err holds any verification failure (flight window, remount, fsck,
+	// cache invariants, the model oracle). The report above is still
+	// valid — it was decoded before recovery ran — which is exactly when
+	// it matters.
 	Err error
 }
 
-// Blackbox runs one deterministic serial trial of a Tinca sweep
-// configuration (seed, trace length and layout options; the flight
-// recorder is always on), crashes at the given persist-op boundary
-// (negative = midway through the workload, sized by a counting run),
-// decodes the surviving flight ring into a forensic report, then remounts
+// Blackbox runs one deterministic trial of a Tinca sweep configuration
+// (seed, trace length and layout options; the flight recorder is always
+// on), crashes at the given persist-op boundary (negative = midway through
+// the workload, sized by a counting run), decodes the surviving flight
+// ring into a forensic report, then remounts, applies the sweep's oracle
 // and reports the §4.5 recovery breakdown. Passing the SweepConfig that
 // found a failure re-runs that failure's exact persist stream. The
 // returned error is reserved for harness problems; verification failures
@@ -40,74 +39,44 @@ func Blackbox(cfg SweepConfig, boundary int64, evictP float64) (*BlackboxResult,
 	if cfg.Kind != stack.Tinca {
 		return nil, errors.New("crash: blackbox requires the Tinca stack")
 	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 200
-	}
-	trace := GenTrace(cfg.Seed, cfg.Ops)
+	traces := cfg.traces()
 	res := &BlackboxResult{Boundary: boundary}
 	if boundary < 0 {
-		cout, err := runTrial(cfg.trial(trace, -1, 1))
+		cex, err := runTrial(cfg.trial(traces, -1, 1))
 		if err != nil {
 			return nil, fmt.Errorf("crash: blackbox counting run: %w", err)
 		}
-		res.BoundarySpace = cout.boundarySpace
-		res.Boundary = cout.boundarySpace / 2
+		res.BoundarySpace = cex.boundarySpace
+		res.Boundary = cex.boundarySpace / 2
 	}
 
-	sp := cfg.trial(trace, res.Boundary, evictP)
-	s, err := stack.New(sp.stackConfig(nil))
+	ex, err := execute(cfg.trial(traces, res.Boundary, evictP))
 	if err != nil {
 		return nil, err
 	}
-	s.Mem.ArmCrash(res.Boundary)
-	crashed, _ := pmem.CatchCrash(func() {
-		for i := range sp.trace {
-			o := sp.trace[i]
-			if err := Issue(s.FS, o); err != nil && !o.WantErr {
-				panic(fmt.Sprintf("crash: blackbox op %d %v: %v", i, o, err))
-			}
-		}
-	})
-	res.Crashed = crashed
-	if !crashed {
-		s.Mem.DisarmCrash()
-	}
-
-	lay := s.TCache.Layout()
-	s.Crash(sim.NewRand(sp.imageSeed), sp.evictP)
-
-	// Decode before Remount: the report must show the pre-crash timeline,
-	// not recovery's own events.
-	bb := flight.Decode(s.Mem, lay.FlightOff, lay.FlightSlots)
-	var buf bytes.Buffer
-	if err := bb.Report(&buf, 32); err != nil {
+	res.Crashed = ex.crashed
+	// ex.bb was decoded before Remount: the report shows the pre-crash
+	// timeline, not recovery's own events.
+	if res.Report, err = report(ex.bb); err != nil {
 		return nil, err
 	}
-	res.Report = buf.String()
-	if err := bb.CheckWindow(); err != nil {
-		res.Err = fmt.Errorf("flight window: %w", err)
-	}
-
-	if err := s.Remount(); err != nil {
-		if res.Err == nil {
-			res.Err = fmt.Errorf("remount: %w", err)
-		}
+	res.Err = ex.verify()
+	if ex.remountErr != nil {
 		// Recovery refused the image: re-decode the flight ring so the
 		// report carries the terminal recover-fail event (and its
 		// structural-failure code) instead of only the pre-crash timeline.
-		fb := flight.Decode(s.Mem, lay.FlightOff, lay.FlightSlots)
-		var fbuf bytes.Buffer
-		if rerr := fb.Report(&fbuf, 32); rerr == nil {
-			res.Report = fbuf.String()
+		if rep, err := report(ex.decodeFlight()); err == nil {
+			res.Report = rep
 		}
 		return res, nil
 	}
-	res.Recovery = s.TCache.RecoveryStats()
-	if err := checkStructure(s); err != nil && res.Err == nil {
-		res.Err = err
-	}
-	if err := flightPostCheck(bb, s.TCache, 0); err != nil && res.Err == nil {
-		res.Err = err
-	}
+	res.Recovery = ex.s.TCache.RecoveryStats()
 	return res, nil
+}
+
+// report renders a decoded flight ring with its last 32 events.
+func report(bb *flight.Blackbox) (string, error) {
+	var buf bytes.Buffer
+	err := bb.Report(&buf, 32)
+	return buf.String(), err
 }

@@ -1,18 +1,20 @@
 // Package crash is the model-based crash-consistency harness of DESIGN.md
-// §5. It drives a full storage stack with a random sequence of file-system
+// §5. It drives a full storage stack with random sequences of file-system
 // operations while maintaining a shadow model of the *acknowledged* state,
-// injects a power failure at a random NVM-operation boundary, recovers,
-// and verifies:
+// injects a power failure at an NVM persist-op boundary, recovers, and
+// verifies:
 //
 //   - structural integrity (fsck; Tinca cache invariants);
-//   - durability: every acknowledged operation is fully visible;
-//   - atomicity: the single operation in flight at the crash is either
-//     fully applied or fully absent — the observed state must equal the
-//     shadow model either before or after that operation, never a hybrid.
+//   - durability: every operation proven durable is fully visible;
+//   - atomicity: the recovered state equals the shadow model after some
+//     acknowledged prefix, or after that prefix plus the one operation in
+//     flight — never a hybrid.
 //
-// The harness runs the file system with per-operation commits
-// (GroupCommitBlocks = 0), so operation = transaction = unit of atomicity,
-// which makes the oracle exact.
+// Trial, Sweep, Replay, Minimize and Blackbox all run one trial runner
+// and one oracle (sweep.go). With per-operation commits
+// (GroupCommitBlocks = 0) operation = transaction = unit of atomicity and
+// every acked op is durable, so the oracle is exact: the model before or
+// after the in-flight operation.
 package crash
 
 import (
@@ -177,7 +179,7 @@ func NewGenerator(rng *rand.Rand) *Generator { return &Generator{rng: rng} }
 
 // NewGeneratorNS seeds a generator whose paths all carry the namespace
 // prefix "/<ns>-", so several concurrent generators can share one file
-// system without colliding (the group-commit oracle verifies each
+// system without colliding (the prefix oracle verifies each
 // namespace independently).
 func NewGeneratorNS(rng *rand.Rand, ns string) *Generator {
 	return &Generator{rng: rng, ns: ns}
@@ -263,20 +265,15 @@ type Result struct {
 // recovery, and full verification. A nil error means the trial was
 // consistent.
 func Trial(kind stack.Kind, seed int64, ops int, evictP float64) (Result, error) {
-	trace := GenTrace(seed, ops)
 	rng := rand.New(rand.NewSource(seed))
-	out, err := runSerialTrial(trialSpec{
-		kind:      kind,
-		trace:     trace,
+	ex, err := runTrial(trialSpec{
+		cfg:       SweepConfig{Kind: kind},
+		traces:    [][]Op{GenTrace(seed, ops)},
 		boundary:  rng.Int63n(int64(ops)*100) + 50,
 		evictP:    evictP,
 		imageSeed: rng.Int63(),
 	})
-	res := Result{Crashed: out.crashed, OpsAcked: out.acked}
-	if out.inflight != nil {
-		res.Inflight = out.inflight.String()
-	}
-	return res, err
+	return ex.result(), err
 }
 
 // Verify compares the file system against the model exactly: every model
@@ -286,7 +283,7 @@ func Verify(f *fs.FS, m Model) error { return VerifyPrefix(f, m, "/") }
 // VerifyPrefix compares the subset of the file system whose paths start
 // with prefix against the model: every model file exists with identical
 // contents, and no unexpected files exist under the prefix. The
-// group-commit oracle uses one namespace prefix per concurrent worker.
+// prefix oracle uses one namespace prefix per worker ("/" when serial).
 func VerifyPrefix(f *fs.FS, m Model, prefix string) error {
 	names, err := f.ReadDir("/")
 	if err != nil {

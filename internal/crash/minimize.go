@@ -27,12 +27,9 @@ const minimizeTrialBudget = 30000
 
 // MinimizeResult is a shrunk reproducer.
 type MinimizeResult struct {
-	Trace    []Op
-	Boundary int64
-	EvictP   float64
-	Err      error // the failure as it manifests on the minimal trace
-	Trials   int   // trials spent shrinking
-	Spec     ReplaySpec
+	Spec   ReplaySpec // the minimal failing trace and its boundary
+	Err    error      // the failure as it manifests on the minimal trace
+	Trials int        // trials spent shrinking
 }
 
 // Minimize shrinks a sweep failure to a minimal failing trace and
@@ -41,14 +38,17 @@ func Minimize(cfg SweepConfig, f Failure) (*MinimizeResult, error) {
 	if cfg.Group.Blocks > 0 {
 		return nil, errors.New("crash: minimization supports serial sweeps only")
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	trials := 0
-	run := func(tr []Op, b int64) (trialOut, error) {
+	run := func(tr []Op, b int64) (*execution, error) {
 		trials++
-		return runSerialTrial(cfg.trial(tr, b, f.EvictP))
+		return runTrial(cfg.trial([][]Op{tr}, b, f.EvictP))
 	}
 
 	trace := GenTrace(cfg.Seed, cfg.traceOps())
-	out, err := run(trace, f.Boundary)
+	ex, err := run(trace, f.Boundary)
 	if err == nil {
 		return nil, fmt.Errorf("crash: failure at boundary %d evictP %v did not reproduce", f.Boundary, f.EvictP)
 	}
@@ -56,7 +56,7 @@ func Minimize(cfg SweepConfig, f Failure) (*MinimizeResult, error) {
 
 	// Truncate to the crashed prefix: ops past the in-flight one never
 	// ran, and the persist stream up to the boundary is identical.
-	if n := out.acked + 1; n < len(cur) {
+	if n := ex.result().OpsAcked + 1; n < len(cur) {
 		cand := cur[:n]
 		if _, err := run(cand, curB); err != nil {
 			cur, curErr = cand, err
@@ -101,14 +101,9 @@ func Minimize(cfg SweepConfig, f Failure) (*MinimizeResult, error) {
 		}
 	}
 
-	return &MinimizeResult{
-		Trace:    cur,
-		Boundary: curB,
-		EvictP:   f.EvictP,
-		Err:      curErr,
-		Trials:   trials,
-		Spec:     cfg.replaySpec(cur, curB, f.EvictP),
-	}, nil
+	spec := ReplaySpec{Boundary: curB, EvictP: f.EvictP, Trace: cur}
+	bindOptions(&spec, &cfg, true)
+	return &MinimizeResult{Spec: spec, Err: curErr, Trials: trials}, nil
 }
 
 // traceValid reports whether every op in the trace is valid against the

@@ -5,22 +5,25 @@
 // (boundary, evictP) pair, so a persist-ordering bug cannot hide between
 // random samples.
 //
-// Two oracles:
+// Every trial — Sweep's, Trial's, Replay's, Minimize's, Blackbox's — runs
+// in two phases. execute builds the stack, arms the crash, runs W
+// namespaced FS workers plus R raw core.Txn committers, takes the crash
+// image and decodes the flight ring before remount; verify remounts and
+// judges. A serial sweep (GroupCommitBlocks = 0) is the case W = 1, R = 0,
+// its one trace owning the root namespace.
 //
-//   - Serial (GroupCommitBlocks = 0): op = transaction, so the recovered
-//     state must equal the shadow model exactly before or after the one
-//     in-flight op (crash.Trial's oracle, run at every boundary).
-//
-//   - Group (GroupCommitBlocks > 0, concurrent committers): ops from
-//     several workers coalesce into batches, so exact per-op equality is
-//     unsound. Instead each worker's recovered namespace must equal one
-//     of its acknowledged prefixes — at least its proven-durable floor
-//     (derived from backend-commit counter observations), at most its
-//     full trace plus the in-flight op — and never a hybrid inside a
-//     batch. Raw core.Txn committers additionally pin down batch
-//     atomicity at the block layer: each transaction's block set must
-//     recover from a single generation, and every seal the commit hook
-//     reported before the crash must be durable.
+// One oracle: each worker's recovered namespace must equal one of its
+// acknowledged prefixes — at least its proven-durable floor, at most its
+// full trace plus the in-flight op — and never a hybrid inside a batch.
+// With per-op commits each op's backend commit returns before its ack, so
+// the floor is the acked count and the oracle is exact: the model before
+// or after the one in-flight op. Under group commit ops from several
+// workers coalesce into batches, so the floor is derived from
+// backend-commit counter observations (prefixFloor). Raw core.Txn
+// committers additionally pin down batch atomicity at the block layer:
+// each transaction's block set must recover from a single generation,
+// and every seal the commit hook reported before the crash must be
+// durable.
 package crash
 
 import (
@@ -36,6 +39,7 @@ import (
 
 	"tinca/internal/core"
 	"tinca/internal/flight"
+	"tinca/internal/fs"
 	"tinca/internal/pmem"
 	"tinca/internal/sim"
 	"tinca/internal/stack"
@@ -52,10 +56,10 @@ const (
 	rawBlocksPerTxn = 4
 )
 
-// GroupConfig enables the group-commit oracle.
+// GroupConfig runs trials under group commit with concurrent streams.
 type GroupConfig struct {
-	// Blocks is the FS GroupCommitBlocks threshold; 0 selects the serial
-	// per-op oracle.
+	// Blocks is the FS GroupCommitBlocks threshold; 0 runs one FS worker
+	// with per-op commits.
 	Blocks int
 	// FSWorkers is the number of concurrent file-system op streams, each
 	// in its own "/w<i>-" namespace (default 4 when Blocks > 0).
@@ -136,7 +140,6 @@ func imageSeed(seed, boundary int64, evictP float64) int64 {
 // violations are collected in SweepResult.Failures; the returned error is
 // reserved for harness problems (the workload itself not running).
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	cfg.Ops = cfg.traceOps()
 	if len(cfg.EvictPs) == 0 {
 		cfg.EvictPs = []float64{0, 0.5, 1}
 	}
@@ -146,43 +149,10 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Fault != core.FaultNone && cfg.Kind != stack.Tinca {
-		return nil, errors.New("crash: fault injection requires the Tinca stack")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Checkpoint && cfg.Kind != stack.Tinca {
-		return nil, errors.New("crash: checkpoint sweeps require the Tinca stack")
-	}
-	if cfg.Group.RawCommitters > 0 && cfg.Kind != stack.Tinca {
-		return nil, errors.New("crash: raw committers require the Tinca stack")
-	}
-	if cfg.Rings > 1 && cfg.Kind != stack.Tinca {
-		return nil, errors.New("crash: multi-ring sweeps require the Tinca stack")
-	}
-	if cfg.L3 && cfg.Kind != stack.Tinca {
-		return nil, errors.New("crash: L3 tiering sweeps require the Tinca stack")
-	}
-	if cfg.Group.RawCommitters*rawBlocksPerTxn > sweepJournalBlocks {
-		return nil, fmt.Errorf("crash: %d raw committers exceed the spare disk region", cfg.Group.RawCommitters)
-	}
-
-	if cfg.Group.Blocks > 0 && cfg.Group.FSWorkers <= 0 {
-		cfg.Group.FSWorkers = 4
-	}
-	var trace []Op
-	var traces [][]Op
-	if cfg.Group.Blocks > 0 {
-		traces = make([][]Op, cfg.Group.FSWorkers)
-		for w := range traces {
-			traces[w] = GenTraceNS(cfg.Seed+int64(w)*101, cfg.Ops, fmt.Sprintf("w%d", w))
-		}
-	} else {
-		trace = GenTrace(cfg.Seed, cfg.Ops)
-	}
-	trial := func(b int64, p float64) trialSpec {
-		sp := cfg.trial(trace, b, p)
-		sp.traces = traces
-		return sp
-	}
+	traces := cfg.traces()
 
 	// Counting run: no armed crash, evictP 1 (every line persists — the
 	// most forgiving image, so even a fault-injected workload completes).
@@ -190,23 +160,21 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	// stream is scheduling-dependent, so the count is approximate:
 	// boundaries past a particular trial's stream simply never fire and
 	// are verified as completed runs.
-	cout, err := runTrial(trial(-1, 1))
+	cout, err := runTrial(cfg.trial(traces, -1, 1))
 	if err != nil {
 		return nil, fmt.Errorf("crash: counting run failed: %w", err)
 	}
 
 	res := &SweepResult{BoundarySpace: cout.boundarySpace}
-	var boundaries []int64
-	for b := int64(0); b < cout.boundarySpace; b += cfg.Stride {
-		boundaries = append(boundaries, b)
+	// MaxBoundaries subsamples the strided set evenly by widening the
+	// stride.
+	stride := cfg.Stride
+	if n, limit := (cout.boundarySpace+stride-1)/stride, int64(cfg.MaxBoundaries); limit > 0 && n > limit {
+		stride *= (n + limit - 1) / limit
 	}
-	if cfg.MaxBoundaries > 0 && len(boundaries) > cfg.MaxBoundaries {
-		step := (len(boundaries) + cfg.MaxBoundaries - 1) / cfg.MaxBoundaries
-		var sub []int64
-		for i := 0; i < len(boundaries); i += step {
-			sub = append(sub, boundaries[i])
-		}
-		boundaries = sub
+	var boundaries []int64
+	for b := int64(0); b < cout.boundarySpace; b += stride {
+		boundaries = append(boundaries, b)
 	}
 	res.Boundaries = len(boundaries)
 	total := len(boundaries) * len(cfg.EvictPs)
@@ -217,25 +185,23 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	jobs := make(chan job)
 	var mu sync.Mutex
-	done := 0
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
-				out, err := runTrial(trial(jb.b, jb.p))
+				ex, err := runTrial(cfg.trial(traces, jb.b, jb.p))
 				mu.Lock()
-				done++
 				res.Runs++
-				if out.crashed {
+				if ex.crashed {
 					res.Crashes++
 				}
 				if err != nil {
 					res.Failures = append(res.Failures, Failure{Boundary: jb.b, EvictP: jb.p, Err: err})
 				}
 				if cfg.Progress != nil {
-					cfg.Progress(done, total, len(res.Failures))
+					cfg.Progress(res.Runs, total, len(res.Failures))
 				}
 				mu.Unlock()
 			}
@@ -260,7 +226,9 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 // ReplayLine renders the reproducer line for a sweep failure (serial
 // sweeps only — group trials are scheduling-dependent).
 func (cfg SweepConfig) ReplayLine(f Failure) string {
-	return cfg.replaySpec(GenTrace(cfg.Seed, cfg.traceOps()), f.Boundary, f.EvictP).String()
+	r := ReplaySpec{Boundary: f.Boundary, EvictP: f.EvictP, Trace: GenTrace(cfg.Seed, cfg.traceOps())}
+	bindOptions(&r, &cfg, true)
+	return r.String()
 }
 
 // traceOps is the trace length with Ops' default applied.
@@ -271,40 +239,73 @@ func (cfg SweepConfig) traceOps() int {
 	return cfg.Ops
 }
 
-// trial is the one SweepConfig→trialSpec conversion: every sweep option
-// that shapes a trial's stack or persist stream is copied here, and the
-// crash image seed is derived from (Seed, boundary, evictP). Sweep,
-// Minimize, Replay and Blackbox all build their trials through it, so a
-// reproducer or forensic re-run sees the persist stream the sweep saw.
-func (cfg SweepConfig) trial(trace []Op, boundary int64, evictP float64) trialSpec {
-	return trialSpec{
-		kind:      cfg.Kind,
-		trace:     trace,
-		boundary:  boundary,
-		evictP:    evictP,
-		imageSeed: imageSeed(cfg.Seed, boundary, evictP),
-		fault:     cfg.Fault,
-		ckpt:      cfg.Checkpoint,
-		rings:     cfg.Rings,
-		l3:        cfg.L3,
-		group:     cfg.Group,
+// traces generates the op streams of cfg's trials: one root-namespace
+// trace for a serial sweep, one "/w<i>-" trace per FS worker in group
+// mode.
+func (cfg SweepConfig) traces() [][]Op {
+	if cfg.Group.Blocks == 0 {
+		return [][]Op{GenTrace(cfg.Seed, cfg.traceOps())}
 	}
+	n := cfg.Group.FSWorkers
+	if n <= 0 {
+		n = 4
+	}
+	traces := make([][]Op, n)
+	for w := range traces {
+		traces[w] = GenTraceNS(cfg.Seed+int64(w)*101, cfg.traceOps(), fmt.Sprintf("w%d", w))
+	}
+	return traces
 }
 
-// replaySpec renders one serial trial of this sweep as a reproducer;
-// ReplaySpec.config is its inverse.
-func (cfg SweepConfig) replaySpec(trace []Op, boundary int64, evictP float64) ReplaySpec {
-	return ReplaySpec{
-		Kind:     cfg.Kind,
-		Boundary: boundary,
-		EvictP:   evictP,
-		Fault:    cfg.Fault,
-		Ckpt:     cfg.Checkpoint,
-		Rings:    cfg.Rings,
-		L3:       cfg.L3,
-		Seed:     cfg.Seed,
-		Trace:    trace,
+// validate rejects a configuration no trial can run: a stack knob the
+// kind never reads (stack.Config.Validate), and raw committers without
+// the Tinca cache or beyond the spare disk region.
+func (cfg SweepConfig) validate() error {
+	if cfg.Group.RawCommitters > 0 && cfg.Kind != stack.Tinca {
+		return errors.New("crash: raw committers require the Tinca stack")
 	}
+	if cfg.Group.RawCommitters*rawBlocksPerTxn > sweepJournalBlocks {
+		return fmt.Errorf("crash: %d raw committers exceed the spare disk region", cfg.Group.RawCommitters)
+	}
+	return cfg.stackConfig(nil).Validate()
+}
+
+// stackConfig is the stack every trial of cfg runs on. Each sweep option
+// is forwarded whatever the kind, so stack.Config.Validate rejects one
+// the kind never reads.
+func (cfg SweepConfig) stackConfig(hook func(uint64)) stack.Config {
+	sc := stack.Config{
+		Kind:              cfg.Kind,
+		NVMBytes:          sweepNVMBytes,
+		FSBlocks:          sweepFSBlocks,
+		JournalBlocks:     sweepJournalBlocks,
+		GroupCommitBlocks: cfg.Group.Blocks,
+		// Every Tinca trial flies with the recorder on, a harness choice
+		// and not a sweep option: the sweep is the standing proof that
+		// flight persists never induce a false positive (they add crash
+		// boundaries but zero observable cost), and the surviving ring
+		// feeds the blackbox cross-checks after the crash.
+		Options: core.Options{Fault: cfg.Fault, SealHook: hook, FlightRecorder: cfg.Kind == stack.Tinca},
+	}
+	if cfg.Checkpoint {
+		sc.CheckpointIntervalNS = 1
+	}
+	if cfg.Rings > 1 {
+		sc.CommitRings = cfg.Rings
+	}
+	if cfg.L3 {
+		// An L2 far smaller than the FS span, tiny objects and a low
+		// dirty bound: every trial churns real destage, upload, eviction
+		// and backpressure traffic through the tier before the crash
+		// lands.
+		sc.L3 = true
+		sc.L3L2Blocks = 512
+		sc.L3ObjectBlocks = 8
+		sc.L3Prefetch = 2
+		sc.L3UploadWorkers = 2
+		sc.L3MaxDirty = 128
+	}
+	return sc
 }
 
 // ---- trial machinery ----------------------------------------------------
@@ -312,88 +313,387 @@ func (cfg SweepConfig) replaySpec(trace []Op, boundary int64, evictP float64) Re
 // trialSpec fully determines one trial (up to goroutine scheduling in
 // group mode).
 type trialSpec struct {
-	kind      stack.Kind
-	trace     []Op   // serial mode
-	traces    [][]Op // group mode: one namespaced trace per FS worker
+	cfg       SweepConfig
+	traces    [][]Op // one trace per FS worker
 	boundary  int64  // persist-op boundary after mount; -1 = never crash
 	evictP    float64
 	imageSeed int64
-	fault     core.Fault
-	ckpt      bool // checkpoint writer on, firing at every commit point
-	rings     int  // CommitRings (multi-ring layout) when > 1
-	l3        bool // L3 object tier behind a small L2 disk
-	group     GroupConfig
 }
 
-type trialOut struct {
+// trial is one trial of cfg over traces; the crash image seed is derived
+// from (Seed, boundary, evictP), so a reproducer re-runs the sweep's
+// persist stream and image.
+func (cfg SweepConfig) trial(traces [][]Op, boundary int64, evictP float64) trialSpec {
+	return trialSpec{cfg: cfg, traces: traces, boundary: boundary, evictP: evictP,
+		imageSeed: imageSeed(cfg.Seed, boundary, evictP)}
+}
+
+// wstate is one FS worker's trace execution record.
+type wstate struct {
+	ns       string  // path prefix the worker owns: "/" serial, "/w<i>-" group
+	model    Model   // shadow model after the acked ops
+	snaps    []Model // group mode: snaps[k] is the model after k < acked ops
+	commits  []int64 // group mode: commits[k-1] is GroupCommits seen after op k acked
+	acked    int
+	inflight *Op
+	err      error
 	crashed  bool
-	acked    int // serial mode only
-	inflight *Op // serial mode only
-	// boundarySpace is the persist-op count the workload spanned, valid
-	// when the trial ran to completion (counting runs).
-	boundarySpace int64
 }
 
-func runTrial(sp trialSpec) (trialOut, error) {
-	if len(sp.traces) > 0 {
-		return runGroupTrial(sp)
-	}
-	return runSerialTrial(sp)
+// rawState is one raw core.Txn committer's record.
+type rawState struct {
+	committed int       // last generation whose Commit returned
+	cur       *core.Txn // in-flight transaction at the crash, if any
+	curGen    int
+	err       error
+	crashed   bool
 }
 
-func (sp trialSpec) stackConfig(hook func(uint64)) stack.Config {
-	cfg := stack.Config{
-		Kind:              sp.kind,
-		NVMBytes:          sweepNVMBytes,
-		FSBlocks:          sweepFSBlocks,
-		JournalBlocks:     sweepJournalBlocks,
-		GroupCommitBlocks: sp.group.Blocks,
-	}
-	if sp.kind == stack.Tinca {
-		cfg.Fault = sp.fault
-		cfg.SealHook = hook
-		// Every Tinca trial flies with the recorder on: the sweep is the
-		// standing proof that flight persists never induce a false positive
-		// (they add crash boundaries but zero observable cost), and the
-		// surviving ring feeds the blackbox cross-checks after the crash.
-		cfg.FlightRecorder = true
-		if sp.ckpt {
-			cfg.CheckpointIntervalNS = 1
-		}
-		if sp.rings > 1 {
-			cfg.CommitRings = sp.rings
-		}
-		if sp.l3 {
-			// An L2 far smaller than the FS span, tiny objects and a
-			// low dirty bound: every trial churns real destage, upload,
-			// eviction and backpressure traffic through the tier before
-			// the crash lands.
-			cfg.L3 = true
-			cfg.L3L2Blocks = 512
-			cfg.L3ObjectBlocks = 8
-			cfg.L3Prefetch = 2
-			cfg.L3UploadWorkers = 2
-			cfg.L3MaxDirty = 128
-		}
-	}
-	return cfg
+// execution is a trial after its execute phase: the crashed stack, what
+// every stream observed before the power failure, and the flight ring
+// decoded from the crash image.
+type execution struct {
+	sp            trialSpec
+	s             *stack.Stack
+	lay           core.Layout
+	ws            []*wstate
+	rs            []*rawState
+	crashed       bool
+	boundarySpace int64  // persist ops the workload spanned (complete runs)
+	sealedQ       uint64 // largest seal the SealHook reported before the crash
+	bb            *flight.Blackbox
+	windowErr     error // the §13 window check of bb
+	remountErr    error // set by verify
 }
 
-// flightPreCheck decodes the flight ring straight from the crash image —
-// before Remount, so recovery's own events are not mixed into the
-// pre-crash timeline — and checks the §13 window invariant: the surviving
-// sequence numbers are contiguous up to MaxSeq with at most the one
-// in-flight record missing. A torn interior or a duplicate means the
-// recorder itself violated its persist ordering.
-func flightPreCheck(mem *pmem.Device, lay core.Layout) (*flight.Blackbox, error) {
-	if lay.FlightSlots == 0 {
-		return nil, nil
+// runTrial executes one trial and verifies it. The returned execution is
+// never nil; its workers are missing only when the stack did not build.
+func runTrial(sp trialSpec) (*execution, error) {
+	ex, err := execute(sp)
+	if err == nil {
+		err = ex.verify()
 	}
-	bb := flight.Decode(mem, lay.FlightOff, lay.FlightSlots)
-	if err := bb.CheckWindow(); err != nil {
-		return bb, fmt.Errorf("flight window: %w", err)
+	return ex, err
+}
+
+// result reports the first FS worker's progress — the whole trace of a
+// serial trial.
+func (ex *execution) result() Result {
+	res := Result{Crashed: ex.crashed}
+	if len(ex.ws) > 0 {
+		res.OpsAcked = ex.ws[0].acked
+		if o := ex.ws[0].inflight; o != nil {
+			res.Inflight = o.String()
+		}
 	}
-	return bb, nil
+	return res
+}
+
+// execute builds the stack, arms the crash at the spec's boundary, runs
+// every FS worker and raw committer until the trace ends or the crash
+// fires, takes the crash image and decodes its flight ring. The returned
+// error is an op the file system got wrong before any crash.
+func execute(sp trialSpec) (*execution, error) {
+	ex := &execution{sp: sp}
+	var sealedMax atomic.Uint64
+	var hook func(uint64)
+	if sp.cfg.Group.RawCommitters > 0 {
+		hook = func(seq uint64) {
+			for {
+				cur := sealedMax.Load()
+				if seq <= cur || sealedMax.CompareAndSwap(cur, seq) {
+					return
+				}
+			}
+		}
+	}
+	s, err := stack.New(sp.cfg.stackConfig(hook))
+	if err != nil {
+		return ex, err
+	}
+	ex.s = s
+	setupOps := s.Mem.PersistOps()
+	if sp.boundary >= 0 {
+		s.Mem.ArmCrash(sp.boundary)
+	}
+
+	// stop tells every stream a crash fired somewhere; the FS itself also
+	// poisons further ops, but raw committers bypass the FS.
+	var stop atomic.Bool
+	group := sp.cfg.Group.Blocks > 0
+	var wg sync.WaitGroup
+	for w, trace := range sp.traces {
+		st := &wstate{ns: "/", model: NewModel()}
+		if group {
+			st.ns = fmt.Sprintf("/w%d-", w)
+		}
+		ex.ws = append(ex.ws, st)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.crashed, _ = pmem.CatchCrash(func() {
+				for i := range trace {
+					if stop.Load() {
+						return
+					}
+					o := trace[i]
+					st.inflight = &o
+					err := Issue(s.FS, o)
+					if o.WantErr {
+						if err == nil {
+							st.err = fmt.Errorf("op %d %v succeeded, want error", i, o)
+							return
+						}
+					} else if err != nil {
+						st.err = fmt.Errorf("op %d %v: %v", i, o, err)
+						return
+					}
+					if group {
+						st.snaps = append(st.snaps, st.model.Clone())
+						st.commits = append(st.commits, s.FS.Stats().GroupCommits)
+					}
+					st.model.Apply(o)
+					st.inflight = nil
+					st.acked++
+				}
+			})
+			if st.crashed {
+				stop.Store(true)
+			}
+		}()
+	}
+
+	var fsDone atomic.Bool
+	var rwg sync.WaitGroup
+	for j := 0; j < sp.cfg.Group.RawCommitters; j++ {
+		r := &rawState{}
+		ex.rs = append(ex.rs, r)
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			r.crashed, _ = pmem.CatchCrash(func() {
+				for gen := 1; !stop.Load() && !fsDone.Load(); gen++ {
+					t := s.TCache.Begin()
+					for b := 0; b < rawBlocksPerTxn; b++ {
+						t.Write(rawBlockNo(j, b), rawBlock(j, gen, b))
+					}
+					r.cur, r.curGen = t, gen
+					if err := t.Commit(); err != nil {
+						r.err = fmt.Errorf("gen %d commit: %v", gen, err)
+						return
+					}
+					r.committed = gen
+					r.cur = nil
+				}
+			})
+			if r.crashed {
+				stop.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	fsDone.Store(true)
+	rwg.Wait()
+
+	for w, st := range ex.ws {
+		if st.err != nil {
+			return ex, st.blame(w, st.err)
+		}
+		ex.crashed = ex.crashed || st.crashed
+	}
+	for j, r := range ex.rs {
+		if r.err != nil {
+			return ex, fmt.Errorf("raw committer %d: %w", j, r.err)
+		}
+		ex.crashed = ex.crashed || r.crashed
+	}
+	if !ex.crashed {
+		s.Mem.DisarmCrash()
+	}
+	ex.boundarySpace = s.Mem.PersistOps() - setupOps
+	ex.sealedQ = sealedMax.Load()
+
+	if s.TCache != nil {
+		ex.lay = s.TCache.Layout()
+	}
+	s.Crash(sim.NewRand(sp.imageSeed), sp.evictP)
+	// Decode before Remount, so recovery's own events are not mixed into
+	// the pre-crash timeline, and check the §13 window invariant: the
+	// surviving sequence numbers are contiguous up to MaxSeq with at most
+	// the one in-flight record missing. A torn interior or a duplicate
+	// means the recorder itself violated its persist ordering.
+	if ex.lay.FlightSlots > 0 {
+		ex.bb = ex.decodeFlight()
+		if err := ex.bb.CheckWindow(); err != nil {
+			ex.windowErr = fmt.Errorf("flight window: %w", err)
+		}
+	}
+	return ex, nil
+}
+
+// decodeFlight decodes the flight ring from the device as it is now.
+func (ex *execution) decodeFlight() *flight.Blackbox {
+	return flight.Decode(ex.s.Mem, ex.lay.FlightOff, ex.lay.FlightSlots)
+}
+
+// blame attributes a worker's error to it; a serial trial's one worker
+// goes unnamed.
+func (st *wstate) blame(w int, err error) error {
+	if st.ns == "/" {
+		return err
+	}
+	return fmt.Errorf("worker %d: %w", w, err)
+}
+
+// verify remounts the crashed stack and applies the oracle of the
+// package comment: fsck and cache invariants, the flight cross-check,
+// namespace ownership, each worker's prefix oracle and the raw-committer
+// oracle.
+func (ex *execution) verify() error {
+	s := ex.s
+	ex.remountErr = s.Remount()
+	if ex.windowErr != nil {
+		return ex.windowErr
+	}
+	if ex.remountErr != nil {
+		return fmt.Errorf("remount: %w", ex.remountErr)
+	}
+	if err := checkStructure(s); err != nil {
+		return err
+	}
+	if err := flightPostCheck(ex.bb, s.TCache, ex.sealedQ); err != nil {
+		return err
+	}
+
+	// Every recovered file must belong to exactly one worker's namespace.
+	names, err := s.FS.ReadDir("/")
+	if err != nil {
+		return err
+	}
+	for _, n := range names {
+		p := "/" + n
+		owned := false
+		for _, st := range ex.ws {
+			owned = owned || strings.HasPrefix(p, st.ns)
+		}
+		if owned {
+			continue
+		}
+		info, err := s.FS.Stat(p)
+		if err != nil {
+			return fmt.Errorf("stat %s: %w", p, err)
+		}
+		if !info.IsDir {
+			return fmt.Errorf("recovered file %s belongs to no worker namespace", p)
+		}
+	}
+
+	for w, st := range ex.ws {
+		// With per-op commits each op's backend commit returned before
+		// its ack, so every acked op is durable.
+		floor := st.acked
+		if ex.sp.cfg.Group.Blocks > 0 {
+			floor = prefixFloor(st.commits)
+		}
+		if err := st.check(s.FS, floor); err != nil {
+			return st.blame(w, err)
+		}
+	}
+	return ex.checkRaw()
+}
+
+// check is the prefix oracle: the worker's recovered namespace must equal
+// its model after p acked ops for some p in [floor, acked], or after all
+// acked ops plus the one in flight.
+func (st *wstate) check(f *fs.FS, floor int) error {
+	var before error
+	for p := st.acked; p >= floor; p-- {
+		m := st.model
+		if p < st.acked {
+			m = st.snaps[p]
+		}
+		if err := VerifyPrefix(f, m, st.ns); err == nil {
+			return nil
+		} else if before == nil {
+			before = err
+		}
+	}
+	span := ""
+	if floor < st.acked {
+		span = fmt.Sprintf(" (nor any acked prefix down to %d)", floor)
+	}
+	if st.inflight == nil {
+		return fmt.Errorf("acked state%s diverged: %w", span, before)
+	}
+	after := st.model.Clone()
+	after.Apply(*st.inflight)
+	err := VerifyPrefix(f, after, st.ns)
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("state matches neither side of in-flight %v%s:\n  before: %v\n  after: %v",
+		*st.inflight, span, before, err)
+}
+
+// checkRaw is the raw committer oracle: block-level batch atomicity and
+// seal durability.
+func (ex *execution) checkRaw() error {
+	buf := make([]byte, core.BlockSize)
+	for j, r := range ex.rs {
+		gen := -1
+		for b := 0; b < rawBlocksPerTxn; b++ {
+			if err := ex.s.TCache.Read(rawBlockNo(j, b), buf); err != nil {
+				return fmt.Errorf("raw committer %d block %d: %w", j, b, err)
+			}
+			g, ok := rawGen(j, b, buf)
+			if !ok {
+				return fmt.Errorf("raw committer %d block %d: torn content (not any generation)", j, b)
+			}
+			if b == 0 {
+				gen = g
+			} else if g != gen {
+				return fmt.Errorf(
+					"raw committer %d: txn atomicity violated — block 0 at gen %d, block %d at gen %d",
+					j, gen, b, g)
+			}
+		}
+		if gen < r.committed {
+			return fmt.Errorf(
+				"raw committer %d: durability violated — gen %d acked, recovered gen %d",
+				j, r.committed, gen)
+		}
+		inflightGen, inflightSeal := -1, uint64(0)
+		if r.cur != nil {
+			inflightGen, inflightSeal = r.curGen, r.cur.SealSeq()
+		}
+		if gen > r.committed && gen != inflightGen {
+			return fmt.Errorf(
+				"raw committer %d: recovered gen %d, but acked %d and in-flight %d",
+				j, gen, r.committed, inflightGen)
+		}
+		if r.cur != nil {
+			switch {
+			case ex.sp.cfg.Rings <= 1 && inflightSeal != 0 && inflightSeal <= ex.sealedQ && gen != inflightGen:
+				// The hook reported this seal's commit point before
+				// the crash, so the transaction must be durable.
+				return fmt.Errorf(
+					"raw committer %d: sealed txn lost — seal %d ≤ reported max %d but recovered gen %d, want %d",
+					j, inflightSeal, ex.sealedQ, gen, inflightGen)
+			case inflightSeal == 0 && gen != r.committed:
+				// Never assigned a seal: no persist of it can have
+				// started, so it must be wholly absent.
+				return fmt.Errorf(
+					"raw committer %d: unsealed txn visible — recovered gen %d, want %d",
+					j, gen, r.committed)
+			}
+			// inflightSeal > sealedQ: the crash may have hit between the
+			// Tail persist and the hook, so either outcome is legal. At
+			// rings > 1 generations commit out of order across rings, so
+			// the hook proves nothing about this seal; flightPostCheck
+			// enforces per-ring commit-record durability there.
+		}
+	}
+	return nil
 }
 
 // flightPostCheck cross-checks the pre-crash flight record against the
@@ -449,374 +749,6 @@ func checkStructure(s *stack.Stack) error {
 		}
 	}
 	return nil
-}
-
-// runSerialTrial executes one trace with per-op commits, crashes at the
-// spec's boundary (if it fires), recovers, and applies the exact
-// before/after oracle.
-func runSerialTrial(sp trialSpec) (trialOut, error) {
-	var out trialOut
-	s, err := stack.New(sp.stackConfig(nil))
-	if err != nil {
-		return out, err
-	}
-	setupOps := s.Mem.PersistOps()
-
-	model := NewModel()
-	var inflight *Op
-	var opErr error
-	if sp.boundary >= 0 {
-		s.Mem.ArmCrash(sp.boundary)
-	}
-	crashed, _ := pmem.CatchCrash(func() {
-		for i := range sp.trace {
-			o := sp.trace[i]
-			inflight = &o
-			err := Issue(s.FS, o)
-			if o.WantErr {
-				if err == nil {
-					opErr = fmt.Errorf("op %d %v succeeded, want error", i, o)
-					return
-				}
-			} else if err != nil {
-				opErr = fmt.Errorf("op %d %v: %v", i, o, err)
-				return
-			}
-			model.Apply(o)
-			inflight = nil
-			out.acked++
-		}
-	})
-	if opErr != nil {
-		return out, opErr
-	}
-	out.crashed = crashed
-	if !crashed {
-		s.Mem.DisarmCrash()
-		inflight = nil
-	}
-	out.inflight = inflight
-	out.boundarySpace = s.Mem.PersistOps() - setupOps
-
-	var lay core.Layout
-	if s.TCache != nil {
-		lay = s.TCache.Layout()
-	}
-	s.Crash(sim.NewRand(sp.imageSeed), sp.evictP)
-	bb, ferr := flightPreCheck(s.Mem, lay)
-	if ferr != nil {
-		return out, ferr
-	}
-	if err := s.Remount(); err != nil {
-		return out, fmt.Errorf("remount: %w", err)
-	}
-	if err := checkStructure(s); err != nil {
-		return out, err
-	}
-	if err := flightPostCheck(bb, s.TCache, 0); err != nil {
-		return out, err
-	}
-
-	// The observed state must match the model either before or after the
-	// in-flight operation.
-	if err := Verify(s.FS, model); err == nil {
-		return out, nil
-	} else if inflight == nil {
-		return out, fmt.Errorf("acked state diverged: %w", err)
-	}
-	after := model.Clone()
-	after.Apply(*inflight)
-	if err := Verify(s.FS, after); err != nil {
-		errBefore := Verify(s.FS, model)
-		return out, fmt.Errorf("state matches neither side of in-flight %v:\n  before: %v\n  after: %v",
-			*inflight, errBefore, err)
-	}
-	return out, nil
-}
-
-// ---- group-commit trial -------------------------------------------------
-
-// wstate is one FS worker's trace execution record.
-type wstate struct {
-	snaps    []Model // snaps[k]: shadow model after k acked ops
-	commits  []int64 // commits[k-1]: backend GroupCommits seen after op k acked
-	acked    int
-	inflight *Op
-	err      error
-	crashed  bool
-}
-
-// rawState is one raw core.Txn committer's record.
-type rawState struct {
-	committed int       // last generation whose Commit returned
-	cur       *core.Txn // in-flight transaction at the crash, if any
-	curGen    int
-	err       error
-	crashed   bool
-}
-
-// runGroupTrial executes concurrent namespaced FS traces (plus optional
-// raw core.Txn streams) under group commit, crashes at the boundary, and
-// applies the batch-prefix oracle described in the package comment.
-func runGroupTrial(sp trialSpec) (trialOut, error) {
-	var out trialOut
-	var sealedMax atomic.Uint64
-	var hook func(uint64)
-	if sp.kind == stack.Tinca && sp.group.RawCommitters > 0 {
-		hook = func(seq uint64) {
-			for {
-				cur := sealedMax.Load()
-				if seq <= cur || sealedMax.CompareAndSwap(cur, seq) {
-					return
-				}
-			}
-		}
-	}
-	s, err := stack.New(sp.stackConfig(hook))
-	if err != nil {
-		return out, err
-	}
-	setupOps := s.Mem.PersistOps()
-	if sp.boundary >= 0 {
-		s.Mem.ArmCrash(sp.boundary)
-	}
-
-	// stop tells every stream a crash fired somewhere; the FS itself also
-	// poisons further ops, but raw committers bypass the FS.
-	var stop atomic.Bool
-	ws := make([]*wstate, len(sp.traces))
-	var wg sync.WaitGroup
-	for w := range sp.traces {
-		st := &wstate{snaps: []Model{NewModel()}}
-		ws[w] = st
-		trace := sp.traces[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := NewModel()
-			crashed, _ := pmem.CatchCrash(func() {
-				for i := range trace {
-					if stop.Load() {
-						return
-					}
-					o := trace[i]
-					st.inflight = &o
-					err := Issue(s.FS, o)
-					if o.WantErr {
-						if err == nil {
-							st.err = fmt.Errorf("op %d %v succeeded, want error", i, o)
-							return
-						}
-					} else if err != nil {
-						st.err = fmt.Errorf("op %d %v: %v", i, o, err)
-						return
-					}
-					m.Apply(o)
-					st.snaps = append(st.snaps, m.Clone())
-					st.commits = append(st.commits, s.FS.Stats().GroupCommits)
-					st.inflight = nil
-					st.acked++
-				}
-			})
-			if crashed {
-				st.crashed = true
-				stop.Store(true)
-			}
-		}()
-	}
-
-	rs := make([]*rawState, sp.group.RawCommitters)
-	var fsDone atomic.Bool
-	var rwg sync.WaitGroup
-	for j := range rs {
-		r := &rawState{}
-		rs[j] = r
-		j := j
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			crashed, _ := pmem.CatchCrash(func() {
-				for gen := 1; !stop.Load() && !fsDone.Load(); gen++ {
-					t := s.TCache.Begin()
-					for b := 0; b < rawBlocksPerTxn; b++ {
-						t.Write(rawBlockNo(j, b), rawBlock(j, gen, b))
-					}
-					r.cur, r.curGen = t, gen
-					if err := t.Commit(); err != nil {
-						r.err = fmt.Errorf("gen %d commit: %v", gen, err)
-						return
-					}
-					r.committed = gen
-					r.cur = nil
-				}
-			})
-			if crashed {
-				r.crashed = true
-				stop.Store(true)
-			}
-		}()
-	}
-	wg.Wait()
-	fsDone.Store(true)
-	rwg.Wait()
-
-	for w, st := range ws {
-		if st.err != nil {
-			return out, fmt.Errorf("worker %d: %w", w, st.err)
-		}
-		if st.crashed {
-			out.crashed = true
-		}
-	}
-	for j, r := range rs {
-		if r.err != nil {
-			return out, fmt.Errorf("raw committer %d: %w", j, r.err)
-		}
-		if r.crashed {
-			out.crashed = true
-		}
-	}
-	if sp.boundary >= 0 && !out.crashed {
-		s.Mem.DisarmCrash()
-	}
-	out.boundarySpace = s.Mem.PersistOps() - setupOps
-	sealedQ := sealedMax.Load()
-
-	var lay core.Layout
-	if s.TCache != nil {
-		lay = s.TCache.Layout()
-	}
-	s.Crash(sim.NewRand(sp.imageSeed), sp.evictP)
-	bb, ferr := flightPreCheck(s.Mem, lay)
-	if ferr != nil {
-		return out, ferr
-	}
-	if err := s.Remount(); err != nil {
-		return out, fmt.Errorf("remount: %w", err)
-	}
-	if err := checkStructure(s); err != nil {
-		return out, err
-	}
-	if err := flightPostCheck(bb, s.TCache, sealedQ); err != nil {
-		return out, err
-	}
-
-	// Every recovered file must belong to exactly one worker's namespace.
-	names, err := s.FS.ReadDir("/")
-	if err != nil {
-		return out, err
-	}
-	for _, n := range names {
-		info, err := s.FS.Stat("/" + n)
-		if err != nil {
-			return out, fmt.Errorf("stat /%s: %w", n, err)
-		}
-		if info.IsDir {
-			continue
-		}
-		owned := false
-		for w := range ws {
-			if strings.HasPrefix(n, fmt.Sprintf("w%d-", w)) {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			return out, fmt.Errorf("recovered file /%s belongs to no worker namespace", n)
-		}
-	}
-
-	// Per-worker batch-prefix oracle.
-	for w, st := range ws {
-		prefix := fmt.Sprintf("/w%d-", w)
-		floor := prefixFloor(st.commits)
-		matched := -1
-		var firstErr error
-		for p := st.acked; p >= floor; p-- {
-			if err := VerifyPrefix(s.FS, st.snaps[p], prefix); err == nil {
-				matched = p
-				break
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if matched < 0 && st.inflight != nil {
-			after := st.snaps[st.acked].Clone()
-			after.Apply(*st.inflight)
-			if err := VerifyPrefix(s.FS, after, prefix); err == nil {
-				matched = st.acked + 1
-			}
-		}
-		if matched < 0 {
-			return out, fmt.Errorf(
-				"worker %d: recovered namespace matches no acked prefix in [%d,%d] (acked %d, inflight %v): %v",
-				w, floor, st.acked, st.acked, st.inflight, firstErr)
-		}
-	}
-
-	// Raw committer oracle: block-level batch atomicity + seal durability.
-	if len(rs) > 0 {
-		buf := make([]byte, core.BlockSize)
-		for j, r := range rs {
-			gen := -1
-			for b := 0; b < rawBlocksPerTxn; b++ {
-				if err := s.TCache.Read(rawBlockNo(j, b), buf); err != nil {
-					return out, fmt.Errorf("raw committer %d block %d: %w", j, b, err)
-				}
-				g, ok := rawGen(j, b, buf)
-				if !ok {
-					return out, fmt.Errorf("raw committer %d block %d: torn content (not any generation)", j, b)
-				}
-				if b == 0 {
-					gen = g
-				} else if g != gen {
-					return out, fmt.Errorf(
-						"raw committer %d: txn atomicity violated — block 0 at gen %d, block %d at gen %d",
-						j, gen, b, g)
-				}
-			}
-			if gen < r.committed {
-				return out, fmt.Errorf(
-					"raw committer %d: durability violated — gen %d acked, recovered gen %d",
-					j, r.committed, gen)
-			}
-			inflightGen := -1
-			var inflightSeal uint64
-			if r.cur != nil {
-				inflightGen = r.curGen
-				inflightSeal = r.cur.SealSeq()
-			}
-			if gen > r.committed && gen != inflightGen {
-				return out, fmt.Errorf(
-					"raw committer %d: recovered gen %d, but acked %d and in-flight %d",
-					j, gen, r.committed, inflightGen)
-			}
-			if r.cur != nil {
-				switch {
-				case sp.rings <= 1 && inflightSeal != 0 && inflightSeal <= sealedQ && gen != inflightGen:
-					// The hook reported this seal's commit point before
-					// the crash, so the transaction must be durable.
-					return out, fmt.Errorf(
-						"raw committer %d: sealed txn lost — seal %d ≤ reported max %d but recovered gen %d, want %d",
-						j, inflightSeal, sealedQ, gen, inflightGen)
-				case inflightSeal == 0 && gen != r.committed:
-					// Never assigned a seal: no persist of it can have
-					// started, so it must be wholly absent.
-					return out, fmt.Errorf(
-						"raw committer %d: unsealed txn visible — recovered gen %d, want %d",
-						j, gen, r.committed)
-				}
-				// inflightSeal > sealedQ: the crash may have hit between
-				// the Tail persist and the hook — either outcome is legal.
-				// At rings > 1 the seal-durability case is skipped entirely:
-				// generations commit out of order across rings, so a later
-				// generation's hook report does not imply this seal's commit
-				// point was reached. flightPostCheck still enforces per-ring
-				// commit-record durability there.
-			}
-		}
-	}
-	return out, nil
 }
 
 // prefixFloor returns the largest k such that ops 1..k are provably

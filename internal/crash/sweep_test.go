@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,14 +246,14 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(min.Trace) > 10 {
-				t.Fatalf("minimizer left %d ops, want <= 10: %v", len(min.Trace), min.Trace)
+			if len(min.Spec.Trace) > 10 {
+				t.Fatalf("minimizer left %d ops, want <= 10: %v", len(min.Spec.Trace), min.Spec.Trace)
 			}
 			if min.Spec.Rings != tc.rings || min.Spec.L3 != tc.l3 {
 				t.Fatalf("minimized spec lost sweep options (rings=%d l3=%v): %s", tc.rings, tc.l3, min.Spec)
 			}
 			t.Logf("minimized to %d ops (boundary %d) in %d trials: %s",
-				len(min.Trace), min.Boundary, min.Trials, min.Spec)
+				len(min.Spec.Trace), min.Spec.Boundary, min.Trials, min.Spec)
 
 			// The reproducer line must round-trip and still fail.
 			line = min.Spec.String()
@@ -410,51 +409,27 @@ func TestRecoveryCrashIdempotenceCheckpointed(t *testing.T) {
 	t.Logf("consistent through %d crashes during checkpointed recovery", total)
 }
 
-// recoveryCrashScenario runs one workload crash at boundary wb followed
-// by the crash-every-recovery-boundary loop, verifying the oracle at the
-// end. It returns how many recovery passes were themselves crashed.
+// recoveryCrashScenario runs one workload crash at boundary wb, then the
+// crash-every-recovery-boundary loop, then the trial's own verify phase.
+// It returns how many recovery passes were themselves crashed.
 func recoveryCrashScenario(t *testing.T, kind stack.Kind, wb int64, ckpt bool) int {
 	t.Helper()
-	trace := GenTrace(17, 30)
-	sp := trialSpec{kind: kind, trace: trace, ckpt: ckpt}
-	s, err := stack.New(sp.stackConfig(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	model := NewModel()
-	var inflight *Op
-	var opErr error
-	s.Mem.ArmCrash(wb)
-	crashed, _ := pmem.CatchCrash(func() {
-		for i := range trace {
-			o := trace[i]
-			inflight = &o
-			err := Issue(s.FS, o)
-			if o.WantErr {
-				if err == nil {
-					opErr = fmt.Errorf("op %d %v succeeded, want error", i, o)
-					return
-				}
-			} else if err != nil {
-				opErr = fmt.Errorf("op %d %v: %v", i, o, err)
-				return
-			}
-			model.Apply(o)
-			inflight = nil
-		}
+	ex, err := execute(trialSpec{
+		cfg:       SweepConfig{Kind: kind, Checkpoint: ckpt},
+		traces:    [][]Op{GenTrace(17, 30)},
+		boundary:  wb,
+		evictP:    0.5,
+		imageSeed: wb,
 	})
-	if opErr != nil {
-		t.Fatalf("%v wb=%d: %v", kind, wb, opErr)
+	if err != nil {
+		t.Fatalf("%v wb=%d: %v", kind, wb, err)
 	}
-	if !crashed {
-		s.Mem.DisarmCrash()
-		inflight = nil
-	}
-	s.Crash(sim.NewRand(wb), 0.5)
+	s := ex.s
 
 	// Crash recovery at boundary 0, 1, 2, ... of the (progressively
-	// re-crashed) image until one pass completes untouched.
+	// re-crashed) image until one pass completes untouched. That pass's
+	// image is power-failed too, so verify's own remount is one more
+	// recovery of a recovered image.
 	reRng := sim.NewRand(wb * 31)
 	recoveryCrashes := 0
 	for b := int64(0); ; b++ {
@@ -464,30 +439,19 @@ func recoveryCrashScenario(t *testing.T, kind stack.Kind, wb int64, ckpt bool) i
 		var remountErr error
 		s.Mem.ArmCrash(b)
 		crashed, _ := pmem.CatchCrash(func() { remountErr = s.Remount() })
+		s.Mem.DisarmCrash()
+		s.Crash(reRng, 0.5)
 		if !crashed {
-			s.Mem.DisarmCrash()
 			if remountErr != nil {
 				t.Fatalf("%v wb=%d: remount after %d recovery crashes: %v", kind, wb, recoveryCrashes, remountErr)
 			}
 			break
 		}
 		recoveryCrashes++
-		s.Crash(reRng, 0.5)
 	}
 
-	if err := checkStructure(s); err != nil {
+	if err := ex.verify(); err != nil {
 		t.Fatalf("%v wb=%d after %d recovery crashes: %v", kind, wb, recoveryCrashes, err)
-	}
-	if err := Verify(s.FS, model); err != nil {
-		if inflight == nil {
-			t.Fatalf("%v wb=%d: acked state diverged after %d recovery crashes: %v", kind, wb, recoveryCrashes, err)
-		}
-		after := model.Clone()
-		after.Apply(*inflight)
-		if err2 := Verify(s.FS, after); err2 != nil {
-			t.Fatalf("%v wb=%d: state matches neither side of in-flight %v after %d recovery crashes:\n  before: %v\n  after: %v",
-				kind, wb, *inflight, recoveryCrashes, err, err2)
-		}
 	}
 	return recoveryCrashes
 }

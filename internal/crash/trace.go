@@ -52,7 +52,6 @@ func GenTraceNS(seed int64, n int, ns string) []Op {
 //
 // <data> is either "p<len>.<stamp>" for the generator's patterned fill
 // (byte i = stamp^i) or "x<hex>" for arbitrary bytes.
-var opCodes = [...]string{"c", "w", "a", "t", "d", "r", "l"}
 
 func encodeData(d []byte) string {
 	if len(d) > 0 {
@@ -132,68 +131,46 @@ func EncodeOp(o Op) (string, error) {
 	}
 }
 
+// opArity is the field count of each EncodeOp token, code included.
+var opArity = map[string]int{"c": 2, "d": 2, "a": 3, "t": 3, "r": 3, "l": 3, "L": 3, "w": 4}
+
 // DecodeOp parses one EncodeOp token.
 func DecodeOp(s string) (Op, error) {
 	f := strings.Split(s, ":")
-	fail := func() (Op, error) { return Op{}, fmt.Errorf("crash: bad op token %q", s) }
-	if len(f) < 2 {
-		return fail()
+	bad := fmt.Errorf("crash: bad op token %q", s)
+	if len(f) != opArity[f[0]] {
+		return Op{}, bad
 	}
+	o := Op{Path: f[1]}
+	var err error
 	switch f[0] {
 	case "c":
-		if len(f) != 2 {
-			return fail()
-		}
-		return Op{Kind: opCreate, Path: f[1]}, nil
-	case "w":
-		if len(f) != 4 {
-			return fail()
-		}
-		off, err := strconv.ParseUint(f[2], 10, 64)
-		if err != nil {
-			return fail()
-		}
-		data, err := decodeData(f[3])
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: opWrite, Path: f[1], Off: off, Data: data}, nil
-	case "a":
-		if len(f) != 3 {
-			return fail()
-		}
-		data, err := decodeData(f[2])
-		if err != nil {
-			return Op{}, err
-		}
-		return Op{Kind: opAppend, Path: f[1], Data: data}, nil
-	case "t":
-		if len(f) != 3 {
-			return fail()
-		}
-		size, err := strconv.ParseUint(f[2], 10, 64)
-		if err != nil {
-			return fail()
-		}
-		return Op{Kind: opTruncate, Path: f[1], Size: size}, nil
+		o.Kind = opCreate
 	case "d":
-		if len(f) != 2 {
-			return fail()
+		o.Kind = opRemove
+	case "w":
+		o.Kind = opWrite
+		if o.Off, err = strconv.ParseUint(f[2], 10, 64); err != nil {
+			return Op{}, bad
 		}
-		return Op{Kind: opRemove, Path: f[1]}, nil
+		o.Data, err = decodeData(f[3])
+	case "a":
+		o.Kind = opAppend
+		o.Data, err = decodeData(f[2])
+	case "t":
+		o.Kind = opTruncate
+		if o.Size, err = strconv.ParseUint(f[2], 10, 64); err != nil {
+			return Op{}, bad
+		}
 	case "r":
-		if len(f) != 3 {
-			return fail()
-		}
-		return Op{Kind: opRename, Path: f[1], Path2: f[2]}, nil
-	case "l", "L":
-		if len(f) != 3 {
-			return fail()
-		}
-		return Op{Kind: opLink, Path: f[1], Path2: f[2], WantErr: f[0] == "L"}, nil
-	default:
-		return fail()
+		o.Kind, o.Path2 = opRename, f[2]
+	default: // "l", "L"
+		o.Kind, o.Path2, o.WantErr = opLink, f[2], f[0] == "L"
 	}
+	if err != nil {
+		return Op{}, err
+	}
+	return o, nil
 }
 
 // EncodeTrace renders a trace as "|"-joined op tokens.
@@ -239,61 +216,62 @@ type ReplaySpec struct {
 	Trace    []Op
 }
 
-// config is the sweep configuration whose trial r reproduces (the inverse
-// of SweepConfig.replaySpec).
-func (r ReplaySpec) config() SweepConfig {
-	return SweepConfig{Kind: r.Kind, Seed: r.Seed, Fault: r.Fault, Checkpoint: r.Ckpt, Rings: r.Rings, L3: r.L3}
+// bindOptions is the one place the sweep options a reproducer line
+// carries meet SweepConfig: it copies each from cfg into r when toSpec,
+// from r into cfg otherwise. Each option is listed once, so none can be
+// carried in one direction only.
+func bindOptions(r *ReplaySpec, cfg *SweepConfig, toSpec bool) {
+	bind(&r.Kind, &cfg.Kind, toSpec)
+	bind(&r.Seed, &cfg.Seed, toSpec)
+	bind(&r.Fault, &cfg.Fault, toSpec)
+	bind(&r.Ckpt, &cfg.Checkpoint, toSpec)
+	bind(&r.Rings, &cfg.Rings, toSpec)
+	bind(&r.L3, &cfg.L3, toSpec)
 }
 
-func kindName(k stack.Kind) string {
-	switch k {
-	case stack.Tinca:
-		return "tinca"
-	case stack.Classic:
-		return "classic"
-	case stack.ClassicNoJournal:
-		return "classic-nojournal"
-	default:
-		return fmt.Sprintf("kind%d", int(k))
+func bind[T any](spec, cfg *T, toSpec bool) {
+	if toSpec {
+		*spec = *cfg
+	} else {
+		*cfg = *spec
 	}
 }
+
+func kindName(k stack.Kind) string { return strings.ToLower(k.String()) }
 
 // ParseKind maps a stack-kind name ("tinca", "classic",
 // "classic-nojournal") to its value.
 func ParseKind(s string) (stack.Kind, error) {
-	switch s {
-	case "tinca":
-		return stack.Tinca, nil
-	case "classic":
-		return stack.Classic, nil
-	case "classic-nojournal":
-		return stack.ClassicNoJournal, nil
-	default:
-		return 0, fmt.Errorf("crash: unknown stack kind %q", s)
+	for k := stack.Tinca; k <= stack.ClassicNoJournal; k++ {
+		if kindName(k) == s {
+			return k, nil
+		}
 	}
+	return 0, fmt.Errorf("crash: unknown stack kind %q", s)
 }
+
+// faultNames names each core.Fault on reproducer lines and the CLI.
+var faultNames = [...]string{core.FaultNone: "none", core.FaultSkipDataFlush: "skip-data-flush"}
 
 func faultName(f core.Fault) string {
-	switch f {
-	case core.FaultNone:
-		return "none"
-	case core.FaultSkipDataFlush:
-		return "skip-data-flush"
-	default:
-		return fmt.Sprintf("fault%d", int(f))
+	if f >= 0 && int(f) < len(faultNames) {
+		return faultNames[f]
 	}
+	return fmt.Sprintf("fault%d", int(f))
 }
 
-// ParseFault maps a fault name ("none", "skip-data-flush") to its value.
+// ParseFault maps a fault name ("none" or empty, "skip-data-flush") to
+// its value.
 func ParseFault(s string) (core.Fault, error) {
-	switch s {
-	case "none", "":
+	if s == "" {
 		return core.FaultNone, nil
-	case "skip-data-flush":
-		return core.FaultSkipDataFlush, nil
-	default:
-		return 0, fmt.Errorf("crash: unknown fault %q", s)
 	}
+	for f, name := range faultNames {
+		if name == s {
+			return core.Fault(f), nil
+		}
+	}
+	return 0, fmt.Errorf("crash: unknown fault %q", s)
 }
 
 // String renders the spec as a single shell-safe line accepted by
@@ -358,17 +336,17 @@ func ParseReplaySpec(s string) (ReplaySpec, error) {
 	if len(r.Trace) == 0 {
 		return r, fmt.Errorf("crash: replay spec %q has no trace", s)
 	}
-	return r, nil
+	var cfg SweepConfig
+	bindOptions(&r, &cfg, false)
+	return r, cfg.validate()
 }
 
 // Replay re-runs the serial trial a spec describes. It returns the
 // verification error the trial produces (nil if the trial is consistent)
 // and the trial result.
 func Replay(r ReplaySpec) (Result, error) {
-	out, err := runSerialTrial(r.config().trial(r.Trace, r.Boundary, r.EvictP))
-	res := Result{Crashed: out.crashed, OpsAcked: out.acked}
-	if out.inflight != nil {
-		res.Inflight = out.inflight.String()
-	}
-	return res, err
+	var cfg SweepConfig
+	bindOptions(&r, &cfg, false)
+	ex, err := runTrial(cfg.trial([][]Op{r.Trace}, r.Boundary, r.EvictP))
+	return ex.result(), err
 }
