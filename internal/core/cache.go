@@ -673,10 +673,10 @@ func (c *Cache) readEntry(i int32) entry {
 	return decodeEntry(c.mem.Load16(c.lay.entryOff(int(i))))
 }
 
-// writeEntry persists entry slot i with one atomic 16B store + flush +
-// fence (the cmpxchg16b path of Section 4.2). The checkpoint delta
-// journal, when on, records the slot first (journal-before-entry; see
-// checkpoint.go).
+// writeEntry persists entry slot i with one 16B store + flush + fence
+// (Section 4.2's cmpxchg16b, which entry.go's layout lets tear per 8B
+// word). The checkpoint delta journal, when on, records the slot first
+// (journal-before-entry; see checkpoint.go).
 func (c *Cache) writeEntry(i int32, e entry) {
 	c.ckptJournal(int(i))
 	c.mem.Persist16(c.lay.entryOff(int(i)), encodeEntry(e))
@@ -687,11 +687,13 @@ func (c *Cache) writeEntry(i int32, e entry) {
 func (c *Cache) storeEntry(i int32, e entry) {
 	c.ckptJournal(int(i))
 	off := c.lay.entryOff(int(i))
-	c.mem.Store16(off, encodeEntry(e))
+	b := encodeEntry(e)
+	c.mem.Store(off, b[:])
 	c.mem.CLFlush(off, EntrySize)
 }
 
-// clearEntry atomically invalidates entry slot i.
+// clearEntry frees entry slot i: 16 zero bytes, persisted under a fence
+// before the slot can be reused (the free-slot rule of entry.go).
 func (c *Cache) clearEntry(i int32) {
 	c.ckptJournal(int(i))
 	c.mem.Persist16(c.lay.entryOff(int(i)), [16]byte{})

@@ -98,8 +98,11 @@ func TestComputeLayoutDefaultRing(t *testing.T) {
 }
 
 func TestEntryRoundTrip(t *testing.T) {
-	f := func(disk uint64, prev, cur uint32, role, mod bool) bool {
-		e := entry{valid: true, disk: disk % (maxDiskBlock + 1), prev: prev, cur: cur, modified: mod}
+	f := func(disk uint64, prev, cur uint32, fresh, role, mod bool) bool {
+		e := entry{valid: true, disk: disk % (maxDiskBlock + 1), prev: prev % maxNVMBlocks, cur: cur % maxNVMBlocks, modified: mod}
+		if fresh {
+			e.prev = Fresh
+		}
 		if role {
 			e.role = RoleLog
 		}

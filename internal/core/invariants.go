@@ -45,8 +45,13 @@ func (c *Cache) CheckInvariants() error {
 	usedBlock := make(map[uint32]int32)
 	valid := 0
 	for i := 0; i < c.lay.Capacity; i++ {
-		e := c.readEntry(int32(i))
+		raw := c.mem.Load16(c.lay.entryOff(i))
+		e := decodeEntry(raw)
 		if !e.valid {
+			// The free-slot rule every install relies on (entry.go).
+			if raw != [16]byte{} {
+				return fmt.Errorf("invariant: entry %d is not live but holds % x", i, raw)
+			}
 			continue
 		}
 		valid++

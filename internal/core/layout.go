@@ -11,9 +11,11 @@
 // The ring buffer regulates committing transactions (Section 4.4): each
 // slot records the on-disk block number of one committed block; Head and
 // Tail are persistent 8-byte pointers updated with atomic stores. Cache
-// entries are 16 bytes — small enough for one LOCK cmpxchg16b — and carry
-// the block's role (log/buffer), modified bit, on-disk block number, and
-// the previous and current NVM block locations used by COW block writes.
+// entries are 16 bytes and carry the block's role (log/buffer), modified
+// bit, on-disk block number, and the previous and current NVM block
+// locations used by COW block writes. The paper updates an entry with one
+// LOCK cmpxchg16b; the aligned 8-byte word is the only power-fail atomic
+// unit here, so entry.go lays the entry out for that.
 package core
 
 import (
@@ -35,12 +37,14 @@ const RingSlotSize = 8
 
 // mrSlotSize is the size of one log record when the log is split into
 // several rings (Layout.Rings > 1): the 8B on-disk block number plus the 8B
-// commit-point generation, persisted together with one failure-atomic
-// Store16. The single ring keeps the paper's 8B slot and no generation
-// (Head order is the commit order); with R independent rings only the
-// global generation counter totally orders seals, so every record must
-// carry it. writeRecord/readRecord/recordOff below are the only code that
-// knows the difference.
+// commit-point generation, written with one 16B store that may tear per
+// word. A torn record is never read: seal phase C flushes and fences every
+// record in [Tail, Head) before the Head persist that exposes it
+// (DESIGN.md §8). The single ring keeps the paper's 8B slot and no
+// generation (Head order is the commit order); with R independent rings
+// only the global generation counter totally orders seals, so every record
+// must carry it. writeRecord/readRecord/recordOff below are the only code
+// that knows the difference.
 const mrSlotSize = 16
 
 // DefaultRingBytes is the paper's default ring buffer size (1MB).
@@ -210,6 +214,9 @@ func ComputeLayout(devSize int, p LayoutParams) (Layout, error) {
 	if cap < 8 {
 		return Layout{}, fmt.Errorf("core: NVM device too small (%d bytes) for a Tinca layout with a %d-byte ring", devSize, ringBytes)
 	}
+	if cap > maxNVMBlocks {
+		return Layout{}, fmt.Errorf("core: NVM device too large (%d bytes): %d blocks exceed the entry's %d-block field", devSize, cap, maxNVMBlocks)
+	}
 	l.Capacity = cap
 	if p.Checkpoint {
 		l.CkptJournalSlots = cap + 8
@@ -316,7 +323,7 @@ func (l Layout) writeRecord(mem *pmem.Device, r int, p, no, gen uint64) {
 		var rec [mrSlotSize]byte
 		binary.LittleEndian.PutUint64(rec[0:], no)
 		binary.LittleEndian.PutUint64(rec[8:], gen)
-		mem.Store16(off, rec)
+		mem.Store(off, rec[:])
 	} else {
 		mem.Store8(off, no)
 	}

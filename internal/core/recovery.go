@@ -78,10 +78,12 @@ func (c *Cache) recoveryFanout(fn func(worker int)) {
 
 // mirrorEntry decodes entry slot i from the DRAM mirror of the entry
 // table that recovery works against (NVM is loaded once, in bulk).
-func mirrorEntry(mirror []byte, i int32) entry {
-	var b [16]byte
+func mirrorEntry(mirror []byte, i int32) entry { return decodeEntry(mirrorEncoded(mirror, i)) }
+
+// mirrorEncoded returns entry slot i's raw 16 bytes from the DRAM mirror.
+func mirrorEncoded(mirror []byte, i int32) (b [16]byte) {
 	copy(b[:], mirror[int(i)*EntrySize:])
-	return decodeEntry(b)
+	return b
 }
 
 // mirrorSet writes entry slot i's new value into the DRAM mirror; callers
@@ -237,12 +239,19 @@ func (c *Cache) recover() error {
 	// independently; none was part of an acknowledged transaction. (In the
 	// redo case the write phase had finished, so no stray can exist and the
 	// sweep is a no-op.) The sweep walks the DRAM mirror, so it costs no NVM
-	// reads.
+	// reads. It also persists zeros over every slot a torn install or evict
+	// left half-written: not live, but not the zero free slot a later
+	// install must start from (entry.go).
 	for i := 0; i < c.lay.Capacity; i++ {
-		e := mirrorEntry(mirror, int32(i))
-		if e.valid && e.role == RoleLog {
+		raw := mirrorEncoded(mirror, int32(i))
+		e := decodeEntry(raw)
+		switch {
+		case e.valid && e.role == RoleLog:
 			c.recoverRevoke(mirror, int32(i), e, &byDisk)
 			rs.StrayRevoked++
+		case !e.valid && raw != [16]byte{}:
+			c.clearEntry(int32(i))
+			mirrorSet(mirror, int32(i), entry{})
 		}
 	}
 	tUndo := int64(clock.Now())

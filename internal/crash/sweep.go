@@ -1,6 +1,6 @@
 // Exhaustive crash-point sweeps (DESIGN.md §5). Where Trial samples one
 // random crash point, Sweep enumerates *every* NVM persist-op boundary a
-// workload spans — pmem.Device counts Store/Store8/Store16/CLFlush/SFence
+// workload spans — pmem.Device counts Store/Store8/CLFlush/SFence
 // as the boundary space — and runs one deterministic trial per
 // (boundary, evictP) pair, so a persist-ordering bug cannot hide between
 // random samples.

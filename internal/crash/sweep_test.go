@@ -279,6 +279,28 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 	}
 }
 
+// TestTornEntryReproducers replays the minimal reproducers a sweep found
+// when pmem tore every store per 8-byte word but the cache entry still
+// relied on a 16-byte failure-atomic update (plain, -checkpoint, -rings 16
+// and -l3 sweeps). Each crashes one op mid-seal with an entry or ring
+// record half persisted; each must recover consistent.
+func TestTornEntryReproducers(t *testing.T) {
+	for _, line := range []string{
+		"kind=tinca boundary=38 evictp=0.5 fault=none seed=3 trace=c:/f0001",
+		"kind=tinca boundary=21 evictp=0.5 fault=none ckpt=1 seed=3 trace=c:/f0001",
+		"kind=tinca boundary=40 evictp=0.5 fault=none rings=16 seed=3 trace=c:/f0001",
+		"kind=tinca boundary=36 evictp=0.5 fault=none l3=1 seed=11 trace=c:/f0001",
+	} {
+		spec, err := ParseReplaySpec(line)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, line)
+		}
+		if _, err := Replay(spec); err != nil {
+			t.Errorf("%s: %v", line, err)
+		}
+	}
+}
+
 // TestTraceEncodeDecodeRoundTrip covers the reproducer encoding over the
 // full op mix the generator produces.
 func TestTraceEncodeDecodeRoundTrip(t *testing.T) {

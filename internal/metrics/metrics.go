@@ -27,7 +27,7 @@ const (
 	NVMBytesWrite = "nvm.bytes_write" // bytes stored (volatile stores)
 	NVMBytesRead  = "nvm.bytes_read"  // bytes loaded
 	NVMAtomic8    = "nvm.atomic8"     // 8-byte atomic stores
-	NVMAtomic16   = "nvm.atomic16"    // 16-byte atomic stores (cmpxchg16b)
+	NVMAtomic16   = "nvm.atomic16"    // always 0; read by benchmark/run.go
 
 	// Disk-level counters (charged by internal/blockdev). DiskQueueDepth is
 	// a ±gauge: +1 when a request enters a device, -1 when it leaves, so a

@@ -8,14 +8,15 @@
 //   - Regular stores go to the (volatile) CPU cache and are NOT durable.
 //   - CLFlush writes the covering 64-byte cache lines back to the
 //     persistence domain; SFence orders flushes against later stores.
-//   - Aligned 8-byte and 16-byte stores are failure-atomic (mov /
-//     cmpxchg16b with LOCK): after a crash the location holds either the
-//     old or the new value, never a mix.
+//   - The aligned 8-byte word is the only failure-atomic unit (a plain
+//     mov on x86): after a crash each word holds either its old or its new
+//     value, never a mix. Nothing larger is atomic — LOCK cmpxchg16b is
+//     atomic for visibility, but nothing promises that both halves reach
+//     the persistence domain together.
 //   - Un-flushed dirty data may persist anyway, in any order and at any
 //     granularity down to the 8-byte word, because the CPU can evict cache
 //     lines at its own whim and writes within a line are not atomic as a
-//     unit. Crash images therefore tear dirty lines word by word,
-//     preserving only the 8B/16B atomic units above.
+//     unit. Crash images therefore tear dirty lines word by word.
 //
 // Each operation charges simulated service time to a sim.Clock using a
 // per-technology latency profile (Table 1 of the paper), and counts
@@ -54,7 +55,7 @@ type Profile struct {
 	// sim.Window model. A host that serializes its reads (for example
 	// under a shard mutex) pays full price, which is exactly the structure
 	// the read-hit scaling figure measures. Only multi-line Load is
-	// overlapped; the small atomic Load8/Load16 keep the fully serialized
+	// overlapped; the small Load8/Load16 keep the fully serialized
 	// charging model. 0 or 1 disables overlap; every stock profile uses
 	// it, so existing figures and crash sweeps are unchanged.
 	Parallel int
@@ -145,9 +146,10 @@ type ErrCrash struct{ Op string }
 
 func (e ErrCrash) Error() string { return "pmem: injected crash during " + e.Op }
 
-// Device is a simulated NVM DIMM. All methods are safe for concurrent use;
-// the lock also makes Store8/Store16 atomic with respect to crash-image
-// generation.
+// Device is a simulated NVM DIMM. All methods are safe for concurrent use.
+// Crash tears every dirty line into independently persisting aligned 8-byte
+// words, so Store8 is the one store that is failure-atomic as a whole; a
+// wider Store is atomic per word only.
 type Device struct {
 	mu       sync.Mutex
 	size     int
@@ -166,11 +168,6 @@ type Device struct {
 	// (Profile.PersistParallel). Issuers serialized by a host mutex keep
 	// a window at one and pay full price.
 	loads, persists *sim.Window
-
-	// atomic16 marks the start words of 16B ranges last written by
-	// Store16: on a torn crash those two words persist together (the
-	// cmpxchg16b contract). One flag per 8B word.
-	atomic16 []bool
 
 	// Crash injection: when armed, the device panics with ErrCrash after
 	// the countdown of persistence-relevant operations reaches zero.
@@ -214,7 +211,6 @@ func New(size int, prof Profile, clock *sim.Clock, rec *metrics.Recorder) *Devic
 		clock:    clock,
 		rec:      rec,
 		wear:     make([]uint32, nlines),
-		atomic16: make([]bool, size/8),
 		loads:    sim.NewWindow(prof.Parallel),
 		persists: sim.NewWindow(prof.PersistParallel),
 	}
@@ -275,7 +271,6 @@ func (d *Device) Store(off int, p []byte) {
 	defer d.persists.Leave()
 	d.maybeCrash("store")
 	copy(d.volatile[off:off+len(p)], p)
-	d.clearAtomic16(off, len(p))
 	d.markDirty(off, len(p))
 	d.persists.Charge(d.clock, int64(coveringLines(off, len(p)))*d.prof.LineStoreNS)
 	d.rec.Add(metrics.NVMBytesWrite, int64(len(p)))
@@ -294,32 +289,10 @@ func (d *Device) Store8(off int, v uint64) {
 	defer d.persists.Leave()
 	d.maybeCrash("store8")
 	binary.LittleEndian.PutUint64(d.volatile[off:off+8], v)
-	d.clearAtomic16(off, 8)
 	d.markDirty(off, 8)
 	d.persists.Charge(d.clock, d.prof.LineStoreNS)
 	d.rec.Inc(metrics.NVMAtomic8)
 	d.rec.Add(metrics.NVMBytesWrite, 8)
-}
-
-// Store16 performs a failure-atomic aligned 16-byte store (LOCK
-// cmpxchg16b). off must be 16-byte aligned.
-func (d *Device) Store16(off int, v [16]byte) {
-	if off%16 != 0 {
-		panic("pmem: Store16 misaligned")
-	}
-	d.check(off, 16)
-	d.persists.Enter()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.persists.Leave()
-	d.maybeCrash("store16")
-	copy(d.volatile[off:off+16], v[:])
-	d.atomic16[off/8] = true
-	d.atomic16[off/8+1] = false
-	d.markDirty(off, 16)
-	d.persists.Charge(d.clock, d.prof.LineStoreNS)
-	d.rec.Inc(metrics.NVMAtomic16)
-	d.rec.Add(metrics.NVMBytesWrite, 16)
 }
 
 // Load copies n bytes at off into p (len(p) bytes are read). Reads see the
@@ -380,7 +353,8 @@ func (d *Device) Load8(off int) uint64 {
 	return v
 }
 
-// Load16 reads an aligned 16-byte value.
+// Load16 reads an aligned 16-byte value. A load has no crash semantics; it
+// is one charged line read, where two Load8s would be two.
 func (d *Device) Load16(off int) (v [16]byte) {
 	if off%16 != 0 {
 		panic("pmem: Load16 misaligned")
@@ -456,13 +430,9 @@ func (d *Device) Persist8(off int, v uint64) {
 	d.SFence()
 }
 
-// Persist16 is the atomic-16B {cmpxchg16b, clflush, sfence} sequence the
-// paper uses for cache-entry updates.
-func (d *Device) Persist16(off int, v [16]byte) {
-	d.Store16(off, v)
-	d.CLFlush(off, 16)
-	d.SFence()
-}
+// Persist16 is PersistRange over 16 bytes. It is not failure-atomic as a
+// unit: a crash between its store and its flush tears it per 8-byte word.
+func (d *Device) Persist16(off int, v [16]byte) { d.PersistRange(off, v[:]) }
 
 // PersistLineSilent durably writes one whole cache line with the same
 // {store, clflush, sfence} discipline as the main log, but charges nothing
@@ -488,7 +458,6 @@ func (d *Device) PersistLineSilent(off int, line [LineSize]byte) {
 	// Store: volatile only; the line becomes dirty and torn-able.
 	d.maybeCrash("flight-store")
 	copy(d.volatile[off:off+LineSize], line[:])
-	d.clearAtomic16(off, LineSize)
 	d.dirty[off/LineSize] = true
 	// CLFlush: write the line back to the persistence domain.
 	d.maybeCrash("flight-clflush")
@@ -508,19 +477,6 @@ func (d *Device) LoadSilent(off int, p []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	copy(p, d.volatile[off:off+len(p)])
-}
-
-// clearAtomic16 drops 16B-atomicity marks overlapping [off, off+n): the
-// range was rewritten by a non-16B store, so its halves may tear.
-func (d *Device) clearAtomic16(off, n int) {
-	first := off / 8
-	last := (off + n - 1) / 8
-	if first > 0 {
-		first-- // a preceding Store16 may span into this word
-	}
-	for w := first; w <= last && w < len(d.atomic16); w++ {
-		d.atomic16[w] = false
-	}
 }
 
 func (d *Device) markDirty(off, n int) {
@@ -560,10 +516,9 @@ func (d *Device) DirtyLines() int {
 // persistence-domain image plus whatever the CPU happened to write back on
 // its own before the power died. The eviction model is adversarial down
 // to the hardware atomicity contract: within each dirty line, every
-// aligned 8-byte word independently persists with probability evictP —
-// a *torn* line — except that a 16-byte range last written by Store16
-// (LOCK cmpxchg16b) persists atomically as a pair. All dirty state is
-// cleared. If r is nil, no dirty data survives (the strictest image).
+// aligned 8-byte word independently persists with probability evictP — a
+// *torn* line. All dirty state is cleared. If r is nil, no dirty data
+// survives (the strictest image).
 //
 // Crash never charges simulated time. After Crash the device is ready for
 // recovery code to read.
@@ -580,15 +535,6 @@ func (d *Device) Crash(r *rand.Rand, evictP float64) {
 		if r != nil {
 			for w := 0; w < LineSize/8; w++ {
 				off := b + w*8
-				if d.atomic16[off/8] {
-					// cmpxchg16b pair: both words or neither.
-					if r.Float64() < evictP {
-						copy(d.persist[off:off+16], d.volatile[off:off+16])
-						d.wear[l]++
-					}
-					w++ // skip the second word of the pair
-					continue
-				}
 				if r.Float64() < evictP {
 					copy(d.persist[off:off+8], d.volatile[off:off+8])
 					d.wear[l]++
@@ -596,12 +542,6 @@ func (d *Device) Crash(r *rand.Rand, evictP float64) {
 			}
 		}
 		d.dirty[l] = false
-	}
-	// The 16B-atomicity marks describe stores from *before* this failure;
-	// carrying them into the torn-write model of a subsequent crash would
-	// promise atomicity the next power cycle never earned.
-	for w := range d.atomic16 {
-		d.atomic16[w] = false
 	}
 	copy(d.volatile, d.persist)
 }

@@ -88,8 +88,8 @@ func TestAtomic8And16(t *testing.T) {
 	if got := d.Load16(128); got != v {
 		t.Fatal("Load16 mismatch")
 	}
-	if rec.Get(metrics.NVMAtomic8) != 1 || rec.Get(metrics.NVMAtomic16) != 1 {
-		t.Fatal("atomic ops not counted")
+	if rec.Get(metrics.NVMAtomic8) != 1 {
+		t.Fatal("atomic op not counted")
 	}
 	d.Crash(nil, 0)
 	if got := d.Load8(64); got != 0xDEADBEEF {
@@ -105,7 +105,6 @@ func TestMisalignedAtomicsPanic(t *testing.T) {
 	for _, fn := range []func(){
 		func() { d.Store8(4, 1) },
 		func() { d.Load8(4) },
-		func() { d.Store16(8, [16]byte{}) },
 		func() { d.Load16(8) },
 	} {
 		func() {
@@ -300,40 +299,6 @@ func TestPersistRangeDurableProperty(t *testing.T) {
 	}
 }
 
-func TestCrashClearsAtomic16Marks(t *testing.T) {
-	// Regression: Crash must not carry 16B-atomicity marks across the
-	// failure. A Store16 from before crash #1 must not make the adversary
-	// treat the same words as an atomic pair during crash #2.
-	d, _, _ := newDev(t, 4096, NVDIMM)
-	d.Store16(0, [16]byte{1, 2, 3})
-	d.Store16(256, [16]byte{4, 5, 6})
-	d.Crash(sim.NewRand(9), 0.5)
-	for w, marked := range d.atomic16 {
-		if marked {
-			t.Fatalf("atomic16 mark for word %d survived Crash", w)
-		}
-	}
-	// The next crash's torn-write model must be free to tear those words:
-	// write a plain multi-word store over the formerly-atomic range and
-	// check the adversary tears it at least once across trials.
-	sawTear := false
-	for trial := 0; trial < 200 && !sawTear; trial++ {
-		d2, _, _ := newDev(t, 4096, NVDIMM)
-		d2.Store16(0, [16]byte{0xAA, 0xAA})
-		d2.Crash(sim.NewRand(int64(trial)), 0.5)
-		d2.Store(0, bytes.Repeat([]byte{0x55}, 16))
-		d2.Crash(sim.NewRand(int64(trial)*7+1), 0.5)
-		p := make([]byte, 16)
-		d2.Load(0, p)
-		if (p[0] == 0x55) != (p[8] == 0x55) {
-			sawTear = true
-		}
-	}
-	if !sawTear {
-		t.Fatal("second crash never tore the rewritten range; stale atomic16 mark suspected")
-	}
-}
-
 func TestDisarmResetsCountdown(t *testing.T) {
 	// Regression: DisarmCrash must clear the stale fuse, not just the
 	// armed flag.
@@ -366,12 +331,12 @@ func TestPersistOpsCountsBoundarySpace(t *testing.T) {
 	if d.PersistOps() != 0 {
 		t.Fatal("fresh device has nonzero PersistOps")
 	}
-	d.Store(0, []byte{1})      // 1
-	d.Store8(8, 7)             // 2
-	d.Store16(16, [16]byte{})  // 3
-	d.CLFlush(0, 64)           // 4
-	d.SFence()                 // 5
-	d.Load(0, make([]byte, 8)) // loads are not persistence-relevant
+	d.Store(0, []byte{1})         // 1
+	d.Store8(8, 7)                // 2
+	d.Store(16, make([]byte, 16)) // 3
+	d.CLFlush(0, 64)              // 4
+	d.SFence()                    // 5
+	d.Load(0, make([]byte, 8))    // loads are not persistence-relevant
 	if got := d.PersistOps(); got != 5 {
 		t.Fatalf("PersistOps = %d, want 5", got)
 	}
@@ -394,37 +359,48 @@ func TestPersistOpsCountsBoundarySpace(t *testing.T) {
 	}
 }
 
-func TestTornCrashPreservesAtomicUnits(t *testing.T) {
-	// Property: under word-torn crashes, an un-flushed Store16 never
-	// half-persists, while a multi-word Store can.
-	rng := sim.NewRand(77)
-	sawTornStore := false
-	for trial := 0; trial < 300; trial++ {
-		d, _, _ := newDev(t, 4096, NVDIMM)
-		// Baseline: persist known contents.
-		base := bytes.Repeat([]byte{0x11}, 64)
-		d.PersistRange(0, base)
-		// Un-flushed 16B atomic at offset 0 and plain store at offset 32.
-		d.Store16(0, [16]byte{0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22,
-			0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22, 0x22})
-		d.Store(32, bytes.Repeat([]byte{0x33}, 16))
-		d.Crash(rng, 0.5)
-		p := make([]byte, 64)
-		d.Load(0, p)
-		// The 16B unit: all old or all new.
-		allOld := bytes.Equal(p[0:16], base[0:16])
-		allNew := bytes.Equal(p[0:16], bytes.Repeat([]byte{0x22}, 16))
-		if !allOld && !allNew {
-			t.Fatalf("trial %d: Store16 torn: % x", trial, p[0:16])
-		}
-		// The plain 16-byte Store may tear across its two words.
-		w1new := p[32] == 0x33
-		w2new := p[40] == 0x33
-		if w1new != w2new {
-			sawTornStore = true
-		}
-	}
-	if !sawTornStore {
-		t.Fatal("adversary never tore a plain store; model too weak")
+// TestCrashTearsAt8Bytes pins the one tearing rule: an un-flushed 16-byte
+// range persists per aligned 8-byte word, each word whole but independent
+// of its neighbour. Both ways of writing 16 bytes are covered: a plain
+// Store, and a Persist16 crashed after its store and before its flush.
+func TestCrashTearsAt8Bytes(t *testing.T) {
+	old := bytes.Repeat([]byte{0x11}, 16)
+	neu := bytes.Repeat([]byte{0x22}, 16)
+	for _, tc := range []struct {
+		name  string
+		write func(d *Device)
+	}{
+		{"store", func(d *Device) { d.Store(0, neu) }},
+		{"persist16", func(d *Device) {
+			d.ArmCrash(1) // fires at the flush, after the store
+			if crashed, _ := CatchCrash(func() { d.Persist16(0, [16]byte(neu)) }); !crashed {
+				t.Fatal("armed crash did not fire inside Persist16")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := sim.NewRand(77)
+			torn := false
+			for trial := 0; trial < 300; trial++ {
+				d, _, _ := newDev(t, 4096, NVDIMM)
+				d.PersistRange(0, old)
+				tc.write(d)
+				d.Crash(rng, 0.5)
+				p := make([]byte, 16)
+				d.Load(0, p)
+				var isNew [2]bool
+				for w := range isNew {
+					word := p[w*8 : w*8+8]
+					isNew[w] = bytes.Equal(word, neu[:8])
+					if !isNew[w] && !bytes.Equal(word, old[:8]) {
+						t.Fatalf("trial %d: word %d mixes old and new bytes: % x", trial, w, word)
+					}
+				}
+				torn = torn || isNew[0] != isNew[1]
+			}
+			if !torn {
+				t.Fatal("no trial persisted one word new and the other old")
+			}
+		})
 	}
 }
