@@ -81,7 +81,6 @@ func main() {
 		faultF  = flag.String("fault", "none", "injected protocol fault: none, skip-data-flush (harness self-test)")
 		ckpt    = flag.Bool("checkpoint", false, "run the checkpoint writer at every commit point (sweep mode, tinca only)")
 		rings   = flag.Int("rings", 0, "CommitRings: split the NVM log into N per-shard rings (sweep mode, tinca only; 0 = single ring)")
-		l3      = flag.Bool("l3", false, "run every trial on the tiered stack: L3 object store behind a small L2 disk (sweep mode, tinca only)")
 
 		groupBlocks = flag.Int("group-blocks", 0, "FS group-commit threshold; > 0 runs concurrent FS workers under group commit")
 		fsWorkers   = flag.Int("fs-workers", 4, "concurrent FS op streams (group mode)")
@@ -107,7 +106,7 @@ func main() {
 	case *sweep:
 		os.Exit(runSweep(sweepArgs{
 			kind: *kindF, seed: *seed, ops: *ops, evictPs: *evictPs,
-			stride: *stride, maxB: *maxB, workers: *workers, fault: *faultF, ckpt: *ckpt, rings: *rings, l3: *l3,
+			stride: *stride, maxB: *maxB, workers: *workers, fault: *faultF, ckpt: *ckpt, rings: *rings,
 			groupBlocks: *groupBlocks, fsWorkers: *fsWorkers, committers: *committers,
 			minimize: *minimize, verbose: *verbose, bbOut: *bbOut,
 		}))
@@ -141,7 +140,7 @@ type sweepArgs struct {
 	seed, stride                       int64
 	ops, maxB, workers, rings          int
 	groupBlocks, fsWorkers, committers int
-	minimize, verbose, ckpt, l3        bool
+	minimize, verbose, ckpt            bool
 	bbOut                              string
 }
 
@@ -236,7 +235,6 @@ func runSweep(a sweepArgs) int {
 		Fault:         fault,
 		Checkpoint:    a.ckpt,
 		Rings:         a.rings,
-		L3:            a.l3,
 	}
 	if a.groupBlocks > 0 {
 		cfg.Group = crash.GroupConfig{Blocks: a.groupBlocks, FSWorkers: a.fsWorkers, RawCommitters: a.committers}
@@ -264,9 +262,6 @@ func runSweep(a sweepArgs) int {
 	}
 	if a.rings > 1 {
 		mode += fmt.Sprintf("+rings=%d", a.rings)
-	}
-	if a.l3 {
-		mode += "+l3"
 	}
 	fmt.Printf("tincacrash: %s %s sweep: %d boundaries of %d-op space x %d evictPs = %d trials, %d crashed, %d failures\n",
 		a.kind, mode, res.Boundaries, res.BoundarySpace, len(ps), res.Runs, res.Crashes, len(res.Failures))

@@ -45,7 +45,19 @@ func TestModes(t *testing.T) {
 		// Tinca-only options on a Classic spec are a harness error, not a
 		// consistent replay of some other configuration.
 		{"replay-classic-tinca-options", func() int {
-			return runReplay("kind=classic boundary=0 evictp=0 fault=skip-data-flush rings=4 l3=1 seed=1 trace=c:/f0001")
+			return runReplay("kind=classic boundary=0 evictp=0 fault=skip-data-flush rings=4 seed=1 trace=c:/f0001")
+		}, 2, ""},
+		// l3 names no replay option: an unknown field is a harness error.
+		{"replay-l3-unknown", func() int {
+			return runReplay("kind=tinca boundary=0 evictp=0 fault=none l3=1 seed=1 trace=c:/f0001")
+		}, 2, ""},
+		// A line from outside may not make the decoder allocate what it
+		// names, nor carry a path the encoder could not print back.
+		{"replay-over-cap", func() int {
+			return runReplay("kind=tinca boundary=0 evictp=0 fault=none seed=1 trace=c:/f0001|a:/f0001:p1099511627776.7")
+		}, 2, ""},
+		{"replay-eq-path", func() int {
+			return runReplay("kind=tinca boundary=0 evictp=0 fault=none seed=1 trace=c:/a=b")
 		}, 2, ""},
 		{"sweep", func() int {
 			return runSweep(sweepArgs{kind: "tinca", seed: 3, ops: 10, evictPs: "0,0.5,1", stride: 1, fault: "none", minimize: true})

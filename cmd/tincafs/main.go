@@ -35,9 +35,6 @@ func main() {
 	observe := flag.Bool("observe", false, "enable latency histograms (see the 'lat' command)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/pprof on this address (implies -observe)")
 	rings := flag.Int("rings", 0, "CommitRings: split the NVM log into N per-shard commit rings (tinca only; 0 = single ring)")
-	l3 := flag.Bool("l3", false, "mount a simulated S3-class object store as an L3 tier behind a small L2 disk (tinca only)")
-	l3L2MB := flag.Int("l3-l2-mb", 16, "L2 disk data capacity (MB) in front of the object store (with -l3)")
-	l3Prefetch := flag.Int("l3-prefetch", 0, "L3 read-ahead workers: 0 = default 4, negative = disabled (with -l3)")
 	flag.Parse()
 
 	var kind = tinca.KindTinca
@@ -58,21 +55,12 @@ func main() {
 		FSBlocks: uint64(*fsMB) << 20 / tinca.BlockSize,
 		Options:  tinca.CacheOptions{Observe: *observe || *metricsAddr != "", CommitRings: *rings},
 	}
-	if *l3 {
-		cfg.L3 = true
-		cfg.L3L2Blocks = uint64(*l3L2MB) << 20 / tinca.BlockSize
-		cfg.L3Prefetch = *l3Prefetch
-	}
 	s, err := tinca.NewStack(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tincafs:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("tincafs: %s stack, %dMB NVM cache, %dMB file system\n", *kindFlag, *nvmMB, *fsMB)
-	if *l3 {
-		fmt.Printf("tiering: %s object store behind a %dMB L2 disk, %d prefetch workers\n",
-			s.Store.Profile().Name, *l3L2MB, s.Cfg.L3Prefetch)
-	}
 	if *metricsAddr != "" {
 		addr, err := s.ServeMetrics(*metricsAddr)
 		if err != nil {
@@ -243,17 +231,6 @@ func run(s *tinca.Stack, cmd string, args []string, rng interface{ Int63n(int64)
 				}
 				fmt.Println()
 			}
-		}
-		if s.Tier != nil {
-			ts, ob := st.Tier, st.Obj
-			fmt.Printf("tier:   %d L2 hits, %d staged hits, %d fetches (%d prefetched, %d absorbed misses)\n",
-				ts.L2Hits, ts.StagingHits, ts.L3Fetches, ts.Prefetches, ts.PrefetchHits)
-			fmt.Printf("        %d uploads (%d blocks), %d/%d slots dirty, %d free, %d L2 evicts, %d admits (%d dropped), %d stalls\n",
-				ts.Uploads, ts.UploadBlocks, ts.DirtySlots, ts.DataSlots, ts.FreeSlots,
-				ts.L2Evicts, ts.Admits, ts.AdmitDrops, ts.Backpressure)
-			fmt.Printf("store:  %d objects (%.1f MB), %d PUTs, %d GETs, %.1f/%.1f MB up/down, $%.4f\n",
-				ob.Objects, float64(ob.BytesStored)/(1<<20), ob.Puts, ob.Gets,
-				float64(ob.BytesUp)/(1<<20), float64(ob.BytesDown)/(1<<20), ob.CostDollars())
 		}
 		fmt.Printf("fs:     %d read ops, %d write ops, %d group commits, %d free blocks\n",
 			st.FS.ReadOps, st.FS.WriteOps, st.FS.GroupCommits, st.FS.FreeBlocks)

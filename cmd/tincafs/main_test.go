@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// TestRun drives the shell on an L3-tiered stack through a write, a power
-// failure and recovery, and checks it names the object store and reads
-// the acknowledged write back.
+// TestRun drives the shell through a write, a power failure and recovery,
+// and checks it names the stack and reads the acknowledged write back.
 func TestRun(t *testing.T) {
 	in, err := os.CreateTemp(t.TempDir(), "stdin")
 	if err != nil {
@@ -27,7 +26,7 @@ func TestRun(t *testing.T) {
 	}
 	args, stdin, stdout := os.Args, os.Stdin, os.Stdout
 	defer func() { os.Args, os.Stdin, os.Stdout = args, stdin, stdout }()
-	os.Args = []string{"tincafs", "-l3"}
+	os.Args = []string{"tincafs"}
 	os.Stdin, os.Stdout = in, w
 	outc := make(chan string)
 	go func() {
@@ -38,9 +37,9 @@ func TestRun(t *testing.T) {
 	w.Close()
 	out := <-outc
 
-	tier := strings.Index(out, "tiering: S3 object store")
+	banner := strings.Index(out, "tincafs: tinca stack")
 	got := strings.Index(out, "tinca> x\n")
-	if tier < 0 || got < tier {
-		t.Fatalf("want the store name, then x; got:\n%s", out)
+	if banner < 0 || got < banner {
+		t.Fatalf("want the stack banner, then x; got:\n%s", out)
 	}
 }

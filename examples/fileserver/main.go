@@ -68,49 +68,6 @@ func main() {
 	fmt.Println()
 	fmt.Printf("Tinca speedup: %.2fx (paper reports 1.8x for fileserver; shape, not absolute numbers)\n",
 		tincaOps/classicOps)
-	reportTiering()
-}
-
-// reportTiering runs the same workload on a tiered stack: a small NVM
-// cache over a small L2 disk over a simulated S3-class object store
-// (DESIGN.md §16). The uploader absorbs destaged blocks into 64KB
-// objects off the foreground path; a crash then proves the tier's slot
-// map brings every committed byte back, and the cost model prices the
-// run in dollars.
-func reportTiering() {
-	fmt.Println()
-	fmt.Println("L3 tiering: same workload, 2MB NVM over a 4MB L2 disk over an S3-class object store")
-	sys, err := tinca.NewStack(tinca.StackConfig{
-		Kind: tinca.KindTinca, NVMBytes: 2 << 20, FSBlocks: 16384,
-		GroupCommitBlocks: 32, JournalBlocks: 512,
-		L3: true, L3L2Blocks: 1024,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	t0 := sys.Clock.Now()
-	cnt, err := tinca.RunFilebench(sys.FS, tinca.FilebenchConfig{
-		Profile: tinca.Fileserver, Files: 128, FileBytes: 32 << 10,
-		IOBytes: 16 << 10, Ops: 2000, Seed: 7,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	wall := (sys.Clock.Now() - t0).Seconds()
-	sys.Crash(nil, 0)
-	if err := sys.Remount(); err != nil {
-		log.Fatal("remount after crash: ", err)
-	}
-	if err := sys.FS.Check(); err != nil {
-		log.Fatal("fsck after crash: ", err)
-	}
-	st := sys.Stats()
-	ts, ob := st.Tier, st.Obj
-	fmt.Printf("  %0.f ops/s(sim); tier: %d L2 hits, %d object fetches (%d prefetched), %d uploads of %d blocks\n",
-		float64(cnt.FileOps)/wall, ts.L2Hits, ts.L3Fetches, ts.Prefetches, ts.Uploads, ts.UploadBlocks)
-	fmt.Printf("  store: %d objects (%.1f MB), %.1f MB up, %.1f MB down, $%.6f; crash+remount: fsck clean\n",
-		ob.Objects, float64(ob.BytesStored)/(1<<20),
-		float64(ob.BytesUp)/(1<<20), float64(ob.BytesDown)/(1<<20), ob.CostDollars())
 }
 
 // reportZeroCopyScan re-reads the fileserver's working set through the

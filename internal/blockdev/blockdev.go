@@ -22,13 +22,12 @@ import (
 // size (4KB, the paper's default).
 const BlockSize = 4096
 
-// Store is the block-store contract the caches write behind. A raw
-// *Device satisfies it, and so does a tiered device (objstore.Tier, a
-// small block device fronting an object store): the cache layer above
-// neither knows nor cares whether a block lives on one medium or is
-// tiered across several. Writes are durable when WriteBlock returns —
-// every implementation must preserve that property, because the layers
-// above clear their own dirty state on return.
+// Store is the block-store contract the Tinca cache writes behind. A raw
+// *Device satisfies it, and so does any wrapper around one (the
+// benchmark's rig wraps the disk to attribute its time). Writes are
+// durable when WriteBlock returns — every implementation must preserve
+// that property, because the layers above clear their own dirty state on
+// return.
 type Store interface {
 	// Blocks returns the store's capacity (its addressable span) in
 	// BlockSize blocks.
@@ -97,7 +96,7 @@ type Device struct {
 
 	// Per-device I/O counters. The shared Recorder aggregates the same
 	// quantities across every device charging it; these stay per device so
-	// multi-device stacks (a tiered L2 behind a cache, a cluster of nodes)
+	// multi-device stacks (a cluster of nodes)
 	// can be read one medium at a time.
 	blocksRead    atomic.Int64
 	blocksWritten atomic.Int64

@@ -294,10 +294,6 @@ type Cache struct {
 	rec  *metrics.Recorder
 	opts Options
 
-	// vcache is non-nil when the disk is also a CleanVictimCache; the
-	// evictor offers clean victims' bytes down the tier on eviction.
-	vcache CleanVictimCache
-
 	// DRAM auxiliary structures (Section 4.6); rebuilt on startup.
 	// hash and lru live in the shards; the free block/slot monitors live
 	// in the sharded allocator.
@@ -373,23 +369,11 @@ type Cache struct {
 	ckpt *ckptState
 }
 
-// CleanVictimCache is the optional downward path of an exclusive tier:
-// a disk (blockdev.Store) that can also absorb clean blocks the cache
-// evicts, so a re-miss is served from the near tier instead of the far
-// one. AdmitClean reports whether the block found a home; a false is
-// always safe to ignore — by definition a clean victim's content is
-// reproducible from the tier below. Open detects the capability with a
-// type assertion on the disk; objstore.Tier implements it.
-type CleanVictimCache interface {
-	AdmitClean(no uint64, data []byte) bool
-}
-
 // Open formats or recovers a Tinca cache on the given NVM device, backed
-// by the given disk — a raw block device, or any blockdev.Store such as
-// a tiered objstore.Tier. If the device already holds a Tinca layout
-// (matching magic and geometry), crash recovery runs (Section 4.5);
-// otherwise the device is formatted fresh. The options are validated
-// eagerly: a nonsensical configuration returns a descriptive error.
+// by the given disk. If the device already holds a Tinca layout (matching
+// magic and geometry), crash recovery runs (Section 4.5); otherwise the
+// device is formatted fresh. The options are validated eagerly: a
+// nonsensical configuration returns a descriptive error.
 func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	if mem == nil || disk == nil {
 		return nil, errors.New("core: Open requires a non-nil NVM device and disk")
@@ -426,9 +410,6 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		viewPins: make([]atomic.Int64, lay.Capacity),
 		dirtied:  make([]bool, lay.Capacity),
 		rings:    make([]ringState, lay.Rings),
-	}
-	if vc, ok := disk.(CleanVictimCache); ok {
-		c.vcache = vc
 	}
 	c.alloc.init(mem.Recorder(), lay.Capacity)
 	for r := range c.rings {

@@ -144,7 +144,6 @@ func (c *Cache) evictSlot(v victim) bool {
 	if sh.wb[v.slot] {
 		return false
 	}
-	cleanVictim := !e.modified
 	if e.modified {
 		buf := bufpool.Get()
 		c.mem.Load(c.lay.blockOff(e.cur), buf)
@@ -178,20 +177,6 @@ func (c *Cache) evictSlot(v victim) bool {
 		}
 		e = e2
 		c.rec.Inc(metrics.CacheEvictDirty)
-	}
-	if c.vcache != nil && cleanVictim {
-		// Exclusive-tier downward path: offer the clean victim's bytes to
-		// the tier (objstore.Tier L2) so a re-miss is a near-tier read.
-		// This runs under the shard lock on purpose — the block cannot be
-		// recommitted with newer content mid-offer, so the admitted copy
-		// is necessarily current. Dirty victims skip it: the write-back
-		// above already delivered the same bytes through WriteBlock. A
-		// refused offer (tier full) is dropped; clean content is by
-		// definition reproducible from the tier below.
-		buf := bufpool.Get()
-		c.mem.Load(c.lay.blockOff(e.cur), buf)
-		c.vcache.AdmitClean(v.no, buf)
-		bufpool.Put(buf)
 	}
 	// Crash ordering: the disk write above is durable before the entry is
 	// invalidated, so a crash in between only leaves a redundant dirty

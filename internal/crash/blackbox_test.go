@@ -66,7 +66,6 @@ func TestTincaOptionsRejectedOnClassic(t *testing.T) {
 		{"fault", SweepConfig{Fault: core.FaultSkipDataFlush}},
 		{"checkpoint", SweepConfig{Checkpoint: true}},
 		{"rings", SweepConfig{Rings: 4}},
-		{"l3", SweepConfig{L3: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -93,14 +93,6 @@ type SweepConfig struct {
 	// Tail-persist window of cross-shard seals — and the flight oracle
 	// goes per ring.
 	Rings int
-	// L3 runs every Tinca trial on the tiered stack (DESIGN.md §16): a
-	// small L2 disk plus object store behind the cache, with the upload
-	// and prefetch pipelines live. The tier adds no NVM persists (its
-	// durability lives on the L2 slot map and in the store), so the
-	// boundary space is unchanged — what the sweep adds is the oracle
-	// checking that recovery through tier re-attach loses nothing at
-	// any NVM persist boundary.
-	L3    bool
 	Group GroupConfig
 	// Progress, when non-nil, is called after every trial with completed
 	// and total trial counts and failures so far. Called under a lock;
@@ -292,18 +284,6 @@ func (cfg SweepConfig) stackConfig(hook func(uint64)) stack.Config {
 	}
 	if cfg.Rings > 1 {
 		sc.CommitRings = cfg.Rings
-	}
-	if cfg.L3 {
-		// An L2 far smaller than the FS span, tiny objects and a low
-		// dirty bound: every trial churns real destage, upload, eviction
-		// and backpressure traffic through the tier before the crash
-		// lands.
-		sc.L3 = true
-		sc.L3L2Blocks = 512
-		sc.L3ObjectBlocks = 8
-		sc.L3Prefetch = 2
-		sc.L3UploadWorkers = 2
-		sc.L3MaxDirty = 128
 	}
 	return sc
 }

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,29 +105,6 @@ func TestSweepMultiRing(t *testing.T) {
 		res.Boundaries, plain.BoundarySpace, res.Runs)
 }
 
-// TestSweepL3Tiered re-runs the exhaustive serial sweep on the tiered
-// stack (DESIGN.md §16): a 512-slot L2 disk plus object store behind
-// the cache, with the upload and prefetch pipelines live and a low
-// dirty bound forcing destage/upload/backpressure churn. The tier adds
-// no NVM persists, so the boundary space matches the plain sweep; the
-// point is the oracle verifying that recovery through the tier's slot
-// map re-attach loses nothing at any NVM persist boundary.
-func TestSweepL3Tiered(t *testing.T) {
-	res, err := Sweep(SweepConfig{Kind: stack.Tinca, Seed: 11, Ops: 15, L3: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) != 0 {
-		f := res.Failures[0]
-		t.Fatalf("%d failures; first at boundary %d evictP %v: %v",
-			len(res.Failures), f.Boundary, f.EvictP, f.Err)
-	}
-	if res.Crashes != res.Runs {
-		t.Fatalf("only %d/%d trials crashed; boundary space over-counted", res.Crashes, res.Runs)
-	}
-	t.Logf("l3: %d boundaries x evictPs = %d trials, all consistent", res.Boundaries, res.Runs)
-}
-
 // TestSweepMultiRingGroup crashes the concurrency matrix on the
 // multi-ring layout: namespaced FS workers plus raw committers whose
 // four-consecutive-block transactions span four rings, so every trial
@@ -195,19 +173,17 @@ func TestSweepGroupCommit(t *testing.T) {
 // TestSweepCatchesInjectedFault validates the harness itself: a cache
 // that skips the committed-data flushes (FaultSkipDataFlush) must be
 // caught by the sweep at evictP 0, then shrunk to a tiny deterministic
-// reproducer whose replay line fails on its own. The multi-ring and
-// tiered cases check that the sweep's layout options survive into the
-// replay line and the minimized reproducer: a reproducer that dropped
-// them would replay a different persist stream.
+// reproducer whose replay line fails on its own. The multi-ring case
+// checks that the sweep's layout option survives into the replay line
+// and the minimized reproducer: a reproducer that dropped it would
+// replay a different persist stream.
 func TestSweepCatchesInjectedFault(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		rings int
-		l3    bool
 	}{
-		{"single-ring", 0, false},
-		{"rings=4", 4, false},
-		{"l3", 0, true},
+		{"single-ring", 0},
+		{"rings=4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := SweepConfig{
@@ -217,7 +193,6 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 				EvictPs: []float64{0},
 				Fault:   core.FaultSkipDataFlush,
 				Rings:   tc.rings,
-				L3:      tc.l3,
 			}
 			res, err := Sweep(cfg)
 			if err != nil {
@@ -235,8 +210,8 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("replay line does not parse: %v\n%s", err, line)
 			}
-			if spec.Rings != tc.rings || spec.L3 != tc.l3 {
-				t.Fatalf("replay line lost sweep options (rings=%d l3=%v): %s", tc.rings, tc.l3, line)
+			if spec.Rings != tc.rings {
+				t.Fatalf("replay line lost sweep option rings=%d: %s", tc.rings, line)
 			}
 			if _, err := Replay(spec); err == nil {
 				t.Fatalf("replay line does not reproduce: %s", line)
@@ -249,8 +224,8 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 			if len(min.Spec.Trace) > 10 {
 				t.Fatalf("minimizer left %d ops, want <= 10: %v", len(min.Spec.Trace), min.Spec.Trace)
 			}
-			if min.Spec.Rings != tc.rings || min.Spec.L3 != tc.l3 {
-				t.Fatalf("minimized spec lost sweep options (rings=%d l3=%v): %s", tc.rings, tc.l3, min.Spec)
+			if min.Spec.Rings != tc.rings {
+				t.Fatalf("minimized spec lost sweep option rings=%d: %s", tc.rings, min.Spec)
 			}
 			t.Logf("minimized to %d ops (boundary %d) in %d trials: %s",
 				len(min.Spec.Trace), min.Spec.Boundary, min.Trials, min.Spec)
@@ -281,15 +256,14 @@ func TestSweepCatchesInjectedFault(t *testing.T) {
 
 // TestTornEntryReproducers replays the minimal reproducers a sweep found
 // when pmem tore every store per 8-byte word but the cache entry still
-// relied on a 16-byte failure-atomic update (plain, -checkpoint, -rings 16
-// and -l3 sweeps). Each crashes one op mid-seal with an entry or ring
+// relied on a 16-byte failure-atomic update (plain, -checkpoint and
+// -rings 16 sweeps). Each crashes one op mid-seal with an entry or ring
 // record half persisted; each must recover consistent.
 func TestTornEntryReproducers(t *testing.T) {
 	for _, line := range []string{
 		"kind=tinca boundary=38 evictp=0.5 fault=none seed=3 trace=c:/f0001",
 		"kind=tinca boundary=21 evictp=0.5 fault=none ckpt=1 seed=3 trace=c:/f0001",
 		"kind=tinca boundary=40 evictp=0.5 fault=none rings=16 seed=3 trace=c:/f0001",
-		"kind=tinca boundary=36 evictp=0.5 fault=none l3=1 seed=11 trace=c:/f0001",
 	} {
 		spec, err := ParseReplaySpec(line)
 		if err != nil {
@@ -331,6 +305,57 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(odd, got) {
 		t.Fatalf("op %v decoded as %v", odd, got)
+	}
+
+	// A token from outside is checked before anything it names is
+	// allocated: sizes above maxOpBytes and paths EncodeOp refuses are
+	// errors, and sizes at the cap still decode.
+	for _, tc := range []struct {
+		tok string
+		ok  bool
+	}{
+		{"a:/f:p1099511627776.7", false}, // 1 TiB of patterned data
+		{"a:/f:p100000000.7", false},
+		{"a:/f:p1048577.7", false},
+		{"a:/f:x" + strings.Repeat("00", maxOpBytes+1), false},
+		{"w:/f:0:p1048577.7", false},
+		{"w:/f:1048576:p1.7", false}, // offset + length over the cap
+		{"w:/f:18446744073709551615:p1.7", false},
+		{"t:/f:1048577", false},
+		{"t:/f:1099511627776", false},
+		{"a:/f:p1048576.7", true},
+		{"w:/f:1048575:p1.7", true},
+		{"t:/f:1048576", true},
+		{"c:/a=b", false},
+		{"c:/a b", false},
+		{"c:/a\tb", false},
+		{"c:/a\nb", false},
+		{"c:/a|b", false},
+		{"r:/a:/b=c", false},
+		{"l:/a=b:/c", false},
+		{"L:/a:/c d", false},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, err := DecodeOp(tc.tok)
+		runtime.ReadMemStats(&after)
+		name := tc.tok
+		if len(name) > 40 {
+			name = name[:40] + "..."
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("DecodeOp(%q) error = %v, want ok=%v", name, err, tc.ok)
+			continue
+		}
+		if tc.ok {
+			if _, err := EncodeOp(o); err != nil {
+				t.Errorf("DecodeOp(%q) accepted an op EncodeOp refuses: %v", name, err)
+			}
+			continue
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= maxOpBytes {
+			t.Errorf("DecodeOp(%q) allocated %d bytes before refusing it", name, grew)
+		}
 	}
 }
 
@@ -374,22 +399,32 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(spec, back) {
 		t.Fatalf("rings spec does not round-trip:\n  %s\n  %s", spec.String(), back.String())
 	}
-	// Same for tiered reproducers: without l3=1 the replay would mount
-	// a flat disk where the failure needed the tier.
-	spec.L3 = true
-	back, err = ParseReplaySpec(spec.String())
-	if err != nil {
-		t.Fatalf("%v\n%s", err, spec.String())
-	}
-	if !reflect.DeepEqual(spec, back) {
-		t.Fatalf("l3 spec does not round-trip:\n  %s\n  %s", spec.String(), back.String())
-	}
 	if _, err := ParseReplaySpec("kind=tinca boundary=1"); err == nil {
 		t.Fatal("traceless spec accepted")
 	}
 	if _, err := ParseReplaySpec("kind=nope trace=c:/f0001"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+}
+
+// FuzzParseReplaySpec: a replay line either fails to parse or parses to
+// a spec whose own line parses back to the same spec, so every reproducer
+// the harness prints can be replayed. The seed corpus holds the torn-entry
+// reproducers and the multi-ring self-test's line.
+func FuzzParseReplaySpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		r, err := ParseReplaySpec(line)
+		if err != nil {
+			return
+		}
+		back, err := ParseReplaySpec(r.String())
+		if err != nil {
+			t.Fatalf("%q parses, but its re-rendered line %q does not: %v", line, r.String(), err)
+		}
+		if !reflect.DeepEqual(r, back) {
+			t.Fatalf("%q does not round-trip:\n  %#v\n  %#v", line, r, back)
+		}
+	})
 }
 
 // TestRecoveryCrashIdempotence crashes the workload, then keeps crashing

@@ -52,6 +52,21 @@ func GenTraceNS(seed int64, n int, ns string) []Op {
 //
 // <data> is either "p<len>.<stamp>" for the generator's patterned fill
 // (byte i = stamp^i) or "x<hex>" for arbitrary bytes.
+//
+// A token may come from outside (`tincacrash -replay`), so DecodeOp
+// checks every size before allocating it: data length, write offset +
+// length and truncate size are each at most maxOpBytes. It also refuses
+// every path EncodeOp refuses, so a decoded trace always re-encodes.
+
+// maxOpBytes caps each size a decoded op names. The generator's largest
+// are a 20,000-byte write offset, 9,000 bytes of data and a 10,000-byte
+// truncate.
+const maxOpBytes = 1 << 20
+
+// encodablePath reports whether p can stand in an op token: it holds none
+// of the characters that delimit fields, ops, replay-line keys and
+// replay-line fields.
+func encodablePath(p string) bool { return !strings.ContainsAny(p, ":|= \t\n") }
 
 func encodeData(d []byte) string {
 	if len(d) > 0 {
@@ -70,7 +85,8 @@ func encodeData(d []byte) string {
 	return "x" + hex.EncodeToString(d)
 }
 
-func decodeData(s string) ([]byte, error) {
+// decodeData parses a <data> field of at most limit bytes.
+func decodeData(s string, limit int) ([]byte, error) {
 	if strings.HasPrefix(s, "p") {
 		dot := strings.IndexByte(s, '.')
 		if dot < 0 {
@@ -79,6 +95,9 @@ func decodeData(s string) ([]byte, error) {
 		n, err := strconv.Atoi(s[1:dot])
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("crash: bad patterned length %q", s)
+		}
+		if n > limit {
+			return nil, fmt.Errorf("crash: patterned data %q exceeds %d bytes", s, limit)
 		}
 		stamp, err := strconv.Atoi(s[dot+1:])
 		if err != nil || stamp < 0 || stamp > 255 {
@@ -91,6 +110,9 @@ func decodeData(s string) ([]byte, error) {
 		return d, nil
 	}
 	if strings.HasPrefix(s, "x") {
+		if len(s)-1 > 2*limit {
+			return nil, fmt.Errorf("crash: hex data of %d digits exceeds %d bytes", len(s)-1, limit)
+		}
 		return hex.DecodeString(s[1:])
 	}
 	return nil, fmt.Errorf("crash: bad data encoding %q", s)
@@ -100,7 +122,7 @@ func decodeData(s string) ([]byte, error) {
 // separator characters are rejected (the generator never produces them).
 func EncodeOp(o Op) (string, error) {
 	for _, p := range []string{o.Path, o.Path2} {
-		if strings.ContainsAny(p, ":|= \t\n") {
+		if !encodablePath(p) {
 			return "", fmt.Errorf("crash: unencodable path %q", p)
 		}
 	}
@@ -134,12 +156,12 @@ func EncodeOp(o Op) (string, error) {
 // opArity is the field count of each EncodeOp token, code included.
 var opArity = map[string]int{"c": 2, "d": 2, "a": 3, "t": 3, "r": 3, "l": 3, "L": 3, "w": 4}
 
-// DecodeOp parses one EncodeOp token.
+// DecodeOp parses one EncodeOp token. It accepts exactly the tokens
+// EncodeOp can produce whose sizes are within maxOpBytes.
 func DecodeOp(s string) (Op, error) {
-	f := strings.Split(s, ":")
-	bad := fmt.Errorf("crash: bad op token %q", s)
+	f := strings.SplitN(s, ":", 5) // one more field than any op has
 	if len(f) != opArity[f[0]] {
-		return Op{}, bad
+		return Op{}, badToken(s)
 	}
 	o := Op{Path: f[1]}
 	var err error
@@ -150,17 +172,17 @@ func DecodeOp(s string) (Op, error) {
 		o.Kind = opRemove
 	case "w":
 		o.Kind = opWrite
-		if o.Off, err = strconv.ParseUint(f[2], 10, 64); err != nil {
-			return Op{}, bad
+		if o.Off, err = strconv.ParseUint(f[2], 10, 64); err != nil || o.Off > maxOpBytes {
+			return Op{}, badToken(s)
 		}
-		o.Data, err = decodeData(f[3])
+		o.Data, err = decodeData(f[3], maxOpBytes-int(o.Off))
 	case "a":
 		o.Kind = opAppend
-		o.Data, err = decodeData(f[2])
+		o.Data, err = decodeData(f[2], maxOpBytes)
 	case "t":
 		o.Kind = opTruncate
-		if o.Size, err = strconv.ParseUint(f[2], 10, 64); err != nil {
-			return Op{}, bad
+		if o.Size, err = strconv.ParseUint(f[2], 10, 64); err != nil || o.Size > maxOpBytes {
+			return Op{}, badToken(s)
 		}
 	case "r":
 		o.Kind, o.Path2 = opRename, f[2]
@@ -170,7 +192,19 @@ func DecodeOp(s string) (Op, error) {
 	if err != nil {
 		return Op{}, err
 	}
+	if !encodablePath(o.Path) || !encodablePath(o.Path2) {
+		return Op{}, badToken(s)
+	}
 	return o, nil
+}
+
+// badToken reports a malformed op token, quoting at most its first 64
+// bytes: the token may be megabytes long.
+func badToken(s string) error {
+	if len(s) > 64 {
+		s = s[:64] + "..."
+	}
+	return fmt.Errorf("crash: bad op token %q", s)
 }
 
 // EncodeTrace renders a trace as "|"-joined op tokens.
@@ -211,7 +245,6 @@ type ReplaySpec struct {
 	Fault    core.Fault
 	Ckpt     bool  // checkpoint writer on at every commit point
 	Rings    int   // CommitRings (multi-ring layout) when > 1
-	L3       bool  // L3 object tier behind a small L2 disk
 	Seed     int64 // sweep seed; combined with Boundary/EvictP for the crash image
 	Trace    []Op
 }
@@ -226,7 +259,6 @@ func bindOptions(r *ReplaySpec, cfg *SweepConfig, toSpec bool) {
 	bind(&r.Fault, &cfg.Fault, toSpec)
 	bind(&r.Ckpt, &cfg.Checkpoint, toSpec)
 	bind(&r.Rings, &cfg.Rings, toSpec)
-	bind(&r.L3, &cfg.L3, toSpec)
 }
 
 func bind[T any](spec, cfg *T, toSpec bool) {
@@ -288,16 +320,14 @@ func (r ReplaySpec) String() string {
 	if r.Rings > 1 {
 		ck += fmt.Sprintf(" rings=%d", r.Rings)
 	}
-	if r.L3 {
-		ck += " l3=1"
-	}
 	return fmt.Sprintf("kind=%s boundary=%d evictp=%s fault=%s%s seed=%d trace=%s",
 		kindName(r.Kind), r.Boundary,
 		strconv.FormatFloat(r.EvictP, 'g', -1, 64),
 		faultName(r.Fault), ck, r.Seed, trace)
 }
 
-// ParseReplaySpec parses a ReplaySpec.String line.
+// ParseReplaySpec parses a ReplaySpec.String line. It accepts only lines
+// whose spec String renders back to an equal spec.
 func ParseReplaySpec(s string) (ReplaySpec, error) {
 	var r ReplaySpec
 	for _, field := range strings.Fields(s) {
@@ -314,14 +344,20 @@ func ParseReplaySpec(s string) (ReplaySpec, error) {
 			r.Boundary, err = strconv.ParseInt(val, 10, 64)
 		case "evictp":
 			r.EvictP, err = strconv.ParseFloat(val, 64)
+			if err == nil && !(r.EvictP >= 0 && r.EvictP <= 1) {
+				err = fmt.Errorf("crash: evictp %s is not a probability", val)
+			}
 		case "fault":
 			r.Fault, err = ParseFault(val)
 		case "ckpt":
 			r.Ckpt = val == "1" || val == "true"
 		case "rings":
 			r.Rings, err = strconv.Atoi(val)
-		case "l3":
-			r.L3 = val == "1" || val == "true"
+			if err == nil && r.Rings < 2 {
+				// String names rings only above the single-ring default,
+				// so rings=1 would not survive a round trip.
+				err = fmt.Errorf("crash: rings=%s: a replay line names rings only above 1", val)
+			}
 		case "seed":
 			r.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "trace":

@@ -26,8 +26,7 @@ func cellF(t *testing.T, tb *Table, row int, col string) float64 {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "3a", "3b", "4", "7", "8", "10", "11", "12a", "12b", "12c", "13",
 		"recover", "ablate", "endurance", "clwb", "recovertime", "modes", "groupcommit", "phases",
-		"misspath", "readhit", "indexscale", "recoverybreakdown", "recoveryscale", "writerscaling",
-		"coldstart", "capacitycost"}
+		"misspath", "readhit", "indexscale", "recoverybreakdown", "recoveryscale", "writerscaling"}
 	names := Names()
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries, want %d: %v", len(names), len(want), names)

@@ -39,8 +39,6 @@ var Registry = map[string]Runner{
 	"recoverybreakdown": RecoveryBreakdown,
 	"recoveryscale":     RecoveryScale,
 	"writerscaling":     WriterScaling,
-	"coldstart":         ColdStartWarmup,
-	"capacitycost":      CapacityCost,
 }
 
 // Names lists the registered experiments in a stable order.
@@ -106,10 +104,6 @@ func expOrder(n string) string {
 		return "988"
 	case "writerscaling":
 		return "989"
-	case "coldstart":
-		return "990"
-	case "capacitycost":
-		return "991"
 	default:
 		return "99" + n
 	}

@@ -38,32 +38,6 @@ const (
 	DiskBytesRead   = "disk.bytes_read"
 	DiskQueueDepth  = "disk.queue_depth"
 
-	// Object-store counters (charged by internal/objstore). Requests and
-	// transferred bytes feed the tiering figures; CostNanoDollars is the
-	// accumulated request + transfer cost of the store's price model, in
-	// nano-dollars (1e-9 $), so integer counters stay exact.
-	ObjPuts            = "objstore.puts"
-	ObjGets            = "objstore.gets"
-	ObjGetMisses       = "objstore.get_misses" // GETs of objects never uploaded
-	ObjBytesUp         = "objstore.bytes_up"
-	ObjBytesDown       = "objstore.bytes_down"
-	ObjCostNanoDollars = "objstore.cost_nanodollars"
-
-	// Tier counters (charged by internal/objstore's L2-over-L3 tier).
-	// TierUploadQueueDepth is a ±gauge of dirty L2 blocks awaiting upload.
-	TierL2Hits           = "tier.l2_hits"       // reads served from the block device
-	TierStagingHits      = "tier.staging_hits"  // reads served from the DRAM staging ring
-	TierL3Fetches        = "tier.l3_fetches"    // demand object fetches from the store
-	TierPrefetches       = "tier.prefetches"    // read-ahead object fetches issued
-	TierPrefetchHits     = "tier.prefetch_hits" // demand misses absorbed by a prefetched object
-	TierUploads          = "tier.uploads"       // objects made durable in the store
-	TierUploadBlocks     = "tier.upload_blocks" // dirty blocks cleaned by uploads
-	TierL2Evicts         = "tier.l2_evicts"     // clean L2 slots recycled
-	TierAdmits           = "tier.admits"        // clean NVM victims installed into L2
-	TierAdmitDrops       = "tier.admit_drops"   // clean-victim offers dropped (no free slot / queue full)
-	TierBackpressure     = "tier.backpressure"  // writes stalled on the dirty high-water mark
-	TierUploadQueueDepth = "tier.upload_queue_depth"
-
 	// Cache-manager counters (charged by internal/core and internal/classic).
 	CacheWriteHit   = "cache.write_hit"
 	CacheWriteMiss  = "cache.write_miss"
@@ -178,12 +152,6 @@ const (
 	// NVM primitives (internal/pmem).
 	HistNVMFlushLines = "nvm.flush_lines"  // cache lines per CLFlush burst
 	HistNVMFenceGap   = "nvm.fence_gap_ns" // sim time between successive fences
-
-	// Object store and tier (internal/objstore): per-request GET/PUT
-	// service time and whole upload batches (RMW read + PUT + meta clean).
-	HistObjGet        = "objstore.get_ns"
-	HistObjPut        = "objstore.put_ns"
-	HistTierUploadObj = "tier.upload_obj_ns"
 
 	// Classic journal commit phases (internal/jbd).
 	HistJBDLog        = "jbd.log_ns"        // descriptor + log + revoke writes

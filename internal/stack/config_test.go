@@ -10,7 +10,6 @@ import (
 	"tinca/internal/core"
 	"tinca/internal/fs"
 	"tinca/internal/jbd"
-	"tinca/internal/objstore"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -43,9 +42,6 @@ func TestConfigValidate(t *testing.T) {
 		{"tinca no meta updates", Config{Kind: Tinca, NoMetaUpdates: true}, "NoMetaUpdates applies only to the Classic kinds"},
 		{"tinca no barriers", Config{Kind: Tinca, NoPersistBarriers: true}, "NoPersistBarriers"},
 		{"nojournal no barriers", Config{Kind: ClassicNoJournal, NoPersistBarriers: true}, ""},
-		{"negative L3 max dirty", Config{L3: true, L3MaxDirty: -1}, "L3MaxDirty"},
-		{"negative L3 upload workers", Config{L3: true, L3UploadWorkers: -1}, "L3UploadWorkers"},
-		{"L3 prefetch disabled", Config{L3: true, L3Prefetch: -1}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,15 +77,12 @@ func TestOptionSurface(t *testing.T) {
 			"CheckpointIntervalNS", "CommitRings"}},
 		// Own fields only: Config embeds core.Options, pinned above.
 		{reflect.TypeOf(Config{}), []string{"Kind", "NVMBytes", "NVMProfile", "DiskProfile", "FSBlocks",
-			"L3", "L3L2Blocks", "L3ObjectBlocks", "L3Prefetch", "L3MaxDirty", "L3UploadWorkers",
 			"JournalMode", "JournalBlocks", "NoMetaUpdates", "NoPersistBarriers",
 			"GroupCommitBlocks", "GroupCommitIntervalNS"}},
 		{reflect.TypeOf(fs.Options{}), []string{"GroupCommitBlocks", "GroupCommitIntervalNS", "Clock",
 			"OpCostNS", "Rec", "Observe"}},
 		{reflect.TypeOf(classic.Options{}), []string{"NoMetaUpdates", "NoPersistBarriers", "JournalBoundary"}},
 		{reflect.TypeOf(jbd.Options{}), []string{"Start", "Blocks", "Observe", "Clock"}},
-		{reflect.TypeOf(objstore.TierOptions{}), []string{"ObjectBlocks", "UploadWorkers", "MaxDirty",
-			"PrefetchWorkers", "StagingObjects"}},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumField(); i++ {

@@ -48,12 +48,6 @@ func (s *Stack) ServeMetrics(addr string) (string, error) {
 			s.Rec.Set(metrics.CacheIndexGrows, st.IndexGrows)
 			s.Rec.Set(metrics.CacheViewsOpen, st.OpenViews)
 		}
-		if t := s.Tier; t != nil {
-			// The upload-queue depth is the tier's live dirty-slot count;
-			// publish it (and the L2 disk's queue depth, already a live
-			// gauge in the Recorder) at scrape time.
-			s.Rec.Set(metrics.TierUploadQueueDepth, int64(t.Stats().DirtySlots))
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.WritePrometheus(w, s.Rec, "")
 	})

@@ -22,7 +22,6 @@ import (
 	"tinca/internal/fs"
 	"tinca/internal/jbd"
 	"tinca/internal/metrics"
-	"tinca/internal/objstore"
 	"tinca/internal/pmem"
 	"tinca/internal/sim"
 )
@@ -104,20 +103,6 @@ type Config struct {
 	// once. See core.Options for each field's documentation.
 	core.Options
 
-	// Tiering knobs (Tinca kind only; DESIGN.md §16). L3 mounts a
-	// simulated object store as a capacity tier behind a small L2 block
-	// device: destaged-dirty blocks land in L2 and are asynchronously
-	// batched into multi-block objects by the upload pipeline, while a
-	// read-ahead prefetcher overlaps object fetches on sequential and
-	// strided miss streams. With L3 set, DiskProfile describes the L2
-	// device (sized by L3L2Blocks) rather than a full-span disk.
-	L3              bool
-	L3L2Blocks      uint64 // L2 data capacity in blocks (default 4096 = 16MB)
-	L3ObjectBlocks  int    // blocks per object (default 16 = 64KB)
-	L3Prefetch      int    // prefetch workers; 0 = default 4, negative disables
-	L3MaxDirty      int    // dirty-slot backpressure bound (default 3/4 of L2)
-	L3UploadWorkers int    // concurrent object PUT lanes (default 8)
-
 	// Classic knobs. JournalMode applies to the Classic kind; the two
 	// ablations to both Classic kinds.
 	JournalMode       JournalMode // DataJournal (paper default) or Ordered
@@ -128,10 +113,6 @@ type Config struct {
 	// File-system knobs (every kind).
 	GroupCommitBlocks     int
 	GroupCommitIntervalNS int64
-
-	// l3Profile is the object store's service model; withDefaults picks
-	// objstore.S3. Unexported: only the tier tests swap in NullStore.
-	l3Profile objstore.Profile
 }
 
 const (
@@ -169,14 +150,6 @@ func (c Config) Validate() error {
 	if err := c.checkKindKnobs(); err != nil {
 		return err
 	}
-	if !c.L3 && (c.L3L2Blocks != 0 || c.L3ObjectBlocks != 0 ||
-		c.L3Prefetch != 0 || c.L3MaxDirty != 0 || c.L3UploadWorkers != 0) {
-		return fmt.Errorf("stack: L3L2Blocks/L3ObjectBlocks/L3Prefetch/L3MaxDirty/L3UploadWorkers require L3")
-	}
-	if c.L3ObjectBlocks < 0 || c.L3MaxDirty < 0 || c.L3UploadWorkers < 0 {
-		return fmt.Errorf("stack: L3ObjectBlocks %d, L3MaxDirty %d, L3UploadWorkers %d: none may be negative",
-			c.L3ObjectBlocks, c.L3MaxDirty, c.L3UploadWorkers)
-	}
 	if c.GroupCommitBlocks < 0 {
 		return fmt.Errorf("stack: GroupCommitBlocks %d is negative", c.GroupCommitBlocks)
 	}
@@ -187,8 +160,8 @@ func (c Config) Validate() error {
 }
 
 // checkKindKnobs rejects a knob set on a kind that never reads it: the
-// cache knobs embedded from core.Options (bar Observe and Tracer) and L3
-// belong to the Tinca kind, the two cache ablations to both Classic kinds,
+// cache knobs embedded from core.Options (bar Observe and Tracer) belong
+// to the Tinca kind, the two cache ablations to both Classic kinds,
 // and JournalMode to the Classic kind's journal.
 func (c Config) checkKindKnobs() error {
 	o := c.Options
@@ -209,7 +182,6 @@ func (c Config) checkKindKnobs() error {
 		{"FlightRecorder", o.FlightRecorder, !tinca, "the Tinca kind"},
 		{"CheckpointIntervalNS", o.CheckpointIntervalNS != 0, !tinca, "the Tinca kind"},
 		{"CommitRings", o.CommitRings != 0, !tinca, "the Tinca kind"},
-		{"L3 tiering", c.L3, !tinca, "the Tinca kind"},
 		{"JournalMode", c.JournalMode != DataJournal, c.Kind != Classic, "the Classic kind"},
 		{"NoMetaUpdates", c.NoMetaUpdates, tinca, "the Classic kinds"},
 		{"NoPersistBarriers", c.NoPersistBarriers, tinca, "the Classic kinds"},
@@ -237,22 +209,6 @@ func (c Config) withDefaults() Config {
 	if c.JournalBlocks == 0 {
 		c.JournalBlocks = 4096
 	}
-	if c.L3 {
-		if c.l3Profile.Name == "" {
-			c.l3Profile = objstore.S3
-		}
-		if c.L3L2Blocks == 0 {
-			c.L3L2Blocks = 4096
-		}
-		if c.L3ObjectBlocks == 0 {
-			c.L3ObjectBlocks = 16
-		}
-		if c.L3Prefetch == 0 {
-			c.L3Prefetch = 4
-		} else if c.L3Prefetch < 0 {
-			c.L3Prefetch = 0
-		}
-	}
 	return c
 }
 
@@ -268,13 +224,6 @@ type Stack struct {
 	CCache  *classic.Cache // non-nil for Classic*
 	Journal *jbd.Journal   // non-nil for Classic
 	FS      *fs.FS
-
-	// L3 tiering (Cfg.L3 only). Store is the simulated object store; it
-	// survives Crash (object durability is the point). Tier is the live
-	// tier over Disk (the L2 device) and Store; Remount re-attaches it
-	// from the persistent slot map.
-	Store *objstore.Store
-	Tier  *objstore.Tier
 
 	// Tracer is the span ring Cfg.Tracer set; nil otherwise. It survives
 	// Crash/Remount (spans are DRAM-side diagnostics, not simulated
@@ -302,16 +251,7 @@ func New(cfg Config) (*Stack, error) {
 		Tracer: cfg.Tracer,
 	}
 	s.Mem = pmem.New(cfg.NVMBytes, cfg.NVMProfile, s.Clock, s.Rec)
-	if cfg.L3 {
-		// Tiered geometry: the block device is the small L2 (data slots
-		// plus the persistent slot map); the object store provides the
-		// full span's capacity behind it.
-		s.Disk = blockdev.New(objstore.DevBlocksFor(cfg.L3L2Blocks), cfg.DiskProfile, s.Clock, s.Rec)
-		s.Store = objstore.NewStore(cfg.l3Profile, s.Clock, s.Rec)
-	} else {
-		diskBlocks := cfg.FSBlocks + cfg.JournalBlocks
-		s.Disk = blockdev.New(diskBlocks, cfg.DiskProfile, s.Clock, s.Rec)
-	}
+	s.Disk = blockdev.New(cfg.FSBlocks+cfg.JournalBlocks, cfg.DiskProfile, s.Clock, s.Rec)
 	return s, s.bringUp(true)
 }
 
@@ -333,22 +273,7 @@ func (s *Stack) bringUp(format bool) error {
 	case Tinca:
 		copts := cfg.Options
 		copts.Tracer = s.Tracer
-		var disk blockdev.Store = s.Disk
-		if cfg.L3 {
-			tier, err := objstore.NewTier(cfg.FSBlocks+cfg.JournalBlocks, s.Disk, s.Store, s.Rec,
-				objstore.TierOptions{
-					ObjectBlocks:    cfg.L3ObjectBlocks,
-					UploadWorkers:   cfg.L3UploadWorkers,
-					MaxDirty:        cfg.L3MaxDirty,
-					PrefetchWorkers: cfg.L3Prefetch,
-				})
-			if err != nil {
-				return err
-			}
-			s.Tier = tier
-			disk = tier
-		}
-		c, err := core.Open(s.Mem, disk, copts)
+		c, err := core.Open(s.Mem, s.Disk, copts)
 		if err != nil {
 			return err
 		}
@@ -405,18 +330,10 @@ func (s *Stack) bringUp(format bool) error {
 }
 
 // Close flushes every layer down to the disk and stops the metrics
-// endpoint if one is serving. With L3 tiering the upload pipeline is
-// drained (every dirty L2 block durably uploaded) before it stops, so a
-// cleanly closed stack leaves the object store current.
+// endpoint if one is serving.
 func (s *Stack) Close() error {
 	s.CloseMetrics()
-	err := s.FS.Close()
-	if s.Tier != nil {
-		s.Tier.Drain()
-		s.Tier.Close()
-		s.Tier = nil
-	}
-	return err
+	return s.FS.Close()
 }
 
 // Stats is a typed snapshot across the stack's layers. Cache is populated
@@ -428,11 +345,6 @@ type Stats struct {
 	Cache  core.CacheStats // zero value for Classic kinds
 	FS     fs.FSStats
 	Device DeviceStats
-	// Tier and Obj are the L3 tiering counters (zero value unless
-	// Cfg.L3): the tier's pipelines and the object store's traffic and
-	// accumulated price.
-	Tier objstore.TierStats
-	Obj  objstore.StoreStats
 	// SimulatedNS is the simulated clock reading, the denominator for
 	// throughput computations.
 	SimulatedNS int64
@@ -503,26 +415,13 @@ func (s *Stack) Stats() Stats {
 		DiskBytesWrite:  s.Rec.Get(metrics.DiskBytesWrite),
 		DiskBytesRead:   s.Rec.Get(metrics.DiskBytesRead),
 	}
-	if s.Tier != nil {
-		st.Tier = s.Tier.Stats()
-	}
-	if s.Store != nil {
-		st.Obj = s.Store.Stats()
-	}
 	return st
 }
 
 // Crash simulates a power failure: everything un-flushed in NVM is lost
 // (modulo random cache-line evictions drawn from r) and all DRAM state
-// disappears. The tier's pipelines stop un-drained — an upload that had
-// finished is durable in the object store, one that had not leaves its
-// blocks dirty in L2 under the persistent slot map; Remount re-attaches
-// the tier from that map and queues the survivors for upload again.
+// disappears.
 func (s *Stack) Crash(r *rand.Rand, evictP float64) {
-	if s.Tier != nil {
-		s.Tier.Crash()
-		s.Tier = nil
-	}
 	s.Mem.Crash(r, evictP)
 	s.TCache, s.CCache, s.Journal, s.FS = nil, nil, nil, nil
 }
