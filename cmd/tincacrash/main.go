@@ -28,8 +28,10 @@
 //	tincacrash -sweep -fault skip-data-flush -evictps 0   # harness self-test: must fail
 //
 // Replay (-replay): re-runs the trial a reproducer line describes. A line
-// the stack kind cannot run (a Tinca-only option on a Classic kind) is a
-// harness error, exit status 2.
+// the stack kind cannot run (a Tinca-only option on a Classic kind), a
+// trace that writes more than the trial file system holds, and a trace
+// that runs it out of space before any crash are harness errors, exit
+// status 2.
 //
 //	tincacrash -replay 'kind=tinca boundary=137 evictp=0 fault=none seed=5 trace=c:/f0001|...'
 //
@@ -47,10 +49,12 @@
 // for offline forensics (CI uploads them as artifacts).
 //
 // Exit status is 1 if any trial finds an inconsistency, 2 on a harness
-// error (bad flags, a configuration the stack refuses).
+// error (bad flags, a configuration the stack refuses, a trace that does
+// not fit the trial file system).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -126,6 +130,9 @@ func runReplay(line string) int {
 		return fatalf("%v", err)
 	}
 	res, err := crash.Replay(spec)
+	if errors.Is(err, crash.ErrHarness) {
+		return fatalf("replay: %v", err)
+	}
 	if err != nil {
 		fmt.Printf("tincacrash: replay: crashed=%v acked=%d inflight=%q\n", res.Crashed, res.OpsAcked, res.Inflight)
 		fmt.Printf("tincacrash: INCONSISTENCY reproduced: %v\n", err)

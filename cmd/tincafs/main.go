@@ -210,10 +210,8 @@ func run(s *tinca.Stack, cmd string, args []string, rng interface{ Int63n(int64)
 			c := st.Cache
 			fmt.Printf("cache:  %d/%d read hit/miss (%d fast), %d/%d write hit/miss\n",
 				c.ReadHits, c.ReadMisses, c.ReadHitFast, c.WriteHits, c.WriteMisses)
-			fmt.Printf("        %d commits in %d seals, %d evictions (%d dirty), %d index grows\n",
-				c.Commits, c.GroupSeals, c.Evictions, c.DirtyEvictions, c.IndexGrows)
-			fmt.Printf("        %d bg / %d direct evictions, %d fill races, %d alloc refills\n",
-				c.BgEvictions, c.DirectEvictions, c.FillRaces, c.AllocRefills)
+			fmt.Printf("        %d commits in %d seals, %d evictions (%d dirty), %d fill races, %d index grows\n",
+				c.Commits, c.GroupSeals, c.Evictions, c.DirtyEvictions, c.FillRaces, c.IndexGrows)
 			fmt.Printf("        read fast path: %d fast, %d slow, %d seqlock retries\n",
 				c.ReadHitFast, c.ReadHitSlow, c.SeqlockRetries)
 			fmt.Printf("views:  %d zero-copy, %d copied, %d deferred frees, %d open\n",

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -83,7 +82,7 @@ type Options struct {
 	// Observe enables the commit-pipeline observability harness:
 	// per-phase latency histograms (recorded into the device's shared
 	// metrics.Recorder under the metrics.HistCommit* names) for the
-	// group-commit seal phases, the evictor and recovery. Off by default:
+	// group-commit seal phases and recovery. Off by default:
 	// the hot path then pays one nil check per site and the histograms do
 	// not exist.
 	Observe bool
@@ -103,19 +102,6 @@ type Options struct {
 	// prefix of seals that reached their commit point. The hook must be
 	// fast and must not call back into the cache.
 	SealHook func(seq uint64)
-	// EvictLowWater, when positive, enables the background watermark
-	// evictor: whenever the free block pool drops below this many blocks,
-	// a background goroutine evicts the globally coldest victims,
-	// EvictLowWater per pass (writing dirty ones back outside any lock),
-	// until the pool is back at 2×EvictLowWater. Foreground allocations
-	// then almost never pay an eviction scan or a synchronous disk write;
-	// they fall back to a direct one-victim evict only when the pool is
-	// completely empty. Open clamps the mark to a quarter of the cache
-	// capacity, so the refill target never exceeds half of it. Zero (the
-	// default) keeps all eviction synchronous on the allocating goroutine,
-	// as the paper's prototype does — and keeps single-threaded workloads
-	// deterministic for the crash sweeps.
-	EvictLowWater int
 	// FlightRecorder enables the crash-surviving black box (DESIGN.md
 	// §13): a flight.DefaultSlots-record event ring carved out of the NVM
 	// layout, written crash-consistently at seal, recovery, checkpoint and
@@ -187,9 +173,6 @@ func (o Options) Validate() error {
 	if o.Fault < FaultNone || o.Fault > FaultSkipDataFlush {
 		return fmt.Errorf("core: unknown fault %d", int(o.Fault))
 	}
-	if o.EvictLowWater < 0 {
-		return fmt.Errorf("core: EvictLowWater %d is negative", o.EvictLowWater)
-	}
 	if o.CheckpointIntervalNS < 0 {
 		return fmt.Errorf("core: CheckpointIntervalNS %d is negative", o.CheckpointIntervalNS)
 	}
@@ -250,7 +233,7 @@ type shard struct {
 	lru *lruList // per-shard LRU over entry slots
 
 	// touches is the MPSC ring of entry slots awaiting LRU promotion:
-	// fast-path hits push lock-free, locked-path entrants and the evictor
+	// fast-path hits push lock-free, locked-path entrants and eviction
 	// drain under mu (see readfast.go).
 	touches touchRing
 
@@ -296,7 +279,7 @@ type Cache struct {
 
 	// DRAM auxiliary structures (Section 4.6); rebuilt on startup.
 	// hash and lru live in the shards; the free block/slot monitors live
-	// in the sharded allocator.
+	// in the allocator.
 	shards [shardCount]shard
 	alloc  allocator
 
@@ -336,14 +319,6 @@ type Cache struct {
 	// Options.SealHook and the flight records report.
 	rings []ringState
 	gen   atomic.Uint64
-
-	// Watermark-evictor state (evictWake nil when EvictLowWater == 0):
-	// the clamped low-water mark, which is also the per-pass batch, and
-	// the refill target 2×evictLow.
-	evictLow  int
-	evictWake chan struct{}
-	evictStop chan struct{}
-	evictWG   sync.WaitGroup
 
 	closed atomic.Bool
 	// poisoned carries the injected-crash panic value after a crash
@@ -411,7 +386,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 		dirtied:  make([]bool, lay.Capacity),
 		rings:    make([]ringState, lay.Rings),
 	}
-	c.alloc.init(mem.Recorder(), lay.Capacity)
+	c.alloc.init(lay.Capacity)
 	for r := range c.rings {
 		c.rings[r].init(c.rec, r)
 	}
@@ -454,19 +429,10 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 			c.fl = flight.New(mem, mem.Clock(), lay.FlightOff, lay.FlightSlots)
 		}
 	}
-	if opts.EvictLowWater > 0 {
-		// The evictor refills to twice the mark: a mark above a quarter of
-		// the cache would refill past half of it and thrash; clamp it.
-		c.evictLow = min(opts.EvictLowWater, lay.Capacity/4)
-		c.evictWake = make(chan struct{}, 1)
-		c.evictStop = make(chan struct{})
-		c.evictWG.Add(1)
-		go c.evictor()
-	}
 	return c, nil
 }
 
-// shardIdx returns the shard index (allocator affinity hint) for block no.
+// shardIdx returns the shard index for block no.
 func shardIdx(no uint64) int {
 	return int(no & (shardCount - 1))
 }
@@ -646,7 +612,7 @@ func (c *Cache) Capacity() int { return c.lay.Capacity }
 
 // FreeBlocks reports how many NVM data blocks are currently unused.
 func (c *Cache) FreeBlocks() int {
-	return int(c.alloc.freeBlocks())
+	return c.alloc.freeBlocks()
 }
 
 // readEntry loads and decodes entry slot i from NVM.
@@ -680,39 +646,21 @@ func (c *Cache) clearEntry(i int32) {
 	c.mem.Persist16(c.lay.entryOff(int(i)), [16]byte{})
 }
 
-// allocBlock returns a free NVM data block, preferring shard h's local
-// free cache. When the pool is empty it falls back to a direct one-victim
-// eviction (the paper's synchronous behaviour); with the watermark
-// evictor enabled that fallback is the rare slow path. Performs no disk
-// I/O unless the pool is empty. May be called with or without the ring
-// locks, but never with a shard lock held (the direct fallback takes shard
-// locks).
-func (c *Cache) allocBlock(h int) (uint32, error) {
-	if b, ok := c.alloc.popBlock(h); ok {
-		c.maybeWakeEvictor()
+// allocBlock returns a free NVM data block. When the pool is empty the
+// allocating goroutine evicts one victim itself (the paper's synchronous
+// behaviour) and retries. Performs no disk I/O unless the pool is empty.
+// May be called with or without the ring locks, but never with a shard
+// lock held (eviction takes shard locks).
+func (c *Cache) allocBlock() (uint32, error) {
+	if b, ok := c.alloc.popBlock(); ok {
 		return b, nil
 	}
-	if c.evictLow > 0 {
-		// Empty pool with the watermark evictor configured: it has been
-		// woken but may simply not have been scheduled yet (a tight miss
-		// loop on few cores never yields). Give it one turn before
-		// falling back to a foreground eviction — a scheduler yield is
-		// far cheaper than a cross-shard victim scan, and it keeps
-		// reclaim on the batched background path.
-		c.maybeWakeEvictor()
-		runtime.Gosched()
-		if b, ok := c.alloc.popBlock(h); ok {
-			return b, nil
-		}
-	}
-	var scratch []victim
 	for spin := 0; ; spin++ {
-		evicted, saw := c.evictBatch(directEvictBatch, true, &scratch)
-		if b, ok := c.alloc.popBlock(h); ok {
-			c.maybeWakeEvictor()
+		evicted, saw := c.evictOne()
+		if b, ok := c.alloc.popBlock(); ok {
 			return b, nil
 		}
-		if evicted == 0 && !saw {
+		if !evicted && !saw {
 			// A full scan found nothing evictable: every resident block
 			// is pinned or mid-seal. That is a genuine out-of-space
 			// condition, not a race.
@@ -729,19 +677,18 @@ func (c *Cache) allocBlock(h int) (uint32, error) {
 // allocSlot returns a free entry-table slot. The entry table has exactly
 // one slot per data block and every cached block consumes at least one
 // data block, so a successful allocBlock guarantees a slot exists.
-func (c *Cache) allocSlot(h int) int32 {
-	return c.alloc.popSlot(h)
+func (c *Cache) allocSlot() int32 {
+	return c.alloc.popSlot()
 }
 
 // allocPair allocates the (data block, entry slot) pair a fill or write
-// miss of disk block no needs. Never called with a shard lock held.
-func (c *Cache) allocPair(no uint64) (uint32, int32, error) {
-	h := shardIdx(no)
-	b, err := c.allocBlock(h)
+// miss needs. Never called with a shard lock held.
+func (c *Cache) allocPair() (uint32, int32, error) {
+	b, err := c.allocBlock()
 	if err != nil {
 		return 0, 0, err
 	}
-	return b, c.allocSlot(h), nil
+	return b, c.allocSlot(), nil
 }
 
 // Read copies the current committed contents of disk block no into p
@@ -836,7 +783,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 	defer bufpool.Put(buf)
 	for attempt := 0; ; attempt++ {
 		if attempt >= maxOptimisticFills {
-			b, s, err := c.allocPair(no)
+			b, s, err := c.allocPair()
 			if err != nil {
 				return err
 			}
@@ -872,7 +819,7 @@ func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 
 		gen := sh.evictGen.Load()
 		c.disk.ReadBlock(no, buf)
-		b, s, err := c.allocPair(no)
+		b, s, err := c.allocPair()
 		if err != nil {
 			return err
 		}
@@ -1014,15 +961,10 @@ func (c *Cache) Close() error {
 		return err
 	}
 	c.closed.Store(true)
-	// Barrier: wait for any in-flight commit to finish before the
-	// background evictor goes away (every seal runs under its ring locks).
+	// Barrier: wait for any in-flight commit to finish before Close
+	// returns (every seal runs under its ring locks).
 	c.lockRings()
 	c.unlockRings() // the empty critical section is the barrier
-	if c.evictStop != nil {
-		close(c.evictStop)
-		c.evictWG.Wait()
-		c.evictStop = nil
-	}
 	return nil
 }
 

@@ -47,7 +47,7 @@ type ckptState struct {
 	// mu guards everything below plus the journal region's append
 	// position. Leaf-level below the shard locks: ckptJournal takes it
 	// while holding one shard lock (different shards' mutators — fills
-	// and the evictor take no ring lock — would otherwise race on the
+	// and evictions take no ring lock — would otherwise race on the
 	// append position); only the pmem device lock is taken inside.
 	// writeCheckpointLocked additionally holds every ring's seal lock and
 	// all shard locks, which quiesces every mutator across its whole

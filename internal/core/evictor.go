@@ -4,26 +4,18 @@ import (
 	"fmt"
 
 	"tinca/internal/bufpool"
-	"tinca/internal/flight"
 	"tinca/internal/metrics"
 )
 
-// This file implements the eviction side of the concurrent miss pipeline:
-// a cross-shard victim scan that re-validates everything it selected, and
-// a background evictor goroutine that keeps the free block pool above a
-// low watermark so foreground allocations are a local pop instead of a
-// scan plus a synchronous disk write.
+// This file implements eviction (the paper's free block monitor,
+// Section 4.6): when an allocation finds the free pool empty, the
+// allocating goroutine scans every shard for the globally coldest victim,
+// re-validates it and evicts it, writing a dirty victim back outside any
+// shard lock.
 //
-// Crash consistency is untouched by construction: the only persistent
-// effects of an eviction are the disk write-back of a dirty victim and
-// the 16B atomic entry invalidation, in that order — exactly the sequence
-// the serial evictor always used (DESIGN.md §8's ordering argument never
-// mentions who runs the sequence, only its order).
-
-// directEvictBatch is how many victims a foreground allocation reclaims
-// when it finds the pool empty: one, the paper's synchronous behaviour —
-// the batching belongs to the background evictor.
-const directEvictBatch = 1
+// Crash consistency: the only persistent effects of an eviction are the
+// disk write-back of a dirty victim and the 16B entry invalidation, in
+// that order (DESIGN.md §8's ordering argument).
 
 // victim is one eviction candidate captured during the cross-shard scan.
 // Everything in it is a snapshot: evictSlot re-validates under the shard
@@ -35,13 +27,12 @@ type victim struct {
 	atime int64
 }
 
-// collectVictims scans every shard's LRU tail and returns up to want
-// victims, coldest first (globally sorted by access tick). dst is the
-// caller's scratch slice, reused across calls. Locks are taken one shard
-// at a time and dropped before the next, so the snapshot is approximate —
-// which is fine, because eviction re-validates per victim.
-func (c *Cache) collectVictims(dst []victim, want int) []victim {
-	dst = dst[:0]
+// coldestVictim scans every shard's LRU tail and returns the eligible
+// slot with the oldest access tick; ok is false when nothing is
+// eligible. Locks are taken one shard at a time and dropped before the
+// next, so the answer is approximate — which is fine, because evictSlot
+// re-validates it.
+func (c *Cache) coldestVictim() (best victim, ok bool) {
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.mu.Lock()
@@ -64,52 +55,33 @@ func (c *Cache) collectVictims(dst []victim, want int) []victim {
 				continue // a write-back owns the slot right now
 			}
 			at := c.atime[i].Load()
-			if len(dst) == want && at >= dst[len(dst)-1].atime {
+			if ok && at >= best.atime {
 				break // the walk moves toward newer slots only
 			}
-			v := victim{sh: sh, slot: i, no: e.disk, atime: at}
-			if len(dst) < want {
-				dst = append(dst, v)
-			} else {
-				dst[len(dst)-1] = v
-			}
-			for j := len(dst) - 1; j > 0 && dst[j-1].atime > dst[j].atime; j-- {
-				dst[j-1], dst[j] = dst[j], dst[j-1]
-			}
+			best, ok = victim{sh: sh, slot: i, no: e.disk, atime: at}, true
 		}
 		sh.mu.Unlock()
 	}
-	return dst
+	return best, ok
 }
 
-// evictBatch selects and evicts up to want victims. Returns how many were
-// actually evicted and whether any eligible candidate existed at all (the
-// difference between "everything raced away, try again" and "the cache is
-// genuinely full of pinned blocks"). scratch is reused across calls.
-func (c *Cache) evictBatch(want int, direct bool, scratch *[]victim) (evicted int, saw bool) {
+// evictOne selects and evicts the coldest victim, retrying a few times
+// when a concurrent touch, commit or eviction invalidates the pick.
+// evicted reports success; saw reports whether any eligible candidate
+// existed at all (the difference between "everything raced away, try
+// again" and "the cache is genuinely full of pinned blocks").
+func (c *Cache) evictOne() (evicted, saw bool) {
 	for attempt := 0; attempt < 4; attempt++ {
-		*scratch = c.collectVictims(*scratch, want)
-		if len(*scratch) == 0 {
+		v, ok := c.coldestVictim()
+		if !ok {
 			break
 		}
 		saw = true
-		for _, v := range *scratch {
-			if c.evictSlot(v) {
-				evicted++
-			}
-		}
-		if evicted > 0 {
-			break
+		if c.evictSlot(v) {
+			return true, true
 		}
 	}
-	if evicted > 0 {
-		if direct {
-			c.rec.Add(metrics.CacheEvictDirect, int64(evicted))
-		} else {
-			c.rec.Add(metrics.CacheEvictBg, int64(evicted))
-		}
-	}
-	return evicted, saw
+	return false, saw
 }
 
 // evictSlot evicts one selected victim. Selection dropped every lock, so
@@ -202,66 +174,4 @@ func (c *Cache) evictSlot(v victim) bool {
 	c.endSlotMutate(v.slot)
 	c.rec.Inc(metrics.CacheEvict)
 	return true
-}
-
-// maybeWakeEvictor nudges the background evictor when the free pool has
-// dropped below the low watermark. Called after every successful block
-// pop; the check is one atomic load.
-func (c *Cache) maybeWakeEvictor() {
-	if c.evictWake == nil {
-		return
-	}
-	if int(c.alloc.freeBlocks()) >= c.evictLow {
-		return
-	}
-	select {
-	case c.evictWake <- struct{}{}:
-	default:
-	}
-}
-
-// evictor is the background watermark evictor: woken when the free pool
-// dips under the low watermark, it evicts the globally coldest victims,
-// evictLow per pass, until the pool is back at 2×evictLow, writing dirty
-// victims back outside any shard lock. It never takes a ring lock, so commits,
-// reads and seals proceed while it reclaims.
-func (c *Cache) evictor() {
-	defer c.evictWG.Done()
-	var scratch []victim
-	for {
-		select {
-		case <-c.evictStop:
-			return
-		case <-c.evictWake:
-		}
-		c.evictorRun(&scratch)
-	}
-}
-
-// evictorRun tops the free pool back up to the refill mark. An
-// injected crash on the evictor goroutine poisons the cache exactly as a
-// crash on a committing goroutine would.
-func (c *Cache) evictorRun(scratch *[]victim) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.poison(r)
-		}
-	}()
-	for c.poisoned.Load() == nil && !c.closed.Load() {
-		if int(c.alloc.freeBlocks()) >= 2*c.evictLow {
-			return
-		}
-		var t0 int64
-		if c.obs != nil {
-			t0 = c.obs.now()
-		}
-		n, _ := c.evictBatch(c.evictLow, false, scratch)
-		if n == 0 {
-			return // nothing evictable now; the foreground falls back
-		}
-		c.flEmit(flight.EvEvictBatch, 0, 0, 0, uint64(n))
-		if c.obs != nil {
-			c.obs.phase(c.obs.evict, 0, spanEvictBatch, t0, c.obs.gid())
-		}
-	}
 }

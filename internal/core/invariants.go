@@ -162,9 +162,6 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("invariant: free slots (%d) + valid entries (%d) != capacity (%d)",
 			len(freeS), valid, c.lay.Capacity)
 	}
-	if got := c.alloc.freeBlocks(); got != int64(len(freeB)) {
-		return fmt.Errorf("invariant: free-block counter %d drifted from pool contents %d", got, len(freeB))
-	}
 	return nil
 }
 

@@ -20,11 +20,11 @@ func mrOpts() Options {
 }
 
 // TestMultiRingStress hammers a CommitRings=16 cache with 16 disjoint-
-// shard committers (one private ring each), a cross-shard committer, the
-// watermark evictor, and the checkpoint writer firing at every commit
-// point — the full concurrency matrix of DESIGN.md §8, run under -race
-// in CI. Afterwards the per-ring counters must account for every seal,
-// invariants must hold, and a clean reopen must serve the data back.
+// shard committers (one private ring each), a cross-shard committer and
+// the checkpoint writer firing at every commit point — the full
+// concurrency matrix of DESIGN.md §8, run under -race in CI. Afterwards
+// the per-ring counters must account for every seal, invariants must
+// hold, and a clean reopen must serve the data back.
 func TestMultiRingStress(t *testing.T) {
 	opts := Options{CommitRings: 16, CheckpointIntervalNS: 1}
 	r := newRig(t, 8<<20, opts)

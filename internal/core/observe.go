@@ -8,7 +8,7 @@ import (
 )
 
 // obs is the cache's observability harness: per-phase latency histograms
-// for the commit pipeline, the evictor and recovery, plus an optional
+// for the commit pipeline and recovery, plus an optional
 // span tracer. It exists only when Options.Observe (or a Tracer) was
 // given, so the hot path pays exactly one nil check per instrumentation
 // site when observability is off — the acceptance bar of the ROADMAP's
@@ -29,7 +29,7 @@ type obs struct {
 	seals atomic.Uint64 // seal ids for span grouping
 
 	wait, absorb, data, entries, ring, roleSw, tail, seal *metrics.Histogram
-	total, evict, recovery                                *metrics.Histogram
+	total, recovery                                       *metrics.Histogram
 	recScan, recRedo, recUndo, recRebuild                 *metrics.Histogram
 	ckpt                                                  *metrics.Histogram
 
@@ -53,7 +53,6 @@ func newObs(clock *sim.Clock, rec *metrics.Recorder, tr *metrics.Tracer) *obs {
 		tail:       rec.Hist(metrics.HistCommitTail),
 		seal:       rec.Hist(metrics.HistCommitSeal),
 		total:      rec.Hist(metrics.HistCommitTotal),
-		evict:      rec.Hist(metrics.HistEvictBatch),
 		recovery:   rec.Hist(metrics.HistRecovery),
 		recScan:    rec.Hist(metrics.HistRecoveryScan),
 		recRedo:    rec.Hist(metrics.HistRecoveryRedo),
@@ -90,18 +89,17 @@ func (o *obs) phase(h *metrics.Histogram, id uint64, name string, startNS int64,
 // Span/phase names used by the tracer (histograms use the metrics.Hist*
 // constants; spans use short names so trace viewers stay readable).
 const (
-	spanWait       = "seal.wait"
-	spanAbsorb     = "seal.absorb"
-	spanData       = "seal.data"
-	spanEntries    = "seal.entries"
-	spanRing       = "seal.ring"
-	spanSwitch     = "seal.switch"
-	spanTail       = "seal.tail"
-	spanSeal       = "seal"
-	spanCommit     = "commit"
-	spanEvictBatch = "evict.batch"
-	spanRecover    = "recovery"
-	spanCkpt       = "ckpt.write"
+	spanWait    = "seal.wait"
+	spanAbsorb  = "seal.absorb"
+	spanData    = "seal.data"
+	spanEntries = "seal.entries"
+	spanRing    = "seal.ring"
+	spanSwitch  = "seal.switch"
+	spanTail    = "seal.tail"
+	spanSeal    = "seal"
+	spanCommit  = "commit"
+	spanRecover = "recovery"
+	spanCkpt    = "ckpt.write"
 
 	spanRecoverScan    = "recovery.scan"
 	spanRecoverRedo    = "recovery.redo"
@@ -122,7 +120,7 @@ func (o *obs) phaseLatencies() []PhaseLatency {
 	if o == nil {
 		return nil
 	}
-	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.total, o.evict, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
+	hs := []*metrics.Histogram{o.wait, o.absorb, o.data, o.entries, o.ring, o.roleSw, o.tail, o.seal, o.total, o.recovery, o.recScan, o.recRedo, o.recUndo, o.recRebuild, o.ckpt}
 	out := make([]PhaseLatency, 0, len(hs))
 	for _, h := range hs {
 		s := h.Snapshot()

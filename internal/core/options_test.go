@@ -25,11 +25,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative ablation", Options{Ablation: Ablation(-1)}, "unknown ablation"},
 		{"group commit knobs", Options{SealWaitNS: 1000}, ""},
 		{"negative max wait", Options{SealWaitNS: -1}, "SealWaitNS"},
-		{"evictor low water", Options{EvictLowWater: 8}, ""},
-		{"negative low water", Options{EvictLowWater: -1}, "EvictLowWater"},
-		{"evictor + ablation", Options{EvictLowWater: 4, Ablation: AblationUBJ}, ""},
 		{"negative checkpoint interval", Options{CheckpointIntervalNS: -1}, "CheckpointIntervalNS"},
-		{"ablation composes", Options{Ablation: AblationUBJ, CommitRings: 4, CheckpointIntervalNS: DefaultCheckpointIntervalNS, EvictLowWater: 4}, ""},
+		{"ablation composes", Options{Ablation: AblationUBJ, CommitRings: 4, CheckpointIntervalNS: DefaultCheckpointIntervalNS}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,16 +24,16 @@ func diskPattern(no uint64) byte { return byte(no%251 + 1) }
 
 // TestConcurrentMissFills drives 8 goroutines through read misses on
 // disjoint block ranges whose union exceeds the cache capacity several
-// times over, with the watermark evictor on. Every read must return the
-// disk's value; under -race this exercises the lock-free fill install,
-// the background eviction scan and the allocator refill path against
-// each other.
+// times over, so every goroutine evicts victims for its own fills. Every
+// read must return the disk's value; under -race this exercises the
+// lock-free fill install, concurrent victim scans and the allocator
+// against each other.
 func TestConcurrentMissFills(t *testing.T) {
 	clock := sim.NewClock()
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 32})
+	c, err := Open(mem, disk, Options{RingBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,78 +73,13 @@ func TestConcurrentMissFills(t *testing.T) {
 	if st.ReadMisses == 0 || st.Evictions == 0 {
 		t.Fatalf("overcommitted read sweep recorded no misses/evictions: %+v", st)
 	}
-	if st.BgEvictions == 0 {
-		t.Fatalf("watermark evictor never ran: %+v", st)
-	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEvictorRefillMark pins the evictor's derived refill mark: one
-// background run reclaims EvictLowWater (L) victims per pass until the free
-// pool holds at least 2L blocks, so from an empty pool it settles at
-// exactly 2L after two passes; and Open clamps a mark above a quarter of
-// the capacity, so the refill never reaches past half the cache. The
-// background goroutine is stopped first and the run is driven directly,
-// which makes every count exact.
-func TestEvictorRefillMark(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		low  int
-		want func(capacity int) int // the effective mark L
-	}{
-		{"mark", 16, func(int) int { return 16 }},
-		{"clamped", 1 << 20, func(capacity int) int { return capacity / 4 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := sim.NewClock()
-			rec := metrics.NewRecorder()
-			mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
-			disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-			c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: tc.low})
-			if err != nil {
-				t.Fatal(err)
-			}
-			close(c.evictStop)
-			c.evictWG.Wait()
-			c.evictStop = nil
-
-			low := tc.want(c.Capacity())
-			if c.evictLow != low {
-				t.Fatalf("effective low-water mark %d, want %d (capacity %d)", c.evictLow, low, c.Capacity())
-			}
-			// Overcommit with the evictor parked: every fill past capacity
-			// direct-evicts one victim, leaving the pool empty.
-			p := make([]byte, BlockSize)
-			for no := uint64(0); no < uint64(2*c.Capacity()); no++ {
-				if err := c.Read(no, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if free := c.FreeBlocks(); free != 0 {
-				t.Fatalf("free pool %d after an overcommitted sweep, want 0", free)
-			}
-			var scratch []victim
-			c.evictorRun(&scratch)
-			if free := c.FreeBlocks(); free != 2*low {
-				t.Fatalf("free pool %d after a refill run, want 2×%d", free, low)
-			}
-			if bg := c.Stats().BgEvictions; bg != int64(2*low) {
-				t.Fatalf("refill run evicted %d victims, want two passes of %d", bg, low)
-			}
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestMissPipelineStress mixes concurrent miss fills, commits, aborts,
-// background eviction and FlushAll on a cache
+// eviction and FlushAll on a cache
 // several times smaller than the working set. Run under -race this is the
 // primary data-race check for the concurrent miss pipeline; functionally
 // it checks the same value oracles as the commit stress test plus the
@@ -155,7 +90,7 @@ func TestMissPipelineStress(t *testing.T) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 8192, EvictLowWater: 48})
+	c, err := Open(mem, disk, Options{RingBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +175,7 @@ func TestMissPipelineStress(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.BgEvictions == 0 {
-		t.Fatalf("watermark evictor never ran under overcommit: %+v", st)
-	}
-	if st.ReadMisses == 0 || st.Commits == 0 {
+	if st.ReadMisses == 0 || st.Commits == 0 || st.Evictions == 0 {
 		t.Fatalf("stress covered nothing: %+v", st)
 	}
 	if err := c.Close(); err != nil {
@@ -251,14 +183,14 @@ func TestMissPipelineStress(t *testing.T) {
 	}
 }
 
-// TestEvictorCrashRecovers injects a crash at every simulated-NVM
+// TestDirectEvictCrashRecovers injects a crash at every simulated-NVM
 // operation boundary while four goroutines commit into a working set
-// larger than the cache, with the watermark evictor writing dirty victims
-// back concurrently. The crash can therefore land inside the evictor's
-// write-back sequence (including on the evictor goroutine itself); after
+// larger than the cache, each evicting (and writing back) dirty victims
+// for its own allocations. The crash can therefore land inside one
+// goroutine's write-back sequence while others commit; after
 // materializing the crash image, recovery must still satisfy the
 // commit-acknowledgement oracle and the structural invariants.
-func TestEvictorCrashRecovers(t *testing.T) {
+func TestDirectEvictCrashRecovers(t *testing.T) {
 	const (
 		workers  = 4
 		span     = 16 // oracle-tracked blocks per worker
@@ -270,9 +202,9 @@ func TestEvictorCrashRecovers(t *testing.T) {
 	for k := int64(0); ; k++ {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
-		mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
+		mem := pmem.New(512<<10, pmem.NVDIMM, clock, rec)
 		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		opts := Options{RingBytes: 4096, EvictLowWater: 48}
+		opts := Options{RingBytes: 4096}
 		c, err := Open(mem, disk, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -302,8 +234,8 @@ func TestEvictorCrashRecovers(t *testing.T) {
 						v := byte(i/span + 1)
 						written[w][b] = v
 						txn.Write(uint64(w*span+b), blockOf(v))
-						// Filler writes overcommit the cache so the evictor
-						// stays busy writing dirty victims back.
+						// Filler writes overcommit the cache so commits
+						// keep evicting and writing dirty victims back.
 						txn.Write(uint64(fillBase+wrng.Intn(fillSpan)), blockOf(v))
 						if err := txn.Commit(); err != nil {
 							panic(fmt.Sprintf("worker %d commit: %v", w, err))
@@ -319,26 +251,15 @@ func TestEvictorCrashRecovers(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		// Quiesce the background evictor before materializing the crash
-		// image or checking invariants: it must not keep touching the
-		// devices underneath either.
-		close(c.evictStop)
-		c.evictWG.Wait()
-		c.evictStop = nil
-
-		// The crash may have fired on the evictor goroutine itself; its
-		// recover poisons the cache rather than reaching any worker's
-		// CatchCrash, so the poison flag — not just worker observations —
-		// decides whether this image crashed.
-		if c.poisoned.Load() != nil {
-			anyCrashed = true
-		}
 		if !anyCrashed {
 			mem.DisarmCrash()
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("evictor write-back protocol covered in %d operations", k)
+			if st := c.Stats(); st.Evictions == 0 || st.DirtyEvictions == 0 {
+				t.Fatalf("crash-free run wrote back no victim: %+v", st)
+			}
+			t.Logf("eviction write-back protocol covered in %d operations", k)
 			return
 		}
 
@@ -376,9 +297,9 @@ func TestEvictorCrashRecovers(t *testing.T) {
 	}
 }
 
-// TestOvercommittedReadSweepDirectEvicts reads twice the capacity on the
-// default options (no watermark evictor): every fill's value matches the
-// disk and the allocating reader pays the evictions itself.
+// TestOvercommittedReadSweepDirectEvicts reads twice the capacity: every
+// fill's value matches the disk and the allocating reader pays the
+// evictions itself.
 func TestOvercommittedReadSweepDirectEvicts(t *testing.T) {
 	clock := sim.NewClock()
 	rec := metrics.NewRecorder()
@@ -403,10 +324,7 @@ func TestOvercommittedReadSweepDirectEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.BgEvictions != 0 {
-		t.Fatalf("EvictLowWater 0 must not run the watermark evictor: %+v", st)
-	}
-	if st.DirectEvictions == 0 {
+	if st.Evictions == 0 {
 		t.Fatalf("overcommitted sweep never direct-evicted: %+v", st)
 	}
 	if err := c.Close(); err != nil {
@@ -414,8 +332,8 @@ func TestOvercommittedReadSweepDirectEvicts(t *testing.T) {
 	}
 }
 
-// BenchmarkReadMissSteadyState measures the steady-state concurrent miss
-// path (fill + background eviction) on a span four times the cache
+// BenchmarkReadMissSteadyState measures the steady-state miss path (fill
+// plus one synchronous eviction) on a span four times the cache
 // capacity. The acceptance bar is at most one heap allocation per read:
 // fills and evictions must run on pooled buffers and reused scratch.
 func BenchmarkReadMissSteadyState(b *testing.B) {
@@ -423,7 +341,7 @@ func BenchmarkReadMissSteadyState(b *testing.B) {
 	rec := metrics.NewRecorder()
 	mem := pmem.New(2<<20, pmem.NVDIMM, clock, rec)
 	disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-	c, err := Open(mem, disk, Options{RingBytes: 4096, EvictLowWater: 16})
+	c, err := Open(mem, disk, Options{RingBytes: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,8 +45,8 @@ import (
 //
 // LRU decoupling: a fast hit must not take the shard lock just to splice
 // the LRU list, so it stamps the slot's atomic access tick (atime) and
-// pushes the slot into the shard's fixed-size touch ring. The background
-// evictor and every locked-path entrant that is about to observe or
+// pushes the slot into the shard's fixed-size touch ring. The victim scan
+// and every locked-path entrant that is about to observe or
 // mutate LRU order first drain the ring FIFO into the exact list, so in
 // a single-threaded execution the list is always exactly what immediate
 // splicing would have produced (stamp order == drain order) and the

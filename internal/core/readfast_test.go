@@ -29,11 +29,12 @@ func wordBlock(v uint64) []byte {
 
 // TestReadHitSeqlockStress is the -race exercise for the lock-free read
 // hit path: 8 readers hammer a small hot set while (a) one committer keeps
-// rewriting those same blocks through COW redirects and group seals,
-// (b) a cold scanner streams through more blocks than the cache holds so
-// slots are constantly reclaimed, and (c) in the evictor case the
-// background evictor writes dirty victims back and tears their slots
-// down off the allocating goroutine, under the readers. Three oracles:
+// rewriting those same blocks through COW redirects and group seals, and
+// (b) a cold scanner streams through more blocks than the cache holds, so
+// the scanner's fills and the committer's COWs evict victims themselves,
+// writing dirty ones back and tearing their slots down under the readers.
+// The evictor case shrinks the NVM to half, so the victim scan and its
+// write-backs (evictor.go) run far more often. Three oracles:
 //
 //  1. every block read is word-uniform (no torn read),
 //  2. per reader, the value seen for a given block never decreases
@@ -41,19 +42,19 @@ func wordBlock(v uint64) []byte {
 //  3. no reader sees a value from a commit that has not started yet.
 func TestReadHitSeqlockStress(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		opts Options
+		name     string
+		nvmBytes int
 	}{
-		{"write-back", Options{RingBytes: 4096}},
-		{"evictor", Options{RingBytes: 4096, EvictLowWater: 16}},
+		{"write-back", 1 << 20},
+		{"evictor", 512 << 10},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			clock := sim.NewClock()
 			rec := metrics.NewRecorder()
-			mem := pmem.New(1<<20, pmem.NVDIMM, clock, rec)
+			mem := pmem.New(cfg.nvmBytes, pmem.NVDIMM, clock, rec)
 			disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-			c, err := Open(mem, disk, cfg.opts)
+			c, err := Open(mem, disk, Options{RingBytes: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,10 +132,10 @@ func TestReadHitSeqlockStress(t *testing.T) {
 			}()
 
 			readerWG.Wait()
-			// The evictor case asserts a background pass ran: keep the
-			// scanner missing until one has, instead of racing the readers.
-			for deadline := time.Now().Add(10 * time.Second); cfg.opts.EvictLowWater > 0 &&
-				c.Stats().BgEvictions == 0 && time.Now().Before(deadline); {
+			// Evictions are asserted below: keep the scanner missing until
+			// one has run, instead of racing the readers.
+			for deadline := time.Now().Add(10 * time.Second); c.Stats().Evictions == 0 &&
+				time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
 			stop.Store(true)
@@ -150,8 +151,8 @@ func TestReadHitSeqlockStress(t *testing.T) {
 			if st.ReadHitFast+st.ReadHitSlow != st.ReadHits {
 				t.Fatalf("fast %d + slow %d != hits %d", st.ReadHitFast, st.ReadHitSlow, st.ReadHits)
 			}
-			if cfg.opts.EvictLowWater > 0 && st.BgEvictions == 0 {
-				t.Fatalf("background evictor never reclaimed: %+v", st)
+			if st.Evictions == 0 {
+				t.Fatalf("no eviction ran under the readers: %+v", st)
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)

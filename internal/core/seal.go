@@ -419,7 +419,7 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 	// releases it.
 	scratch := Fresh
 	if c.opts.Ablation != AblationNone {
-		b, err := c.allocBlock(shardIdx(plan[0].no))
+		b, err := c.allocBlock()
 		if err != nil {
 			return err
 		}
@@ -439,21 +439,21 @@ func (c *Cache) sealRings(ringIDs []int, batch []*commitReq, sealID uint64, g in
 			}
 			pb.hit, pb.slot, pb.prev = true, i, e.cur
 			// Pin inside the same critical section as the lookup: the
-			// background evictor only honours pins it can observe under
-			// the shard lock.
+			// victim scan only honours pins it can observe under the
+			// shard lock.
 			sh.pinned[i] = true
 		} else {
 			pb.prev = Fresh
 		}
 		sh.mu.Unlock()
-		nb, err := c.allocBlock(shardIdx(pb.no))
+		nb, err := c.allocBlock()
 		if err != nil {
 			c.unwindPlan(plan, scratch)
 			return err
 		}
 		pb.nb = nb
 		if !hit {
-			pb.slot = c.allocSlot(shardIdx(pb.no))
+			pb.slot = c.allocSlot()
 		}
 		pb.allocated = true
 	}

@@ -40,13 +40,9 @@ type CacheStats struct {
 	// Eviction and residency.
 	Evictions      int64
 	DirtyEvictions int64
-	// Concurrent miss pipeline: who reclaimed (background watermark
-	// evictor vs. foreground direct fallback), how often optimistic miss
-	// fills lost a race or retried, and allocator refill traffic.
-	BgEvictions     int64
-	DirectEvictions int64
-	FillRaces       int64
-	AllocRefills    int64
+	// FillRaces counts optimistic miss fills that lost the install race
+	// or retried.
+	FillRaces int64
 
 	// Transactions.
 	Commits   int64
@@ -88,7 +84,7 @@ type CacheStats struct {
 	// Commit latency (populated only when Options.Observe is on).
 	// CommitLatency digests per-transaction Commit latency (enqueue to
 	// acknowledgement, simulated ns); CommitPhases breaks the seal down
-	// into the pipeline's phases plus the evictor and recovery, in
+	// into the pipeline's phases plus recovery, in
 	// pipeline order. Empty when observability is off.
 	CommitLatency metrics.LatencySummary
 	CommitPhases  []PhaseLatency
@@ -165,10 +161,7 @@ func (c *Cache) Stats() CacheStats {
 		WriteMisses:           r.Get(metrics.CacheWriteMiss),
 		Evictions:             r.Get(metrics.CacheEvict),
 		DirtyEvictions:        r.Get(metrics.CacheEvictDirty),
-		BgEvictions:           r.Get(metrics.CacheEvictBg),
-		DirectEvictions:       r.Get(metrics.CacheEvictDirect),
 		FillRaces:             r.Get(metrics.CacheFillRace),
-		AllocRefills:          r.Get(metrics.CacheAllocRefill),
 		Commits:               r.Get(metrics.TxnCommit),
 		Aborts:                r.Get(metrics.TxnAbort),
 		Blocks:                r.Get(metrics.TxnBlocks),

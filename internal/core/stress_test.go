@@ -17,8 +17,9 @@ import (
 // pipeline; functionally it checks that private blocks end with their
 // writer's last value, contended blocks end with *some* writer's value,
 // and the structural invariants hold afterwards. The evictor case runs on
-// an NVM smaller than the working set, so the background evictor's
-// write-backs race the seals and readers.
+// an NVM smaller than the working set, so allocating goroutines evict
+// victims themselves (evictor.go) and their write-backs race the seals
+// and readers.
 func TestConcurrentCommitStress(t *testing.T) {
 	for _, cfg := range []struct {
 		name     string
@@ -27,7 +28,7 @@ func TestConcurrentCommitStress(t *testing.T) {
 	}{
 		{"write-back", 8 << 20, Options{RingBytes: 8192}},
 		{"timed-batch", 8 << 20, Options{RingBytes: 8192, SealWaitNS: 20_000}},
-		{"evictor", 512 << 10, Options{RingBytes: 8192, EvictLowWater: 16}},
+		{"evictor", 512 << 10, Options{RingBytes: 8192}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -109,8 +110,8 @@ func TestConcurrentCommitStress(t *testing.T) {
 			if st.GroupSeals > st.GroupedTxns {
 				t.Fatalf("more seals (%d) than transactions (%d)", st.GroupSeals, st.GroupedTxns)
 			}
-			if cfg.opts.EvictLowWater > 0 && st.BgEvictions == 0 {
-				t.Fatalf("background evictor never reclaimed: %+v", st)
+			if cfg.nvmBytes < 1<<20 && st.Evictions == 0 {
+				t.Fatalf("small cache never evicted: %+v", st)
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)

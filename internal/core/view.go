@@ -83,7 +83,7 @@ func (v *View) BlockNo() uint64 { return v.no }
 func (v *View) ZeroCopy() bool { return v.pinned }
 
 // Close releases the view: the pin is dropped (completing any free the
-// evictor deferred to us) or the private copy is recycled. Returns
+// eviction deferred to us) or the private copy is recycled. Returns
 // ErrViewExpired if the view was already closed (or is the zero View).
 func (v *View) Close() error {
 	if v.c == nil || v.closed {

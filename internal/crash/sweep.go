@@ -56,6 +56,11 @@ const (
 	rawBlocksPerTxn = 4
 )
 
+// ErrHarness marks a trial that could not run as written — its trace ran
+// the trial file system out of space before any crash — as opposed to a
+// crash inconsistency. Replay reports it wrapped; errors.Is finds it.
+var ErrHarness = errors.New("crash: harness error")
+
 // GroupConfig runs trials under group commit with concurrent streams.
 type GroupConfig struct {
 	// Blocks is the FS GroupCommitBlocks threshold; 0 runs one FS worker
@@ -372,7 +377,8 @@ func (ex *execution) result() Result {
 // execute builds the stack, arms the crash at the spec's boundary, runs
 // every FS worker and raw committer until the trace ends or the crash
 // fires, takes the crash image and decodes its flight ring. The returned
-// error is an op the file system got wrong before any crash.
+// error is an op the file system got wrong before any crash, or an
+// ErrHarness when the trace ran it out of space.
 func execute(sp trialSpec) (*execution, error) {
 	ex := &execution{sp: sp}
 	var sealedMax atomic.Uint64
@@ -424,6 +430,9 @@ func execute(sp trialSpec) (*execution, error) {
 							st.err = fmt.Errorf("op %d %v succeeded, want error", i, o)
 							return
 						}
+					} else if errors.Is(err, fs.ErrNoSpace) {
+						st.err = fmt.Errorf("%w: op %d %v: %w", ErrHarness, i, o, err)
+						return
 					} else if err != nil {
 						st.err = fmt.Errorf("op %d %v: %v", i, o, err)
 						return

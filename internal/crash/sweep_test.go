@@ -1,12 +1,15 @@
 package crash
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"tinca/internal/core"
+	"tinca/internal/fs"
 	"tinca/internal/pmem"
 	"tinca/internal/sim"
 	"tinca/internal/stack"
@@ -404,6 +407,34 @@ func TestReplaySpecRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseReplaySpec("kind=nope trace=c:/f0001"); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestTraceOverFileSystemIsHarnessError: a trace that runs the trial
+// file system out of space before any crash is a harness error, not an
+// inconsistency. The parser refuses such a line outright; a trace built
+// directly, past the parser's cap, fails its trial with ErrHarness.
+func TestTraceOverFileSystemIsHarnessError(t *testing.T) {
+	line := "kind=tinca boundary=-1 evictp=0 fault=none seed=1 trace=c:/a|" +
+		strings.Repeat("a:/a:p1048576.7|", 47) + "a:/a:p1048576.7"
+	if _, err := ParseReplaySpec(line); err == nil {
+		t.Fatal("48 MiB of appends parsed; the trial file system holds 32 MiB")
+	}
+
+	// One file per MiB, all appending the same buffer: the trace names
+	// maxTraceBytes plus one MiB but holds only one MiB itself.
+	data := make([]byte, maxOpBytes)
+	var trace []Op
+	for i := 0; i <= maxTraceBytes/maxOpBytes; i++ {
+		p := fmt.Sprintf("/f%02d", i)
+		trace = append(trace, Op{Kind: opCreate, Path: p}, Op{Kind: opAppend, Path: p, Data: data})
+	}
+	ex, err := runTrial(SweepConfig{Kind: stack.Tinca, Seed: 1}.trial([][]Op{trace}, -1, 0))
+	if !errors.Is(err, ErrHarness) || !errors.Is(err, fs.ErrNoSpace) {
+		t.Fatalf("trial error = %v, want ErrHarness wrapping fs.ErrNoSpace", err)
+	}
+	if ex.crashed {
+		t.Fatal("no crash was armed, yet the trial reports one")
 	}
 }
 

@@ -26,7 +26,7 @@ func cellF(t *testing.T, tb *Table, row int, col string) float64 {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "3a", "3b", "4", "7", "8", "10", "11", "12a", "12b", "12c", "13",
 		"recover", "ablate", "endurance", "clwb", "recovertime", "modes", "groupcommit", "phases",
-		"misspath", "readhit", "indexscale", "recoverybreakdown", "recoveryscale", "writerscaling"}
+		"readhit", "indexscale", "recoverybreakdown", "recoveryscale", "writerscaling"}
 	names := Names()
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries, want %d: %v", len(names), len(want), names)
@@ -303,39 +303,6 @@ func TestGroupCommitScaling(t *testing.T) {
 	// Batching must actually have happened at 8 goroutines.
 	if ab := cellF(t, tb, 3, "avg batch"); ab <= 1.1 {
 		t.Fatalf("8-goroutine avg batch %.2f: no coalescing\n%s", ab, tb)
-	}
-}
-
-func TestMissPathScaling(t *testing.T) {
-	tb, err := MissPathScaling(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("scaling rows = %d, want 3 (1/4/8 goroutines)", len(tb.Rows))
-	}
-	s, ok := tb.Metrics["miss_speedup_8g_x"]
-	if !ok {
-		t.Fatalf("miss_speedup_8g_x metric missing\n%s", tb)
-	}
-	// The workload must actually be miss-dominated, or the figure measures
-	// the wrong path.
-	for r := range tb.Rows {
-		if h := cellF(t, tb, r, "hit %"); h > 10 {
-			t.Fatalf("row %d hit rate %.1f%%: miss stream dried up\n%s", r, h, tb)
-		}
-	}
-	// The background evictor, not the foreground fallback, must reclaim
-	// space (it keeps ahead only if the host schedules it beside the
-	// readers, hence a shortfall rather than a plain failure).
-	if pct, ok := tb.Metrics["direct_evict_pct"]; ok && pct > 1 {
-		simtest.OverlapShortfall(t, "direct evictions were %.2f%% of evictions (want <=1%%)\n%s", pct, tb)
-	}
-	// Acceptance bar: at 8 goroutines the miss pipeline must deliver >=2x
-	// the one-reader throughput, which is all a miss path serialized on a
-	// global lock reaches at any reader count.
-	if s < 2 {
-		simtest.OverlapShortfall(t, "8-goroutine miss-path speedup %.2fx < 2x\n%s", s, tb)
 	}
 }
 

@@ -33,7 +33,6 @@ var Registry = map[string]Runner{
 	"modes":             JournalModes,
 	"groupcommit":       GroupCommitScaling,
 	"phases":            CommitPhaseBreakdown,
-	"misspath":          MissPathScaling,
 	"readhit":           ReadHitScaling,
 	"indexscale":        IndexScale,
 	"recoverybreakdown": RecoveryBreakdown,
@@ -92,8 +91,6 @@ func expOrder(n string) string {
 		return "96"
 	case "phases":
 		return "97"
-	case "misspath":
-		return "98"
 	case "readhit":
 		return "985"
 	case "indexscale":

@@ -71,9 +71,10 @@ const (
 	EvRecoverRebuild // Arg = resident blocks rebuilt
 	EvRecoverDone
 
-	// Background machinery. EvDestage belonged to an asynchronous
-	// destager the cache no longer has: nothing emits it, and it stays so
-	// later numbers do not shift and older images still decode.
+	// Background machinery the cache no longer has: EvDestage belonged to
+	// an asynchronous destager, EvEvictBatch to a background watermark
+	// evictor. Nothing emits either; they stay so later numbers do not
+	// shift and older images still decode.
 	EvDestage    // Block = disk block destaged
 	EvEvictBatch // Arg = victims evicted in the batch
 
@@ -196,9 +197,14 @@ func encode(r Record) (line [RecordSize]byte) {
 }
 
 // decode parses one slot. ok is false when the checksum does not match —
-// a never-written or torn slot.
+// a never-written or torn slot — and for any line encode would not write
+// (reserved bytes set, sequence 0, an unknown type), so every line it
+// accepts re-encodes to itself.
 func decode(line []byte) (r Record, ok bool) {
 	if binary.LittleEndian.Uint64(line[56:]) != checksum(line) {
+		return Record{}, false
+	}
+	if binary.LittleEndian.Uint32(line[44:]) != 0 || binary.LittleEndian.Uint64(line[48:]) != 0 {
 		return Record{}, false
 	}
 	r.Seq = binary.LittleEndian.Uint64(line[0:])
@@ -215,8 +221,8 @@ func decode(line []byte) (r Record, ok bool) {
 }
 
 // Ring is the writer side of the flight recorder. One Ring instance is
-// owned by a core.Cache; Emit is safe for concurrent use (the evictor
-// and committers both log). The Ring's mutex is leaf-level: it is
+// owned by a core.Cache; Emit is safe for concurrent use (concurrent
+// seals on different rings both log). The Ring's mutex is leaf-level: it is
 // taken with core's cache/shard locks held and takes only the pmem device
 // lock inside.
 type Ring struct {

@@ -45,12 +45,8 @@ const (
 	CacheReadMiss   = "cache.read_miss"
 	CacheEvict      = "cache.evict"
 	CacheEvictDirty = "cache.evict_dirty"
-	// Concurrent miss-pipeline counters (internal/core).
-	CacheEvictBg     = "cache.evict_bg"         // victims reclaimed by the background evictor
-	CacheEvictDirect = "cache.evict_direct"     // foreground direct-evict fallbacks (pool was empty)
-	CacheFillRace    = "cache.fill_race"        // miss fills that lost the install race or retried
-	CacheAllocRefill = "cache.alloc_refill"     // per-shard free-cache refills from the global pool
-	CacheMetaWrite   = "cache.meta_block_write" // block-format metadata writes (Classic)
+	CacheFillRace   = "cache.fill_race"        // miss fills that lost the install race or retried (internal/core)
+	CacheMetaWrite  = "cache.meta_block_write" // block-format metadata writes (Classic)
 	// Lock-free read-hit fast path (internal/core/readfast.go).
 	CacheReadHitFast  = "cache.read_hit_fast"   // hits served with zero locks
 	CacheReadHitSlow  = "cache.read_hit_slow"   // hits that fell back to the locked path
@@ -130,9 +126,8 @@ const (
 	HistCommitSeal    = "commit.seal_ns"    // whole seal (phases 0–E)
 	HistCommitTotal   = "commit.total_ns"   // per-txn Commit latency (enqueue→ack)
 
-	// Evictor and recovery (internal/core).
-	HistEvictBatch = "evict.batch_ns" // one background eviction batch
-	HistRecovery   = "recovery.ns"    // one full recovery pass
+	// Recovery (internal/core).
+	HistRecovery = "recovery.ns" // one full recovery pass
 	// Per-phase recovery breakdown (internal/core/recovery.go). Scan, undo
 	// and rebuild record one sample per recovery pass, zeros included;
 	// redo records only when the redo branch actually ran (a zero-length

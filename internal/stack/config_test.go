@@ -26,8 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{"tinca knobs delegate", Config{Kind: Tinca, Options: core.Options{RingBytes: 65}}, "cache line"},
 		{"tinca group commit", Config{Kind: Tinca, Options: core.Options{SealWaitNS: 4000}}, ""},
 		{"tinca bad group commit", Config{Kind: Tinca, Options: core.Options{SealWaitNS: -2}}, "SealWaitNS"},
-		{"tinca evictor", Config{Kind: Tinca, Options: core.Options{EvictLowWater: 8}}, ""},
-		{"classic evictor", Config{Kind: Classic, Options: core.Options{EvictLowWater: 8}}, "only to the Tinca kind"},
 		{"unknown journal mode", Config{JournalMode: JournalMode(9)}, "journal mode"},
 		{"negative fs group commit", Config{GroupCommitBlocks: -1}, "GroupCommitBlocks"},
 		{"negative fs interval", Config{GroupCommitIntervalNS: -1}, "GroupCommitIntervalNS"},
@@ -73,7 +71,7 @@ func TestOptionSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf(core.Options{}), []string{"RingBytes", "Ablation", "RotatePointers", "SealWaitNS",
-			"Observe", "Tracer", "Fault", "SealHook", "EvictLowWater", "FlightRecorder",
+			"Observe", "Tracer", "Fault", "SealHook", "FlightRecorder",
 			"CheckpointIntervalNS", "CommitRings"}},
 		// Own fields only: Config embeds core.Options, pinned above.
 		{reflect.TypeOf(Config{}), []string{"Kind", "NVMBytes", "NVMProfile", "DiskProfile", "FSBlocks",
@@ -104,7 +102,7 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{Kind: Kind(42)}); err == nil {
 		t.Fatal("New accepted an unknown kind")
 	}
-	if _, err := New(Config{Kind: Tinca, Options: core.Options{EvictLowWater: -1}}); err == nil {
-		t.Fatal("New accepted a negative low-water mark")
+	if _, err := New(Config{Kind: Tinca, Options: core.Options{SealWaitNS: -1}}); err == nil {
+		t.Fatal("New accepted a negative seal wait")
 	}
 }

@@ -81,8 +81,8 @@ func (k Kind) String() string {
 // suitable for fast laptop-scale experiments.
 //
 // The Tinca cache's knobs are the embedded core.Options, declared once
-// and promoted: cfg.RingBytes, cfg.SealWaitNS, cfg.EvictLowWater,
-// cfg.CommitRings and the rest read and write the embedded struct
+// and promoted: cfg.RingBytes, cfg.SealWaitNS, cfg.CommitRings,
+// cfg.FlightRecorder and the rest read and write the embedded struct
 // directly, so existing field-access code keeps working. (Composite
 // literals name the embedded struct: Config{Options: core.Options{...}}.)
 // Two of the embedded knobs apply beyond the Tinca kind: Observe enables
@@ -178,7 +178,6 @@ func (c Config) checkKindKnobs() error {
 		{"SealWaitNS", o.SealWaitNS != 0, !tinca, "the Tinca kind"},
 		{"Fault", o.Fault != core.FaultNone, !tinca, "the Tinca kind"},
 		{"SealHook", o.SealHook != nil, !tinca, "the Tinca kind"},
-		{"EvictLowWater", o.EvictLowWater != 0, !tinca, "the Tinca kind"},
 		{"FlightRecorder", o.FlightRecorder, !tinca, "the Tinca kind"},
 		{"CheckpointIntervalNS", o.CheckpointIntervalNS != 0, !tinca, "the Tinca kind"},
 		{"CommitRings", o.CommitRings != 0, !tinca, "the Tinca kind"},
