@@ -350,9 +350,10 @@ func TestWriterScaling(t *testing.T) {
 		t.Fatalf("writer_speedup_8 metric missing\n%s", tb)
 	}
 	// Acceptance bar: 16 per-shard rings must commit >=4x the single
-	// ring's throughput at 8 committers on disjoint shards.
+	// ring's throughput at 8 committers on disjoint shards. The figure
+	// runs on one P, so the bar holds on any host size.
 	if s < 4 {
-		simtest.OverlapShortfall(t, "8-committer multi-ring speedup %.2fx < 4x\n%s", s, tb)
+		t.Fatalf("8-committer multi-ring speedup %.2fx < 4x\n%s", s, tb)
 	}
 }
 
