@@ -44,26 +44,6 @@ type Profile struct {
 	Name    string
 	ReadNS  int64 // per 4KB block read
 	WriteNS int64 // per 4KB block write
-	// Parallel is the device's internal queue depth: how many in-flight
-	// requests the medium overlaps (NCQ on SATA, multiple channels on
-	// flash), charged by the sim.Window model. A host that serializes its
-	// I/O (for example under a global lock) pays full price, which is
-	// exactly the behaviour the miss-path scaling figure measures. 0 or 1
-	// serializes; every stock profile does, so existing figures and crash
-	// sweeps are unchanged.
-	Parallel int
-}
-
-// NCQ derives a profile with the given internal queue depth (named after
-// SATA's Native Command Queuing). Service times are unchanged; only the
-// overlap the device grants to concurrently issued requests.
-func NCQ(p Profile, depth int) Profile {
-	if depth < 1 {
-		depth = 1
-	}
-	p.Parallel = depth
-	p.Name = fmt.Sprintf("%s+q%d", p.Name, depth)
-	return p
 }
 
 // Media profiles. The SSD figure is a SATA-class ~45K write IOPS device;
@@ -89,10 +69,9 @@ type Device struct {
 	clock  *sim.Clock
 	rec    *metrics.Recorder
 
-	// win is the Profile.Parallel overlap window of requests inside
-	// ReadBlock/WriteBlock. It doubles as the queue-depth gauge IOStats
-	// and the shared Recorder expose.
-	win *sim.Window
+	// queued counts the requests inside ReadBlock/WriteBlock: the
+	// queue-depth gauge IOStats and the shared Recorder expose.
+	queued atomic.Int64
 
 	// Per-device I/O counters. The shared Recorder aggregates the same
 	// quantities across every device charging it; these stay per device so
@@ -124,7 +103,7 @@ func (d *Device) Stats() IOStats {
 		BlocksWritten: d.blocksWritten.Load(),
 		BytesRead:     d.bytesRead.Load(),
 		BytesWritten:  d.bytesWritten.Load(),
-		QueueDepth:    d.win.InFlight(),
+		QueueDepth:    d.queued.Load(),
 	}
 }
 
@@ -142,7 +121,6 @@ func New(nblocks uint64, prof Profile, clock *sim.Clock, rec *metrics.Recorder) 
 		prof:   prof,
 		clock:  clock,
 		rec:    rec,
-		win:    sim.NewWindow(prof.Parallel),
 	}
 }
 
@@ -158,15 +136,15 @@ func (d *Device) check(no uint64) {
 	}
 }
 
-// admit enters a request into the overlap window (sim.Window), keeping
-// the shared queue-depth gauge in step with the per-device count.
+// admit counts a request into the queue-depth gauges, the per-device one
+// and the shared Recorder's.
 func (d *Device) admit() {
 	d.rec.Inc(metrics.DiskQueueDepth)
-	d.win.Enter()
+	d.queued.Add(1)
 }
 
 func (d *Device) release() {
-	d.win.Leave()
+	d.queued.Add(-1)
 	d.rec.Add(metrics.DiskQueueDepth, -1)
 }
 
@@ -193,7 +171,7 @@ func (d *Device) ReadBlock(no uint64, p []byte) {
 	d.bytesRead.Add(BlockSize)
 	d.rec.Inc(metrics.DiskBlocksRead)
 	d.rec.Add(metrics.DiskBytesRead, BlockSize)
-	d.win.Charge(d.clock, d.prof.ReadNS)
+	d.clock.AdvanceNS(d.prof.ReadNS)
 }
 
 // WriteBlock stores p (BlockSize bytes) as block no. Disk writes are
@@ -219,7 +197,7 @@ func (d *Device) WriteBlock(no uint64, p []byte) {
 	d.bytesWritten.Add(BlockSize)
 	d.rec.Inc(metrics.DiskBlocksWrite)
 	d.rec.Add(metrics.DiskBytesWrite, BlockSize)
-	d.win.Charge(d.clock, d.prof.WriteNS)
+	d.clock.AdvanceNS(d.prof.WriteNS)
 }
 
 // WrittenBlocks reports how many distinct blocks hold data, for tests.

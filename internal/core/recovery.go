@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tinca/internal/flight"
 )
@@ -20,6 +21,7 @@ const (
 	recFailUnmappedBlock  = 4 // ring names a disk block with no entry
 	recFailNoCheckpoint   = 5 // checkpointed image with no valid frame
 	recFailBadCheckpoint  = 6 // frame payload or journal record corrupt
+	recFailBadEntry       = 7 // entry names a block past its medium, or an NVM block another entry names
 )
 
 // recoverFail marks the stats, books the terminal flight event and
@@ -74,6 +76,25 @@ func (c *Cache) recoveryFanout(fn func(worker int)) {
 			panic(pv)
 		}
 	}
+}
+
+// checkRecoveredEntry refuses valid entry i if no crash can leave it and
+// a later pass would index past the NVM or write back past the disk, and
+// counts its NVM block references into refs.
+func (c *Cache) checkRecoveredEntry(i int, e entry, refs []atomic.Int32) error {
+	switch capacity := uint32(c.lay.Capacity); {
+	case e.disk >= c.disk.Blocks():
+		return fmt.Errorf("core: recovery found entry %d for disk block %d beyond the disk", i, e.disk)
+	case e.cur >= capacity:
+		return fmt.Errorf("core: recovery found entry %d in NVM block %d beyond capacity", i, e.cur)
+	case e.prev != Fresh && (e.role == RoleBuffer || e.prev >= capacity):
+		return fmt.Errorf("core: recovery found entry %d keeping previous NVM block %d", i, e.prev)
+	}
+	refs[e.cur].Add(1)
+	if e.prev != Fresh {
+		refs[e.prev].Add(1)
+	}
+	return nil
 }
 
 // mirrorEntry decodes entry slot i from the DRAM mirror of the entry
@@ -183,15 +204,20 @@ func (c *Cache) recover() error {
 	// Index the mirrored entry table: one worker per shard builds that
 	// shard's byDisk map (each worker filters the full mirror, so maps
 	// never share writers). Duplicate detection reports the smallest
-	// shard's error for determinism.
+	// shard's error for determinism. The same pass refuses the entries
+	// checkRecoveredEntry names, and then any NVM block named twice.
 	var byDisk [shardCount]map[uint64]int32
-	var dupErr [shardCount]error
+	var dupErr, badErr [shardCount]error
+	refs := make([]atomic.Int32, c.lay.Capacity)
 	c.recoveryFanout(func(w int) {
 		m := make(map[uint64]int32)
 		for i := 0; i < c.lay.Capacity; i++ {
 			e := mirrorEntry(mirror, int32(i))
 			if !e.valid || shardIdx(e.disk) != w {
 				continue
+			}
+			if badErr[w] == nil {
+				badErr[w] = c.checkRecoveredEntry(i, e, refs)
 			}
 			if prev, dup := m[e.disk]; dup {
 				if dupErr[w] == nil {
@@ -204,10 +230,19 @@ func (c *Cache) recover() error {
 		byDisk[w] = m
 	})
 	for w := 0; w < shardCount; w++ {
+		if badErr[w] != nil {
+			return c.recoverFail(recFailBadEntry, 0, badErr[w])
+		}
 		if dupErr[w] != nil {
 			return c.recoverFail(recFailDuplicateEntry, 0, dupErr[w])
 		}
 		rs.EntriesScanned += int64(len(byDisk[w]))
+	}
+	for b := range refs {
+		if n := refs[b].Load(); n > 1 {
+			return c.recoverFail(recFailBadEntry, uint64(b),
+				fmt.Errorf("core: recovery found NVM block %d named by %d entries", b, n))
+		}
 	}
 	tScan := int64(clock.Now())
 	rs.ScanNS = tScan - t0

@@ -123,10 +123,10 @@ type RecoveryStats struct {
 	Resident       int64 // entries resident after rebuild
 
 	// Failed marks a recovery that gave up with a structural error
-	// (Head behind Tail, ring span beyond capacity, duplicate entry,
-	// ring naming an unmapped block, unreadable checkpoint). Open
-	// returned that error; the partial stats plus the terminal
-	// EvRecoverFail flight record are the forensic trail.
+	// (Head behind Tail, ring span beyond capacity, duplicate or
+	// out-of-range entry, ring naming an unmapped block, unreadable
+	// checkpoint). Open returned that error; the partial stats plus the
+	// terminal EvRecoverFail flight record are the forensic trail.
 	Failed bool
 
 	// Checkpoint fast path (checkpointed images only).

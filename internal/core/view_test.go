@@ -520,5 +520,8 @@ func TestCrashSweepIndexParity(t *testing.T) {
 		if k > 600 {
 			k += 23
 		}
+		if raceEnabled {
+			k += raceStride - 1
+		}
 	}
 }

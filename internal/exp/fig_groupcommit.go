@@ -2,13 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
-	"tinca/internal/blockdev"
 	"tinca/internal/core"
-	"tinca/internal/metrics"
 	"tinca/internal/pmem"
-	"tinca/internal/sim"
 )
 
 // GroupCommitScaling is the "fig: group-commit scaling" bench: commit
@@ -24,61 +20,25 @@ func GroupCommitScaling(o Options) (*Table, error) {
 	t := NewTable("fig: group-commit scaling — commit throughput vs concurrent committers",
 		"goroutines", "commits/s (sim)", "speedup", "avg batch", "absorbed/commit")
 
-	const hotBlocks = 4 // every transaction rewrites these
 	total := o.scaled(1200, 160)
-
-	run := func(workers int) (perSec, avgBatch, absorbed float64, err error) {
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(16<<20, pmem.NVDIMM, clock, rec)
-		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := core.Open(mem, disk, core.Options{
-			SealWaitNS: 200_000,
-		})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		block := make([]byte, core.BlockSize)
-		t0 := clock.Now()
-		var wg sync.WaitGroup
-		per := total / workers
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					txn := c.Begin()
-					for b := uint64(0); b < hotBlocks; b++ {
-						txn.Write(b, block)
-					}
-					if err := txn.Commit(); err != nil {
-						panic(fmt.Sprintf("worker %d: %v", w, err))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := (clock.Now() - t0).Seconds()
-		st := c.Stats()
-		if err := c.Close(); err != nil {
-			return 0, 0, 0, err
-		}
-		commits := float64(per * workers)
-		return commits / elapsed, st.AvgGroupSize(), float64(st.AbsorbedBlocks) / commits, nil
-	}
-
 	var base float64
 	for _, workers := range []int{1, 2, 4, 8} {
-		perSec, avgBatch, absorbed, err := run(workers)
+		r, err := commitRun(pmem.NVDIMM, core.Options{SealWaitNS: 200_000}, workers, total, hotSet)
 		if err != nil {
 			return nil, err
 		}
 		if workers == 1 {
-			base = perSec
+			base = r.perSec
 		}
-		t.AddRow(workers, perSec, fmt.Sprintf("%.2fx", perSec/base), avgBatch, absorbed)
+		commits := float64(total / workers * workers)
+		t.AddRow(workers, r.perSec, fmt.Sprintf("%.2fx", r.perSec/base),
+			r.stats.AvgGroupSize(), float64(r.stats.AbsorbedBlocks)/commits)
 	}
 	t.Note = "one seal per batch: duplicate hot blocks are absorbed and the fences/Head persist amortize, so per-commit NVM work shrinks as committers pile up"
 	return t, nil
 }
+
+// hotSet is the block set every committer of the group-commit and
+// commit-phase figures rewrites: the same four blocks, so concurrent
+// commits absorb each other's writes.
+func hotSet(int) []uint64 { return []uint64{0, 1, 2, 3} }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"tinca/internal/blockdev"
 	"tinca/internal/classic"
@@ -30,7 +29,6 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 	t := NewTable("fig: commit-phase breakdown — per-phase commit time, Tinca vs Classic",
 		"system", "committers", "phase", "count", "p50", "p99", "share")
 
-	const hotBlocks = 4
 	total := o.scaled(1200, 160)
 
 	// Phase rows per system: histogram name plus the label printed in the
@@ -74,41 +72,6 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 		}
 	}
 
-	runTinca := func(workers int) (*metrics.Recorder, error) {
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(16<<20, pmem.NVDIMM, clock, rec)
-		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := core.Open(mem, disk, core.Options{
-			SealWaitNS: 200_000,
-			Observe:    true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		block := make([]byte, core.BlockSize)
-		var wg sync.WaitGroup
-		per := total / workers
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					txn := c.Begin()
-					for b := uint64(0); b < hotBlocks; b++ {
-						txn.Write(b, block)
-					}
-					if err := txn.Commit(); err != nil {
-						panic(fmt.Sprintf("worker %d: %v", w, err))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		return rec, c.Close()
-	}
-
 	runClassic := func(workers int) (*metrics.Recorder, error) {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
@@ -130,25 +93,22 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 			return nil, err
 		}
 		block := make([]byte, jbd.BlockSize)
-		var wg sync.WaitGroup
 		per := total / workers
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				updates := make([]jbd.Update, hotBlocks)
-				for b := range updates {
-					updates[b] = jbd.Update{No: uint64(b), Data: block}
+		err = runActors(workers, func(w int) error {
+			var updates []jbd.Update
+			for _, no := range hotSet(w) {
+				updates = append(updates, jbd.Update{No: no, Data: block})
+			}
+			for range per {
+				if err := j.CommitTxn(jbd.Txn{Updates: updates}); err != nil {
+					return fmt.Errorf("committer %d: %w", w, err)
 				}
-				for i := 0; i < per; i++ {
-					if err := j.CommitTxn(jbd.Txn{Updates: updates}); err != nil {
-						panic(fmt.Sprintf("worker %d: %v", w, err))
-					}
-				}
-			}()
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
 		if err := j.Close(); err != nil {
 			return nil, err
 		}
@@ -156,12 +116,12 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		rec, err := runTinca(workers)
+		r, err := commitRun(pmem.NVDIMM, core.Options{SealWaitNS: 200_000, Observe: true}, workers, total, hotSet)
 		if err != nil {
 			return nil, err
 		}
-		emit("Tinca", workers, rec, tincaPhases, metrics.HistCommitTotal)
-		rec, err = runClassic(workers)
+		emit("Tinca", workers, r.rec, tincaPhases, metrics.HistCommitTotal)
+		rec, err := runClassic(workers)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"tinca/internal/blockdev"
@@ -21,9 +20,8 @@ import (
 // profile overlaps concurrent block loads (pmem.Channels, depth 8), so
 // with no DRAM bookkeeping serializing them, the hardware parallelism
 // shows up as simulated-time speedup over the one-reader row (which is
-// what the mutex-serialized path delivers at any reader count) — the same
-// methodology as the miss-path figure, with the NCQ disk swapped for a
-// channeled NVM device.
+// what the mutex-serialized path delivers at any reader count). The
+// readers run on one P (runActors); the disk serves only the warm-up.
 //
 // A final row pits 8 readers against a concurrent committer
 // that keeps COWing and sealing blocks of the same hot set; the fast-hit
@@ -51,7 +49,7 @@ func ReadHitScaling(o Options) (*Table, error) {
 		clock := sim.NewClock()
 		rec := metrics.NewRecorder()
 		mem := pmem.New(2<<20, pmem.Channels(pmem.NVDIMM, 8), clock, rec)
-		disk := blockdev.New(1<<16, blockdev.NCQ(blockdev.SSD, 8), clock, rec)
+		disk := blockdev.New(1<<16, blockdev.SSD, clock, rec)
 		c, err := core.Open(mem, disk, core.Options{RingBytes: 4096})
 		if err != nil {
 			return result{}, err
@@ -66,33 +64,18 @@ func ReadHitScaling(o Options) (*Table, error) {
 		}
 		warm := c.Stats()
 		t0 := clock.Now()
-		var next atomic.Int64
-		var stop atomic.Bool
-		var wg, wwg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Readers pull from one shared counter so the total read
-				// count is exact and the stream's block sequence does not
-				// depend on host scheduling.
-				p := make([]byte, core.BlockSize)
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(total) {
-						return
-					}
-					if err := c.Read(hot(int(i)), p); err != nil {
-						panic(fmt.Sprintf("reader %d: %v", w, err))
-					}
-				}
-			}()
-		}
+		// Readers pull from one shared counter so the total read count is
+		// exact and the stream's block sequence does not depend on host
+		// scheduling. Actor number workers, when present, is the writer.
+		var next, readersDone atomic.Int64
+		reading := func() bool { return readersDone.Load() < int64(workers) }
+		actors := workers
 		if writer {
-			wwg.Add(1)
-			go func() {
-				defer wwg.Done()
+			actors++
+		}
+		err = runActors(actors, func(w int) error {
+			buf := make([]byte, core.BlockSize)
+			if w == workers {
 				// One committer keeps rewriting hot blocks: each commit COWs
 				// the block through a log-role window and a seal, so readers
 				// keep crossing mutating slots. Paced off the shared read
@@ -100,22 +83,32 @@ func ReadHitScaling(o Options) (*Table, error) {
 				// much larger sim cost doesn't drown the read throughput the
 				// figure measures — the interference pattern, not the commit
 				// rate, is what the fast-hit ratio probes.
-				buf := make([]byte, core.BlockSize)
-				for n := 0; !stop.Load(); n++ {
-					for next.Load() < int64(n)*64 && !stop.Load() {
+				for n := 0; reading(); n++ {
+					for next.Load() < int64(n)*64 && reading() {
 						runtime.Gosched()
 					}
 					tx := c.Begin()
 					tx.Write(hot(n), buf)
 					if err := tx.Commit(); err != nil {
-						panic(fmt.Sprintf("writer: %v", err))
+						return fmt.Errorf("writer: %w", err)
 					}
 				}
-			}()
+				return nil
+			}
+			defer readersDone.Add(1)
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(total) {
+					return nil
+				}
+				if err := c.Read(hot(int(i)), buf); err != nil {
+					return fmt.Errorf("reader %d: %w", w, err)
+				}
+			}
+		})
+		if err != nil {
+			return result{}, err
 		}
-		wg.Wait()
-		stop.Store(true)
-		wwg.Wait()
 		elapsed := (clock.Now() - t0).Seconds()
 		st := c.Stats()
 		if err := c.Close(); err != nil {

@@ -2,14 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"tinca/internal/blockdev"
 	"tinca/internal/core"
-	"tinca/internal/metrics"
 	"tinca/internal/pmem"
-	"tinca/internal/sim"
 )
 
 // WriterScaling is the "fig: writer scaling" bench: commit throughput of
@@ -25,62 +20,24 @@ import (
 // The headline metric writer_speedup_8 (R=16 over R=1 throughput at 8
 // committers) is gated at >= 4x by TestWriterScaling.
 //
-// The figure runs on one P. The banks' overlap (sim.Window) counts the
-// committers that reach a persist together, and the window's yield lines
-// them up only when they share a P: on several Ps they run truly in
-// parallel, seldom meet inside a window, and writer_speedup_8 ranged
-// 2.1-2.9x from run to run on a 2-CPU host (7.22x every run on one P).
-// A committer blocked on the single ring's lock is not runnable on any P
-// count, so the R=1 column is unchanged.
+// Its committers run on one P (runActors). A committer blocked on the
+// single ring's lock is not runnable on any P count, so the R=1 column
+// is what a serialized seal delivers.
 func WriterScaling(o Options) (*Table, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	o = o.withDefaults()
 	t := NewTable("fig: writer scaling — disjoint-shard commit throughput, single ring vs CommitRings=16",
 		"goroutines", "R=1 commits/s", "R=16 commits/s", "speedup")
 
-	const blocksPerTxn = 4
 	total := o.scaled(1200, 160)
-
-	run := func(workers, rings int) (perSec float64, err error) {
-		clock := sim.NewClock()
-		rec := metrics.NewRecorder()
-		mem := pmem.New(16<<20, pmem.Banks(pmem.NVDIMM, 16), clock, rec)
-		disk := blockdev.New(1<<16, blockdev.Null, clock, rec)
-		c, err := core.Open(mem, disk, core.Options{
-			SealWaitNS:  200_000,
-			CommitRings: rings,
-		})
-		if err != nil {
-			return 0, err
-		}
-		block := make([]byte, core.BlockSize)
-		t0 := clock.Now()
-		var wg sync.WaitGroup
-		per := total / workers
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					txn := c.Begin()
-					// Disjoint per-worker blocks: w, w+16, w+32, ... — all
-					// in shard (and ring, at R=16) w mod 16.
-					for b := 0; b < blocksPerTxn; b++ {
-						txn.Write(uint64(w%16+16*b), block)
-					}
-					if err := txn.Commit(); err != nil {
-						panic(fmt.Sprintf("worker %d: %v", w, err))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := (clock.Now() - t0).Seconds()
-		if err := c.Close(); err != nil {
-			return 0, err
-		}
-		return float64(per*workers) / elapsed, nil
+	// Disjoint per-worker blocks: w, w+16, w+32, w+48 — all in shard (and
+	// ring, at R=16) w mod 16.
+	blocks := func(w int) []uint64 {
+		return []uint64{uint64(w % 16), uint64(w%16 + 16), uint64(w%16 + 32), uint64(w%16 + 48)}
+	}
+	run := func(workers, rings int) (float64, error) {
+		r, err := commitRun(pmem.Banks(pmem.NVDIMM, 16), core.Options{SealWaitNS: 200_000, CommitRings: rings},
+			workers, total, blocks)
+		return r.perSec, err
 	}
 
 	for _, workers := range []int{1, 2, 4, 8, 16} {

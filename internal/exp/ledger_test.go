@@ -23,10 +23,10 @@ var ledgerOptions = Options{Scale: 0.1, Seed: 42}
 // ledgerExcluded lists the registered figures whose numbers do not repeat
 // exactly, with the reason. Every other registered figure is in the ledger.
 var ledgerExcluded = map[string]string{
-	"groupcommit":   "batch formation depends on real time (SealWaitNS) and on the P count the process started with",
-	"phases":        "batch formation depends on real time (SealWaitNS) and on the P count the process started with",
-	"readhit":       "the reader overlap depends on the P count the process started with",
-	"writerscaling": "batch formation depends on real time (SealWaitNS) and on the P count the process started with",
+	"groupcommit":   "batch formation depends on real time (the SealWaitNS sleep)",
+	"phases":        "batch formation depends on real time (the SealWaitNS sleep)",
+	"readhit":       "the writer row paces its commits off host scheduling (runtime.Gosched)",
+	"writerscaling": "batch formation depends on real time (the SealWaitNS sleep)",
 	"indexscale":    "timed on the host clock, not the simulated one",
 }
 

@@ -99,9 +99,9 @@ func CLWBVariant(p Profile) Profile {
 }
 
 // Channels derives a profile whose block-sized loads overlap up to depth
-// concurrent requests (the memory-channel/bank parallelism of a real DIMM,
-// the analogue of blockdev.NCQ for the NVM side). Per-line costs are
-// unchanged; only the overlap granted to concurrently issued Loads.
+// concurrent requests (the memory-channel/bank parallelism of a real
+// DIMM). Per-line costs are unchanged; only the overlap granted to
+// concurrently issued Loads.
 func Channels(p Profile, depth int) Profile {
 	if depth < 1 {
 		depth = 1

@@ -121,14 +121,11 @@ func TestWindowCharge(t *testing.T) {
 			t.Errorf("depth %d, %d in flight: charged %d (clock %d), want %d",
 				tc.depth, tc.inflight, got, c.Now(), tc.want)
 		}
-		if w.InFlight() != int64(tc.inflight) {
-			t.Errorf("InFlight = %d, want %d", w.InFlight(), tc.inflight)
-		}
 		for i := 0; i < tc.inflight; i++ {
 			w.Leave()
 		}
-		if w.InFlight() != 0 {
-			t.Errorf("InFlight after Leave = %d", w.InFlight())
+		if got := w.Charge(c, 1200); got != 1200 {
+			t.Errorf("depth %d, nothing in flight: charged %d, want 1200", tc.depth, got)
 		}
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Window is the overlap model every simulated medium shares: k requests
+// Window is the overlap model of the NVM device's loads and persists
+// (pmem.Channels and pmem.Banks; the disk has none): k requests
 // in flight each charge ns/min(k, depth), so k fully overlapped requests
 // advance the additive clock by roughly one service time in total — but
 // only when the host actually issues them concurrently. A host that
@@ -50,6 +51,3 @@ func (w *Window) Charge(clock *Clock, ns int64) int64 {
 	clock.AdvanceNS(ns)
 	return ns
 }
-
-// InFlight reports the requests currently admitted (a queue-depth gauge).
-func (w *Window) InFlight() int64 { return w.inflight.Load() }
