@@ -137,8 +137,9 @@ type Options struct {
 	// single ring and a byte-identical layout.
 	CommitRings int
 
-	// lockedReadHit forces read hits through the shard-locked path,
-	// disabling the per-slot seqlock fast path (readfast.go). Unexported:
+	// lockedReadHit forces read hits through the shard-locked path
+	// (hitLocked), disabling the per-slot seqlock fast path (hitFast,
+	// readfast.go) for Read and ReadView alike. Unexported:
 	// it exists only as the reference implementation
 	// TestCrashSweepFastPathParity compares the fast path against.
 	lockedReadHit bool
@@ -421,7 +422,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 			c.fl = flight.Attach(mem, mem.Clock(), lay.FlightOff, lay.FlightSlots)
 		}
 		if err := c.recover(); err != nil {
-			return nil, err
+			return nil, &RecoveryError{Stats: c.recStats, Err: err}
 		}
 	} else {
 		c.format(hasImage)
@@ -693,12 +694,11 @@ func (c *Cache) allocPair() (uint32, int32, error) {
 
 // Read copies the current committed contents of disk block no into p
 // (BlockSize bytes). A miss populates the cache from disk (the cache
-// serves reads as well as writes, Section 4.6). A read hit usually takes
-// no lock at all — a per-slot seqlock validates the lock-free entry load
-// and block copy (readfast.go) — and falls back to the block's shard lock
-// on churn or a mid-seal block; misses on distinct blocks proceed in
-// parallel too — the fill's disk read happens before any lock is taken and
-// the install is an optimistic first-installer-wins race.
+// serves reads as well as writes, Section 4.6). A hit is ReadView's hit
+// (readfast.go) plus a copy: the block is pinned, usually without any
+// lock, copied into p and released. Misses on distinct blocks proceed in
+// parallel too — the fill's disk read happens before any lock is taken
+// and the install is an optimistic first-installer-wins race.
 func (c *Cache) Read(no uint64, p []byte) error {
 	if len(p) != BlockSize {
 		return fmt.Errorf("core: Read buffer must be %d bytes", BlockSize)
@@ -711,57 +711,13 @@ func (c *Cache) Read(no uint64, p []byte) error {
 		return fmt.Errorf("core: Read of block %d beyond disk (%d blocks): %w",
 			no, c.disk.Blocks(), ErrOutOfRange)
 	}
-	if !c.opts.lockedReadHit && c.readFast(no, p) {
-		return nil // counted inside readFast (hit + fast)
-	}
-	if c.readResident(no, p) {
-		c.rec.Inc(metrics.CacheReadHit)
-		c.rec.Inc(metrics.CacheReadHitSlow)
+	if v, ok := c.hit(no); ok {
+		copy(p, v.data)
+		v.release()
 		return nil
 	}
 	c.rec.Inc(metrics.CacheReadMiss)
 	return c.fillConcurrent(no, p)
-}
-
-// readResident serves no from the cache if resident, without touching any
-// counter: the shard-locked hit path (and the sole hit path under the
-// lockedReadHit oracle). A block mid-seal (log role) is
-// served from its last sealed version: the previous COW copy, or — for a
-// fresh write not yet sealed — the disk, read around the cache. A nil p
-// checks residency only (the ReadView miss path needs the install, not
-// the bytes) — no copy, no charge.
-func (c *Cache) readResident(no uint64, p []byte) bool {
-	sh := c.shardOf(no)
-	sh.mu.Lock()
-	i, ok := sh.idx.Get(no)
-	if !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	e := c.readEntry(i)
-	if e.role == RoleLog {
-		if e.prev == Fresh {
-			// Freshly written, seal pending: the sealed contents are
-			// still whatever the disk holds.
-			sh.mu.Unlock()
-			if p != nil {
-				c.disk.ReadBlock(no, p)
-			}
-			return true
-		}
-		// Serve the pre-seal version; no LRU touch while committing.
-		if p != nil {
-			c.mem.Load(c.lay.blockOff(e.prev), p)
-		}
-		sh.mu.Unlock()
-		return true
-	}
-	if p != nil {
-		c.mem.Load(c.lay.blockOff(e.cur), p)
-	}
-	c.touchLocked(sh, i)
-	sh.mu.Unlock()
-	return true
 }
 
 // maxOptimisticFills bounds how often a concurrent fill retries after
@@ -771,83 +727,66 @@ const maxOptimisticFills = 3
 
 // fillConcurrent is the concurrent miss path: read the disk block before
 // taking any lock, then install it with a lost-race check — the first
-// installer wins and the loser frees its block. An eviction-generation
-// check closes the one window optimism leaves open: if an ever-dirty
-// block was evicted from this shard while our disk read was in flight,
-// the read may predate that eviction's write-back, so the copy is thrown
-// away and the fill retries. After repeated losses it degrades to a
-// pessimistic fill that holds the shard lock across the disk read.
+// installer wins and the loser frees its block and serves the winner's
+// (copying it into p; a nil p returns at once and the caller retries its
+// hit). An eviction-generation check closes the one window optimism
+// leaves open: if an ever-dirty block was evicted from this shard while
+// our disk read was in flight, the read may predate that eviction's
+// write-back, so the copy is thrown away and the fill retries. After
+// repeated losses it degrades to a pessimistic fill that holds the shard
+// lock across the disk read.
 func (c *Cache) fillConcurrent(no uint64, p []byte) error {
 	sh := c.shardOf(no)
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
 	for attempt := 0; ; attempt++ {
-		if attempt >= maxOptimisticFills {
-			b, s, err := c.allocPair()
-			if err != nil {
-				return err
-			}
-			sh.mu.Lock()
-			if _, ok := sh.idx.Get(no); ok {
-				sh.mu.Unlock()
-				// Slot before block, always: a thread that pops the block
-				// may immediately demand a slot, and the free-slot pool must
-				// already hold one at that instant (popSlot's invariant).
-				c.alloc.pushSlot(s)
-				c.alloc.pushBlock(b)
-				c.rec.Inc(metrics.CacheFillRace)
-				if c.readResident(no, p) {
-					return nil
-				}
-				continue // evicted again before we could serve it
-			}
-			// Holding sh.mu across the disk read excludes every eviction
-			// and install in this shard: slow, but guaranteed to finish.
+		locked := attempt >= maxOptimisticFills
+		var gen uint64
+		if !locked {
+			gen = sh.evictGen.Load()
 			c.disk.ReadBlock(no, buf)
-			c.mem.PersistRange(c.lay.blockOff(b), buf)
-			c.beginSlotMutate(s)
-			c.writeEntry(s, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})
-			c.endSlotMutate(s)
-			sh.idx.Put(no, s)
-			c.pushFrontLocked(sh, s)
-			sh.mu.Unlock()
-			if p != nil {
-				copy(p, buf)
-			}
-			return nil
 		}
-
-		gen := sh.evictGen.Load()
-		c.disk.ReadBlock(no, buf)
 		b, s, err := c.allocPair()
 		if err != nil {
 			return err
 		}
-		// Persist the data before the entry that points at it; otherwise
-		// a crash could leave a clean-looking entry over garbage.
-		c.mem.PersistRange(c.lay.blockOff(b), buf)
-		sh.mu.Lock()
-		if _, ok := sh.idx.Get(no); ok {
-			// Lost the install race: a concurrent fill (or a committing
-			// transaction) beat us to it. First installer wins; free our
-			// copy and serve theirs.
-			sh.mu.Unlock()
-			c.alloc.pushSlot(s) // slot before block (popSlot's invariant)
-			c.alloc.pushBlock(b)
-			c.rec.Inc(metrics.CacheFillRace)
-			if c.readResident(no, p) {
-				return nil
-			}
-			continue // it was evicted again already; start over
+		if !locked {
+			// Persist the data before the entry that points at it;
+			// otherwise a crash could leave a clean-looking entry over
+			// garbage.
+			c.mem.PersistRange(c.lay.blockOff(b), buf)
 		}
-		if sh.evictGen.Load() != gen {
-			// An ever-dirty block left this shard while our disk read was
-			// in flight; the read may be stale. Retry with a fresh read.
+		sh.mu.Lock()
+		_, lost := sh.idx.Get(no)
+		if lost || (!locked && sh.evictGen.Load() != gen) {
+			// Lost the install race (a concurrent fill or a committing
+			// transaction beat us to it: first installer wins), or an
+			// ever-dirty block left this shard while our disk read was in
+			// flight, so the read may be stale. Free our copy.
 			sh.mu.Unlock()
-			c.alloc.pushSlot(s) // slot before block (popSlot's invariant)
+			// Slot before block, always: a thread that pops the block may
+			// immediately demand a slot, and the free-slot pool must
+			// already hold one at that instant (popSlot's invariant).
+			c.alloc.pushSlot(s)
 			c.alloc.pushBlock(b)
 			c.rec.Inc(metrics.CacheFillRace)
-			continue
+			if lost {
+				if p == nil {
+					return nil
+				}
+				if v, ok := c.hitLocked(no); ok {
+					copy(p, v.data)
+					v.release()
+					return nil
+				}
+			}
+			continue // evicted again already, or a stale read: start over
+		}
+		if locked {
+			// Holding sh.mu across the disk read excludes every eviction
+			// and install in this shard: slow, but guaranteed to finish.
+			c.disk.ReadBlock(no, buf)
+			c.mem.PersistRange(c.lay.blockOff(b), buf)
 		}
 		c.beginSlotMutate(s)
 		c.writeEntry(s, entry{valid: true, role: RoleBuffer, modified: false, disk: no, prev: Fresh, cur: b})

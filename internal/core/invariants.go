@@ -111,8 +111,10 @@ func (c *Cache) CheckInvariants() error {
 	// referenced by an entry unless it carries the orphan bit, in which
 	// case it must NOT be referenced: it is free-in-waiting, owned by the
 	// open views until the last unpin pushes it. Every pin belongs to an
-	// open zero-copy view, so the pin total is bounded by the open-view
-	// gauge (copying views hold no pin).
+	// open zero-copy view or to a Read in flight (a transient pin the
+	// open-view gauge does not count). A quiescent caller has no Read in
+	// flight, so the pin total is bounded by the open-view gauge (copying
+	// views hold no pin).
 	openViews := c.viewsOpen.Load()
 	orphaned := make(map[uint32]bool)
 	var pinTotal int64
@@ -144,7 +146,8 @@ func (c *Cache) CheckInvariants() error {
 	// partition the data area. Every allocator push during an eviction
 	// happens under the victim's shard lock, so holding all shard locks
 	// (plus the ring locks against commits) makes the snapshot consistent;
-	// pins are stable because the caller is quiescent (no views opening).
+	// pins are stable because the caller is quiescent (no views opening,
+	// no Read in flight).
 	freeB, freeS := c.alloc.snapshot()
 	if len(freeB)+len(usedBlock)+len(orphaned) != c.lay.Capacity {
 		return fmt.Errorf("invariant: free (%d) + used (%d) + view-held (%d) != capacity (%d)",

@@ -3,14 +3,17 @@ package core
 import (
 	"sync/atomic"
 
+	"tinca/internal/bufpool"
 	"tinca/internal/metrics"
 )
 
-// This file implements the lock-free read-hit fast path: per-slot seqlocks
-// plus a per-shard MPSC touch ring that decouples LRU promotion from the
-// hit itself. A warm cache spends most of its time here, so the common
-// case takes zero locks: a lock-free hash lookup, one 16B entry load, the
-// block copy, and a version re-check.
+// This file implements the read-hit path, the one way a resident block is
+// served: hit returns a View that pins the block's NVM bytes. ReadView
+// hands that View out; Read copies its bytes and releases it at once. A
+// warm cache spends most of its time here, so the common case takes zero
+// locks: a lock-free hash lookup, one 16B entry load, a pin, and a
+// version re-check (hitFast); churn and mid-seal blocks take the shard
+// lock (hitLocked).
 //
 // Seqlock protocol (DESIGN.md §11). Every entry slot i carries a volatile
 // version counter slotSeq[i]: even = stable, odd = mutation in progress.
@@ -27,21 +30,22 @@ import (
 //     carrying the log role — a block mid-seal is served by the locked
 //     path from its previous sealed version, per the role-switch ordering
 //     of Section 4.4),
-//  5. copies the NVM block bytes,
-//  6. re-loads slotSeq[i]; the copy is used only if it still equals s1.
+//  5. pins the NVM block the entry names (view.go),
+//  6. re-loads slotSeq[i]; the pin is kept only if it still equals s1.
 //
-// Torn-read impossibility: if the version was even before the copy and
-// unchanged after it, no mutator entered (or exited) a mutation of that
-// slot during the read — so the entry the reader decoded and the bytes it
-// copied belong to the same stable state. The one subtle hazard is block
-// reuse: an eviction frees the slot's data block, and an allocator hands
-// it to a concurrent fill or seal that overwrites the bytes mid-copy. The
-// eviction's beginSlotMutate happens (under the shard lock) before the
-// block is pushed onto the free pool, so any reader whose copy could
-// observe the reused bytes necessarily loaded s1 before the begin and
-// re-loads the counter after it — the re-check fails and the copy is
-// discarded. Readers never block mutators; after maxFastReadRetries
-// version changes the reader falls back to the shard-locked path.
+// Torn-read impossibility: if the version was even before the entry load
+// and unchanged after the pin, no mutator entered (or exited) a mutation
+// of that slot in between — so the pin landed on the block the stable
+// entry still references. The one hazard is block reuse: an eviction (or
+// role switch) frees the slot's data block, and an allocator hands it to
+// a concurrent fill or seal that overwrites the bytes. Every such free
+// bumps the slot's seqlock before it reads the block's pin word
+// (freeDataBlock), so either the free sees the pin and defers itself to
+// the last unpin, or the reader sees the bump and unpins and retries
+// (the Dekker handshake of view.go). A kept pin therefore guarantees the
+// bytes stay the entry's until release. Readers never block mutators;
+// after maxFastReadRetries version changes the reader falls back to the
+// shard-locked path.
 //
 // LRU decoupling: a fast hit must not take the shard lock just to splice
 // the LRU list, so it stamps the slot's atomic access tick (atime) and
@@ -132,26 +136,46 @@ func (c *Cache) endSlotMutate(i int32) {
 	c.slotSeq[i].Add(1)
 }
 
-// readFast serves a read hit of block no without any lock, reporting
-// whether it did. False means "not servable lock-free": a miss, a mid-seal
-// (log-role) entry, or persistent version churn — the caller falls back to
-// the locked path, which re-decides from scratch. The fast path performs
-// exactly the NVM operations of a locked hit (one 16B entry load + one
-// block copy), so on a quiescent cache the simulated cost is identical.
-func (c *Cache) readFast(no uint64, p []byte) bool {
+// hit serves a read hit of block no, reporting false on a miss. It counts
+// the hit and which path served it; the View it returns is uncounted
+// (ReadView counts it as a view, Read copies and releases it). The
+// lockedReadHit oracle skips the lock-free path.
+func (c *Cache) hit(no uint64) (View, bool) {
+	if !c.opts.lockedReadHit {
+		if v, ok := c.hitFast(no); ok {
+			c.rec.Inc(metrics.CacheReadHit)
+			c.rec.Inc(metrics.CacheReadHitFast)
+			return v, true
+		}
+	}
+	v, ok := c.hitLocked(no)
+	if ok {
+		c.rec.Inc(metrics.CacheReadHit)
+		c.rec.Inc(metrics.CacheReadHitSlow)
+	}
+	return v, ok
+}
+
+// hitFast serves a hit of block no without any lock, reporting whether it
+// did. False means "not servable lock-free": a miss, a mid-seal
+// (log-role) entry, or persistent version churn — the caller falls back
+// to hitLocked, which re-decides from scratch. It performs exactly the NVM
+// operations of a locked hit (one 16B entry load + one block read charge),
+// so on a quiescent cache the simulated cost is identical.
+func (c *Cache) hitFast(no uint64) (View, bool) {
 	sh := c.shardOf(no)
 	retries := 0
 	for {
 		i, ok := sh.idx.Get(no)
 		if !ok {
-			return false // miss (or just evicted): locked path decides
+			return View{}, false // miss (or just evicted): locked path decides
 		}
 		s1 := c.slotSeq[i].Load()
 		if s1&1 != 0 {
 			// A mutator is inside this slot right now.
 			c.rec.Inc(metrics.CacheSeqlockRetry)
 			if retries++; retries > maxFastReadRetries {
-				return false
+				return View{}, false
 			}
 			continue
 		}
@@ -161,28 +185,30 @@ func (c *Cache) readFast(no uint64, p []byte) bool {
 			// reused) between the lookup and the entry load. Retry from
 			// the lookup; the index catches up momentarily.
 			if retries++; retries > maxFastReadRetries {
-				return false
+				return View{}, false
 			}
 			continue
 		}
 		if e.role == RoleLog {
-			// Mid-seal: the locked path serves the previous sealed
-			// version (or reads around the cache for a fresh write), per
-			// the role-switch ordering of Section 4.4.
-			return false
+			return View{}, false // mid-seal: locked path serves the sealed version
 		}
-		c.mem.Load(c.lay.blockOff(e.cur), p)
+		c.pinBlock(e.cur)
 		if c.slotSeq[i].Load() != s1 {
-			// The slot mutated while we copied; the bytes may mix two
-			// versions (or a reused block). Discard and retry.
+			// A mutator entered the slot between the entry load and the
+			// pin: the pin may sit on a freed or reused block. Undo (which
+			// completes a deferred free if we were the last holder) and
+			// retry.
+			c.unpinBlock(e.cur)
 			c.rec.Inc(metrics.CacheSeqlockRetry)
 			if retries++; retries > maxFastReadRetries {
-				return false
+				return View{}, false
 			}
 			continue
 		}
-		// Consistent snapshot. Promote without the lock: stamp the exact
-		// access tick and queue the LRU splice.
+		// Pinned a stable version. Charge the NVM read and alias the bytes.
+		data := c.mem.ViewBytes(c.lay.blockOff(e.cur), BlockSize)
+		// Promote without the lock: stamp the exact access tick and queue
+		// the LRU splice.
 		c.atime[i].Store(c.tick.Add(1))
 		if !sh.touches.push(i) {
 			// Ring full. Opportunistically drain it if the shard lock is
@@ -199,11 +225,50 @@ func (c *Cache) readFast(no uint64, p []byte) bool {
 				c.rec.Inc(metrics.CacheTouchDrop)
 			}
 		}
-		c.rec.Inc(metrics.CacheReadHit)
-		c.rec.Inc(metrics.CacheReadHitFast)
 		if retries > 0 && c.obs != nil {
 			c.obs.readRetry.Record(int64(retries))
 		}
-		return true
+		return View{c: c, no: no, blk: e.cur, pinned: true, data: data}, true
 	}
+}
+
+// hitLocked serves a hit of block no under the shard lock, reporting false
+// on a miss: the fallback for churn and the only path for mid-seal
+// blocks. Pinning under the lock needs no seqlock dance — every freeing
+// mutator of this shard's blocks either holds the lock or (role switch,
+// seal phase D) published its entry update under it before freeing, so
+// the pin is ordered with the free by the lock itself plus the atomic pin
+// word.
+func (c *Cache) hitLocked(no uint64) (View, bool) {
+	sh := c.shardOf(no)
+	sh.mu.Lock()
+	i, ok := sh.idx.Get(no)
+	if !ok {
+		sh.mu.Unlock()
+		return View{}, false
+	}
+	e := c.readEntry(i)
+	blk := e.cur
+	if e.role == RoleLog {
+		if e.prev == Fresh {
+			// Freshly written block mid-seal: the last sealed contents are
+			// whatever the disk holds. Read around the cache into a
+			// private copy; there is no stable NVM version to pin.
+			sh.mu.Unlock()
+			buf := bufpool.Get()
+			c.disk.ReadBlock(no, buf)
+			return View{c: c, no: no, owned: true, data: buf}, true
+		}
+		// Serve the previous sealed version; no LRU touch while
+		// committing. The pin lands under the same shard lock the seal's
+		// role switch will take before it frees prev, so the deferral is
+		// guaranteed to be observed.
+		blk = e.prev
+	} else {
+		c.touchLocked(sh, i)
+	}
+	c.pinBlock(blk)
+	sh.mu.Unlock()
+	data := c.mem.ViewBytes(c.lay.blockOff(blk), BlockSize)
+	return View{c: c, no: no, blk: blk, pinned: true, data: data}, true
 }

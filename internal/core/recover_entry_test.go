@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"tinca/internal/blockdev"
@@ -83,10 +84,14 @@ func TestOpenRefusesCorruptEntryTable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mem, disk, lay := committedImage(t)
 			overwriteEntryTable(mem, lay, table)
-			if _, err := Open(mem, disk, entryImageOpts); err == nil {
+			_, err := Open(mem, disk, entryImageOpts)
+			if err == nil {
 				t.Fatal("Open accepted the corrupt entry table")
-			} else {
-				t.Log(err)
+			}
+			t.Log(err)
+			var re *RecoveryError
+			if !errors.As(err, &re) || !re.Stats.Ran || !re.Stats.Failed {
+				t.Fatalf("Open error %T does not carry failed recovery stats: %v", err, err)
 			}
 			bb := flight.Decode(mem, lay.FlightOff, lay.FlightSlots)
 			if !bb.RecoverFailed || bb.RecoverFailCode != recFailBadEntry {

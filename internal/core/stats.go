@@ -125,8 +125,9 @@ type RecoveryStats struct {
 	// Failed marks a recovery that gave up with a structural error
 	// (Head behind Tail, ring span beyond capacity, duplicate or
 	// out-of-range entry, ring naming an unmapped block, unreadable
-	// checkpoint). Open returned that error; the partial stats plus the
-	// terminal EvRecoverFail flight record are the forensic trail.
+	// checkpoint). Open returned that error as a *RecoveryError carrying
+	// these partial stats; they plus the terminal EvRecoverFail flight
+	// record are the forensic trail.
 	Failed bool
 
 	// Checkpoint fast path (checkpointed images only).
@@ -134,6 +135,19 @@ type RecoveryStats struct {
 	CkptEpoch      uint64 // epoch of the frame recovery loaded
 	DeltaSlots     int64  // journaled slots replayed on top of the frame
 }
+
+// RecoveryError is the error Open returns when crash recovery refuses an
+// image. Stats is the partial breakdown of the refused pass (Stats.Failed
+// is set for a structural error); the cause is Err, which Unwrap exposes
+// so errors.Is matches it as before.
+type RecoveryError struct {
+	Stats RecoveryStats
+	Err   error
+}
+
+func (e *RecoveryError) Error() string { return e.Err.Error() }
+
+func (e *RecoveryError) Unwrap() error { return e.Err }
 
 // AvgGroupSize reports the mean transactions per seal (0 when no seal has
 // happened).

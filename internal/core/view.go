@@ -7,11 +7,12 @@ import (
 	"tinca/internal/metrics"
 )
 
-// This file implements the zero-copy half of the redesigned read API.
-// Read(no, p) copies 4 KiB on every hit; ReadView(no) hands the caller a
-// View whose Bytes() alias the pinned NVM block directly, so a hit costs
-// the entry load plus the (simulated) NVM read charge and nothing else —
-// no DRAM copy, no allocation.
+// This file implements the View every read hit is served through
+// (readfast.go). ReadView(no) hands the caller a View whose Bytes() alias
+// the pinned NVM block directly, so a hit costs the entry load plus the
+// (simulated) NVM read charge and nothing else — no DRAM copy, no
+// allocation. Read(no, p) takes the same View, copies its 4 KiB into p
+// and releases it at once: a transient pin.
 //
 // # Pin protocol (DESIGN.md §12)
 //
@@ -21,11 +22,12 @@ import (
 // until the block re-enters the free pool. A view therefore pins the NVM
 // block, not the slot: viewPins[b] holds (refcount << 1) | orphanBit.
 //
-//   - Readers pin with an atomic +2. The fast path then re-loads the
-//     slot's seqlock: unchanged means no mutator entered the slot between
-//     the entry load and the pin, so the pin landed on the block the
-//     entry still references. If it changed, the reader unpins and
-//     retries — the transient pin is harmless (see below).
+//   - Readers (an open View, or a Read in flight) pin with an atomic +2.
+//     The fast path then re-loads the slot's seqlock: unchanged means no
+//     mutator entered the slot between the entry load and the pin, so
+//     the pin landed on the block the entry still references. If it
+//     changed, the reader unpins and retries — the transient pin is
+//     harmless (see below).
 //   - Mutators that would free a block (eviction, drop of a raced-in
 //     fill, role switch freeing a previous version, live revoke) call
 //     freeDataBlock instead of pushing to the allocator directly: if the
@@ -90,15 +92,20 @@ func (v *View) Close() error {
 		return ErrViewExpired
 	}
 	v.closed = true
-	c := v.c
+	v.release()
+	v.c.viewsOpen.Add(-1)
+	return nil
+}
+
+// release drops the pin or recycles the private copy: Close without the
+// open-view gauge, for the transient view a Read hit copies out of.
+func (v *View) release() {
 	if v.pinned {
-		c.unpinBlock(v.blk)
+		v.c.unpinBlock(v.blk)
 	} else if v.owned {
 		bufpool.Put(v.data)
 	}
 	v.data = nil
-	c.viewsOpen.Add(-1)
-	return nil
 }
 
 // pinBlock takes one view reference on NVM block b.
@@ -143,10 +150,9 @@ func (c *Cache) OpenViews() int64 { return c.viewsOpen.Load() }
 // ReadView returns a zero-copy View of the current committed contents of
 // disk block no, populating the cache on a miss exactly like Read. A hit
 // pins the NVM block and aliases its bytes — the simulated NVM cost
-// matches Read's, but the host-side 4 KiB copy and its allocation
-// disappear. The caller must Close the view; until then the bytes are a
-// stable snapshot even across concurrent commits (COW) and evictions
-// (deferred free).
+// matches Read's, but the host-side 4 KiB copy disappears. The caller
+// must Close the view; until then the bytes are a stable snapshot even
+// across concurrent commits (COW) and evictions (deferred free).
 func (c *Cache) ReadView(no uint64) (View, error) {
 	c.checkPoison()
 	if c.closed.Load() {
@@ -157,16 +163,13 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 			no, c.disk.Blocks(), ErrOutOfRange)
 	}
 	for {
-		if !c.opts.lockedReadHit {
-			if v, ok := c.readViewFast(no); ok {
-				return v, nil
+		if v, ok := c.hit(no); ok {
+			if v.pinned {
+				c.rec.Inc(metrics.CacheViewZeroCopy)
+			} else {
+				c.rec.Inc(metrics.CacheViewCopied)
 			}
-		}
-		v, ok, err := c.readViewLocked(no)
-		if err != nil {
-			return View{}, err
-		}
-		if ok {
+			c.viewsOpen.Add(1)
 			return v, nil
 		}
 		// Miss: populate (no output copy needed) and retry the hit paths.
@@ -175,123 +178,4 @@ func (c *Cache) ReadView(no uint64) (View, error) {
 			return View{}, err
 		}
 	}
-}
-
-// readViewFast is the lock-free hit path for views: readFast's seqlock
-// protocol (readfast.go) with the block copy replaced by pin + re-check.
-// The re-check proves the pin landed while the entry still referenced the
-// block, so the bytes cannot be recycled until Close.
-func (c *Cache) readViewFast(no uint64) (View, bool) {
-	sh := c.shardOf(no)
-	retries := 0
-	for {
-		i, ok := sh.idx.Get(no)
-		if !ok {
-			return View{}, false // miss (or just evicted): locked path decides
-		}
-		s1 := c.slotSeq[i].Load()
-		if s1&1 != 0 {
-			c.rec.Inc(metrics.CacheSeqlockRetry)
-			if retries++; retries > maxFastReadRetries {
-				return View{}, false
-			}
-			continue
-		}
-		e := c.readEntry(i)
-		if !e.valid || e.disk != no {
-			if retries++; retries > maxFastReadRetries {
-				return View{}, false
-			}
-			continue
-		}
-		if e.role == RoleLog {
-			return View{}, false // mid-seal: locked path serves the sealed version
-		}
-		c.pinBlock(e.cur)
-		if c.slotSeq[i].Load() != s1 {
-			// A mutator entered the slot between the entry load and the
-			// pin: the pin may sit on a freed or reused block. Undo (which
-			// completes a deferred free if we were the last holder) and
-			// retry.
-			c.unpinBlock(e.cur)
-			c.rec.Inc(metrics.CacheSeqlockRetry)
-			if retries++; retries > maxFastReadRetries {
-				return View{}, false
-			}
-			continue
-		}
-		// Pinned a stable version. Charge the NVM read and alias the bytes.
-		data := c.mem.ViewBytes(c.lay.blockOff(e.cur), BlockSize)
-		// LRU promotion, exactly as readFast: stamp the tick, queue the
-		// splice.
-		c.atime[i].Store(c.tick.Add(1))
-		if !sh.touches.push(i) {
-			if sh.mu.TryLock() {
-				c.drainTouchesLocked(sh)
-				if sh.lru.contains(i) {
-					sh.lru.touch(i)
-				}
-				sh.mu.Unlock()
-			} else {
-				c.rec.Inc(metrics.CacheTouchDrop)
-			}
-		}
-		c.rec.Inc(metrics.CacheReadHit)
-		c.rec.Inc(metrics.CacheReadHitFast)
-		c.rec.Inc(metrics.CacheViewZeroCopy)
-		c.viewsOpen.Add(1)
-		return View{c: c, no: no, blk: e.cur, pinned: true, data: data}, true
-	}
-}
-
-// readViewLocked serves a view under the shard lock: the fallback for
-// churn and the only entry point for mid-seal blocks. Pinning under the
-// lock needs no seqlock dance — every freeing mutator of this shard's
-// blocks either holds the lock or (role switch, seal phase D) published
-// its entry update under it before freeing, so the pin is ordered with
-// the free by the lock itself plus the atomic pin word.
-func (c *Cache) readViewLocked(no uint64) (View, bool, error) {
-	sh := c.shardOf(no)
-	sh.mu.Lock()
-	i, ok := sh.idx.Get(no)
-	if !ok {
-		sh.mu.Unlock()
-		return View{}, false, nil // miss: the caller fills and retries
-	}
-	e := c.readEntry(i)
-	if e.role == RoleLog {
-		if e.prev == Fresh {
-			// Freshly written block mid-seal: the last sealed contents are
-			// whatever the disk holds. Read around the cache into a
-			// private copy; there is no stable NVM version to pin.
-			sh.mu.Unlock()
-			buf := bufpool.Get()
-			c.disk.ReadBlock(no, buf)
-			c.rec.Inc(metrics.CacheReadHit)
-			c.rec.Inc(metrics.CacheReadHitSlow)
-			c.rec.Inc(metrics.CacheViewCopied)
-			c.viewsOpen.Add(1)
-			return View{c: c, no: no, owned: true, data: buf}, true, nil
-		}
-		// Serve the previous sealed version zero-copy. The pin lands under
-		// the same shard lock the seal's role switch will take before it
-		// frees prev, so the deferral is guaranteed to be observed.
-		c.pinBlock(e.prev)
-		sh.mu.Unlock()
-		data := c.mem.ViewBytes(c.lay.blockOff(e.prev), BlockSize)
-		c.rec.Inc(metrics.CacheReadHit)
-		c.rec.Inc(metrics.CacheReadHitSlow)
-		c.rec.Inc(metrics.CacheViewZeroCopy)
-		c.viewsOpen.Add(1)
-		return View{c: c, no: no, blk: e.prev, pinned: true, data: data}, true, nil
-	}
-	c.pinBlock(e.cur)
-	c.touchLocked(sh, i)
-	sh.mu.Unlock()
-	data := c.mem.ViewBytes(c.lay.blockOff(e.cur), BlockSize)
-	c.rec.Inc(metrics.CacheReadHit)
-	c.rec.Inc(metrics.CacheReadHitSlow)
-	c.rec.Inc(metrics.CacheViewZeroCopy)
-	c.viewsOpen.Add(1)
-	return View{c: c, no: no, blk: e.cur, pinned: true, data: data}, true, nil
 }

@@ -103,6 +103,109 @@ func TestReadViewBasics(t *testing.T) {
 	}
 }
 
+// TestReadMatchesReadView pins the one read-hit path: a Read hit is
+// ReadView's hit plus a copy. On a fast hit and on a locked hit (the
+// lockedReadHit oracle), Read and ReadView+Close of the same block return
+// the same bytes, advance the simulated clock by the same ns and move the
+// hit counters alike, while Read leaves the view statistics untouched. On
+// a miss the two differ by design: ReadView fills and then serves the
+// view as one hit read, where Read copies the filled bytes out.
+func TestReadMatchesReadView(t *testing.T) {
+	hits := func(c *Cache) [3]int64 {
+		st := c.Stats()
+		return [3]int64{st.ReadHits, st.ReadHitFast, st.ReadHitSlow}
+	}
+	for _, locked := range []bool{false, true} {
+		want := [3]int64{1, 1, 0}
+		name := "fast"
+		if locked {
+			want, name = [3]int64{1, 0, 1}, "locked"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := openViewTestCache(t, Options{RingBytes: 4096, lockedReadHit: locked})
+			clock := c.mem.Clock()
+			tx := c.Begin()
+			tx.Write(7, blockOf('r'))
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			p := make([]byte, BlockSize)
+			h0, t0 := hits(c), clock.Now()
+			if err := c.Read(7, p); err != nil {
+				t.Fatal(err)
+			}
+			readNS, h1 := clock.Now()-t0, hits(c)
+			if st := c.Stats(); st.ZeroCopyViews != 0 || st.OpenViews != 0 {
+				t.Fatalf("Read moved the view statistics: zero-copy %d, open %d",
+					st.ZeroCopyViews, st.OpenViews)
+			}
+
+			t1 := clock.Now()
+			v, err := c.ReadView(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bytes.Clone(v.Bytes())
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			viewNS, h2 := clock.Now()-t1, hits(c)
+
+			if !bytes.Equal(p, blockOf('r')) || !bytes.Equal(got, p) {
+				t.Fatal("Read and ReadView bytes differ")
+			}
+			if readNS != viewNS || readNS == 0 {
+				t.Fatalf("hit cost: Read %v, ReadView %v", readNS, viewNS)
+			}
+			for k := range want {
+				if h1[k]-h0[k] != want[k] || h2[k]-h1[k] != want[k] {
+					t.Fatalf("hit/fast/slow deltas: Read %v, ReadView %v, want %v",
+						[3]int64{h1[0] - h0[0], h1[1] - h0[1], h1[2] - h0[2]},
+						[3]int64{h2[0] - h1[0], h2[1] - h1[1], h2[2] - h1[2]}, want)
+				}
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("miss", func(t *testing.T) {
+		rc := openViewTestCache(t, Options{RingBytes: 4096})
+		vc := openViewTestCache(t, Options{RingBytes: 4096})
+		p := make([]byte, BlockSize)
+		t0 := rc.mem.Clock().Now()
+		if err := rc.Read(100, p); err != nil {
+			t.Fatal(err)
+		}
+		readMissNS := rc.mem.Clock().Now() - t0
+		t1 := rc.mem.Clock().Now()
+		if err := rc.Read(100, p); err != nil {
+			t.Fatal(err)
+		}
+		hitNS := rc.mem.Clock().Now() - t1
+
+		t2 := vc.mem.Clock().Now()
+		v, err := vc.ReadView(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viewMissNS := vc.mem.Clock().Now() - t2
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if viewMissNS != readMissNS+hitNS {
+			t.Fatalf("miss cost: ReadView %v, want Read's fill %v + one hit %v",
+				viewMissNS, readMissNS, hitNS)
+		}
+		if rs, vs := rc.Stats(), vc.Stats(); rs.ReadHits != 1 || vs.ReadHits != 1 {
+			t.Fatalf("hits after a miss and a hit Read: %d; after a miss ReadView: %d, want 1 and 1",
+				rs.ReadHits, vs.ReadHits)
+		}
+	})
+}
+
 // TestReadViewCopyModes pins the copy decision for the ablation modes:
 // they keep zero-copy views, because their cost hooks write only the
 // seal's scratch block, never a block an entry names. The second commit

@@ -157,6 +157,6 @@ func ReadHitScaling(o Options) (*Table, error) {
 	t.SetMetric("fast_hit_ratio", r.fastPct/100)
 	t.SetMetric("seqlock_8g_writer_seqlock_retries", float64(r.stats.SeqlockRetries))
 	t.SetMetric("seqlock_8g_writer_touch_ring_drops", float64(r.stats.TouchRingDrops))
-	t.Note = "64 hot blocks on one metadata shard, warmed, hit-only; hits run readfast.go's zero-lock path on an NVM profile that overlaps up to 8 loads (pmem.Channels); the writer row adds a committer COWing the same hot set; speedup is against the 1-goroutine row"
+	t.Note = "64 hot blocks on one metadata shard, warmed, hit-only; hits run the zero-lock hit path (hitFast) on an NVM profile that overlaps up to 8 loads (pmem.Channels); the writer row adds a committer COWing the same hot set; speedup is against the 1-goroutine row"
 	return t, nil
 }

@@ -380,23 +380,9 @@ func (f *FS) Append(path string, data []byte) error {
 func (f *FS) ReadAt(path string, off uint64, p []byte) (int, error) {
 	var read uint64
 	err := f.runRead(func(ctx *opCtx) error {
-		ino, err := ctx.resolve(path)
+		in, want, err := ctx.readRange(path, off, uint64(len(p)))
 		if err != nil {
 			return err
-		}
-		in, err := ctx.readInode(ino)
-		if err != nil {
-			return err
-		}
-		if in.mode != ModeFile {
-			return ErrIsDir
-		}
-		if off >= in.size {
-			return ErrReadRange
-		}
-		want := uint64(len(p))
-		if off+want > in.size {
-			want = in.size - off
 		}
 		buf := make([]byte, BlockSize)
 		for read < want {
@@ -426,6 +412,28 @@ func (f *FS) ReadAt(path string, off uint64, p []byte) (int, error) {
 		return nil
 	})
 	return int(read), err
+}
+
+// readRange is the prefix ReadAt and ReadAtView share: resolve path to a
+// regular file and clamp an n-byte read at off to EOF, returning the
+// inode and the byte count to read. A read at or past EOF is
+// ErrReadRange.
+func (c *opCtx) readRange(path string, off, n uint64) (inode, uint64, error) {
+	ino, err := c.resolve(path)
+	if err != nil {
+		return inode{}, 0, err
+	}
+	in, err := c.readInode(ino)
+	if err != nil {
+		return inode{}, 0, err
+	}
+	if in.mode != ModeFile {
+		return inode{}, 0, ErrIsDir
+	}
+	if off >= in.size {
+		return inode{}, 0, ErrReadRange
+	}
+	return in, min(n, in.size-off), nil
 }
 
 // Truncate sets the file size. Shrinking to zero frees all blocks;

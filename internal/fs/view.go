@@ -77,23 +77,9 @@ func (v *FileView) Close() error {
 func (f *FS) ReadAtView(path string, off uint64, n int) (FileView, error) {
 	var view FileView
 	err := f.runRead(func(ctx *opCtx) error {
-		ino, err := ctx.resolve(path)
+		in, want, err := ctx.readRange(path, off, uint64(n))
 		if err != nil {
 			return err
-		}
-		in, err := ctx.readInode(ino)
-		if err != nil {
-			return err
-		}
-		if in.mode != ModeFile {
-			return ErrIsDir
-		}
-		if off >= in.size {
-			return ErrReadRange
-		}
-		want := uint64(n)
-		if want > in.size-off {
-			want = in.size - off
 		}
 		bo := int(off % BlockSize)
 		if maxInBlock := uint64(BlockSize - bo); want > maxInBlock {

@@ -123,10 +123,12 @@ type CacheOptions = core.Options
 type Txn = core.Txn
 
 // View is a zero-copy window onto one cached disk block, returned by
-// Cache.ReadView: on a concurrent-mode hit its Bytes alias the pinned
-// NVM block (no 4KB copy, no allocation) and stay a stable snapshot
-// until Close, even across concurrent commits and evictions. See also
-// FS.ReadAtView / FileView for the file-level equivalent.
+// Cache.ReadView: on a hit its Bytes alias the pinned NVM block (no 4KB
+// copy, no allocation) and stay a stable snapshot until Close, even
+// across concurrent commits and evictions. Only a block freshly written
+// by a seal still in flight comes as a private copy. Cache.Read serves a
+// hit through the same pinned view, copying it out and releasing it at
+// once. See also FS.ReadAtView / FileView for the file-level equivalent.
 type View = core.View
 
 // Cross-layer error sentinels. Each layer wraps these in its own
