@@ -405,7 +405,7 @@ func (c *Cache) ReadBlock(no uint64, p []byte) error {
 }
 
 // writeHitCounter picks the counter for a write to block no.
-func (c *Cache) writeHitCounter(no uint64, hit bool) string {
+func (c *Cache) writeHitCounter(no uint64, hit bool) metrics.Counter {
 	journal := c.opts.JournalBoundary != 0 && no >= c.opts.JournalBoundary
 	switch {
 	case journal && hit:
@@ -461,14 +461,4 @@ func (c *Cache) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	return nil
-}
-
-// WriteHitRate returns the lifetime write hit ratio (Figure 12(c)).
-func (c *Cache) WriteHitRate() float64 {
-	h := c.rec.Get(metrics.CacheWriteHit)
-	m := c.rec.Get(metrics.CacheWriteMiss)
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

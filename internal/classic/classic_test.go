@@ -250,7 +250,7 @@ func TestWriteHitRateClassic(t *testing.T) {
 	r := newRig(t, 1<<20, Options{assoc: 8})
 	r.cache.WriteBlock(1, blockOf(1))
 	r.cache.WriteBlock(1, blockOf(2))
-	if got := r.cache.WriteHitRate(); got != 0.5 {
-		t.Fatalf("hit rate = %v", got)
+	if h, m := r.rec.Get(metrics.CacheWriteHit), r.rec.Get(metrics.CacheWriteMiss); h != 1 || m != 1 {
+		t.Fatalf("write hits/misses = %d/%d, want 1/1", h, m)
 	}
 }

@@ -162,9 +162,8 @@ func (c *Cluster) applyFirstUp(nodes []*Node, fn func(n *Node) error) error {
 	return ErrNodeDown
 }
 
-// Stats sums the typed device counters across every node. It replaces
-// string-keyed Snapshot lookups for the common device costs; Snapshot
-// remains available for everything else (e.g. network counters).
+// Stats sums the typed device counters across every node. Snapshot
+// covers everything else (e.g. network counters).
 func (c *Cluster) Stats() stack.DeviceStats {
 	var d stack.DeviceStats
 	for _, n := range c.Nodes {
@@ -175,14 +174,9 @@ func (c *Cluster) Stats() stack.DeviceStats {
 
 // Snapshot sums the metric counters across every node plus the network.
 func (c *Cluster) Snapshot() metrics.Snapshot {
-	total := make(metrics.Snapshot)
+	total := c.NetRec.Snapshot()
 	for _, n := range c.Nodes {
-		for k, v := range n.Stack.Rec.Snapshot() {
-			total[k] += v
-		}
-	}
-	for k, v := range c.NetRec.Snapshot() {
-		total[k] += v
+		total = total.Add(n.Stack.Rec.Snapshot())
 	}
 	return total
 }

@@ -389,7 +389,7 @@ func Open(mem *pmem.Device, disk blockdev.Store, opts Options) (*Cache, error) {
 	}
 	c.alloc.init(lay.Capacity)
 	for r := range c.rings {
-		c.rings[r].init(c.rec, r)
+		c.rings[r].init(r)
 	}
 	if opts.Observe || opts.Tracer != nil {
 		c.obs = newObs(mem.Clock(), mem.Recorder(), opts.Tracer)
@@ -905,15 +905,4 @@ func (c *Cache) Close() error {
 	c.lockRings()
 	c.unlockRings() // the empty critical section is the barrier
 	return nil
-}
-
-// WriteHitRate returns cache write hits / (hits+misses) over the lifetime
-// of the shared recorder (Figure 12(c) metric).
-func (c *Cache) WriteHitRate() float64 {
-	h := c.rec.Get(metrics.CacheWriteHit)
-	m := c.rec.Get(metrics.CacheWriteMiss)
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -373,8 +373,8 @@ func TestWriteHitRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.cache.WriteHitRate(); got != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", got)
+	if st := r.cache.Stats(); st.WriteHits != 1 || st.WriteMisses != 1 {
+		t.Fatalf("write hits/misses = %d/%d, want 1/1", st.WriteHits, st.WriteMisses)
 	}
 }
 

@@ -38,8 +38,8 @@ type obs struct {
 	readRetry *metrics.Histogram
 }
 
-// newObs resolves every histogram once so the hot path never touches the
-// registry map.
+// newObs resolves every histogram once so the hot path holds plain
+// pointers.
 func newObs(clock *sim.Clock, rec *metrics.Recorder, tr *metrics.Tracer) *obs {
 	return &obs{
 		clock:      clock,

@@ -48,22 +48,22 @@ func TestObservePhaseHistograms(t *testing.T) {
 		seen[p.Phase] = LatencySummaryCheck{p.Count, p.MaxNS}
 	}
 	// Every pipeline phase must have one sample per seal.
-	seals := seen[metrics.HistCommitSeal].Count
+	seals := seen[metrics.HistCommitSeal.String()].Count
 	if seals == 0 {
 		t.Fatalf("no seals observed: %v", seen)
 	}
-	for _, name := range []string{
+	for _, h := range []metrics.Hist{
 		metrics.HistCommitWait, metrics.HistCommitData, metrics.HistCommitEntries,
 		metrics.HistCommitRing, metrics.HistCommitSwitch, metrics.HistCommitTail,
 	} {
-		if seen[name].Count != seals {
+		if name := h.String(); seen[name].Count != seals {
 			t.Fatalf("phase %s has %d samples, want %d (one per seal); phases=%v", name, seen[name].Count, seals, seen)
 		}
 	}
 	// The data phase writes blocks to NVM, so it must be the dominant one.
-	if seen[metrics.HistCommitData].MaxNS <= seen[metrics.HistCommitTail].MaxNS {
+	if seen[metrics.HistCommitData.String()].MaxNS <= seen[metrics.HistCommitTail.String()].MaxNS {
 		t.Fatalf("data phase (%d) not dominating tail flip (%d)",
-			seen[metrics.HistCommitData].MaxNS, seen[metrics.HistCommitTail].MaxNS)
+			seen[metrics.HistCommitData.String()].MaxNS, seen[metrics.HistCommitTail.String()].MaxNS)
 	}
 
 	// A fresh device formats; reopening the same device runs (and times)
@@ -147,20 +147,15 @@ func TestFlightRecorderDeterministic(t *testing.T) {
 	}
 	off, _ := run(Options{})
 	on, c1 := run(Options{FlightRecorder: true})
-	for k, v := range on {
-		if off[k] != v {
-			t.Errorf("counter %s: %d with recorder on, %d off", k, v, off[k])
-		}
-	}
-	for k, v := range off {
-		if _, ok := on[k]; !ok && v != 0 {
-			t.Errorf("counter %s: %d off, absent on", k, v)
+	for k := range on {
+		if on[k] != off[k] {
+			t.Errorf("counter %s: %d with recorder on, %d off", metrics.Counter(k), on[k], off[k])
 		}
 	}
 	on2, c2 := run(Options{FlightRecorder: true})
-	for k, v := range on2 {
-		if on[k] != v {
-			t.Errorf("counter %s: %d vs %d across identical flights", k, on[k], v)
+	for k := range on2 {
+		if on[k] != on2[k] {
+			t.Errorf("counter %s: %d vs %d across identical flights", metrics.Counter(k), on[k], on2[k])
 		}
 	}
 	bb1, bb2 := c1.Blackbox(), c2.Blackbox()

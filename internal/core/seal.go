@@ -111,17 +111,15 @@ type ringState struct {
 	// over, kept here so the common path allocates none.
 	only [1]int
 
-	// Resolved counter cells (per-ring names) so the hot path never pays
-	// a registry lookup: seals counts this ring's seals, depth is the
-	// queue-depth gauge (+1 enqueue, -1 when a seal claims the request).
-	seals, depth *atomic.Int64
+	// seals counts this ring's seals, depth is the queue-depth gauge (+1
+	// enqueue, -1 when a seal claims the request); Stats reports both as
+	// RingSeals/RingQueueDepth.
+	seals, depth atomic.Int64
 }
 
-func (rs *ringState) init(rec *metrics.Recorder, r int) {
+func (rs *ringState) init(r int) {
 	rs.qcond = sync.NewCond(&rs.qmu)
 	rs.only[0] = r
-	rs.seals = rec.Counter(metrics.RingSealName(r))
-	rs.depth = rec.Counter(metrics.RingQueueDepthName(r))
 }
 
 // ringOf maps a disk block to its commit ring: shardIdx(no) mod R, which

@@ -2,10 +2,9 @@ package core
 
 import "tinca/internal/metrics"
 
-// CacheStats is a typed snapshot of the cache-level counters. It replaces
-// string-keyed metrics.Snapshot lookups on the public surface; the
-// Recorder remains available for experiment drivers that need raw
-// counters.
+// CacheStats is a typed snapshot of the cache-level counters: the
+// Recorder's cache, transaction and device slots plus state the cache
+// keeps itself (index grows, open views, per-ring counts).
 type CacheStats struct {
 	// Hit/miss accounting (write side counts distinct blocks per seal).
 	ReadHits    int64
@@ -57,10 +56,11 @@ type CacheStats struct {
 
 	// Per-ring commit counters; both slices have one element per commit
 	// ring (length max(CommitRings, 1), so never empty). RingSeals[r]
-	// counts seals ring r participated in (a cross-shard seal counts once
-	// per participating ring); RingQueueDepth[r] is the live per-ring
-	// commit-queue gauge. CrossShardTxns and RingSealConflicts (ring locks
-	// a cross-shard committer found contended) stay zero on one ring.
+	// counts seals ring r participated in since Open (a cross-shard seal
+	// counts once per participating ring); RingQueueDepth[r] is the live
+	// per-ring commit-queue gauge. CrossShardTxns and RingSealConflicts
+	// (ring locks a cross-shard committer found contended) stay zero on
+	// one ring.
 	RingSeals         []int64
 	RingQueueDepth    []int64
 	CrossShardTxns    int64

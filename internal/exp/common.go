@@ -30,9 +30,9 @@ func (m measured) perSecond(count int64) float64 {
 	return float64(count) / m.wall.Seconds()
 }
 
-// per divides counter name by ops.
-func (m measured) per(name string, ops int64) float64 {
-	return m.snap.PerOp(name, ops)
+// per divides counter c by ops.
+func (m measured) per(c metrics.Counter, ops int64) float64 {
+	return m.snap.PerOp(c, ops)
 }
 
 // Observability is applied to every stack buildStack constructs. The

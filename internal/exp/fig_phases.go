@@ -34,7 +34,11 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 	// Phase rows per system: histogram name plus the label printed in the
 	// table. The final entry is the whole-commit aggregate; its share cell
 	// is left blank (it is the denominator's superset, not a slice).
-	tincaPhases := []struct{ hist, label string }{
+	type phase struct {
+		hist  metrics.Hist
+		label string
+	}
+	tincaPhases := []phase{
 		{metrics.HistCommitWait, "wait"},
 		{metrics.HistCommitAbsorb, "absorb"},
 		{metrics.HistCommitData, "data"},
@@ -43,14 +47,14 @@ func CommitPhaseBreakdown(o Options) (*Table, error) {
 		{metrics.HistCommitSwitch, "switch"},
 		{metrics.HistCommitTail, "tail+fence"},
 	}
-	classicPhases := []struct{ hist, label string }{
+	classicPhases := []phase{
 		{metrics.HistJBDLog, "desc+log"},
 		{metrics.HistJBDCommitBlk, "commit blk"},
 		{metrics.HistJBDCheckpoint, "checkpoint"},
 	}
 
 	emit := func(system string, workers int, rec *metrics.Recorder,
-		phases []struct{ hist, label string }, totalHist string) {
+		phases []phase, totalHist metrics.Hist) {
 		var denom int64
 		snaps := make([]metrics.HistSnapshot, len(phases))
 		for i, p := range phases {

@@ -145,7 +145,7 @@ func TestEmitIsSilent(t *testing.T) {
 	after := rec.Snapshot()
 	for k, v := range after {
 		if before[k] != v {
-			t.Fatalf("Emit changed counter %s: %d -> %d", k, before[k], v)
+			t.Fatalf("Emit changed counter %s: %d -> %d", metrics.Counter(k), before[k], v)
 		}
 	}
 }

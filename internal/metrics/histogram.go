@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 )
 
@@ -35,11 +34,8 @@ const (
 )
 
 // NewHistogram returns an empty histogram. Most callers obtain histograms
-// from a Recorder (Hist/Observe) so snapshots travel with the counters.
+// from a Recorder (Hist) so snapshots travel with the counters.
 func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
 
 // bucketIndex maps a value to its log-linear bucket.
 func bucketIndex(v int64) int {
@@ -248,11 +244,4 @@ func fmtNS(ns int64) string {
 	default:
 		return fmt.Sprintf("%dns", ns)
 	}
-}
-
-// String renders the snapshot's summary.
-func (s HistSnapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s", s.Name, s.Summary())
-	return b.String()
 }

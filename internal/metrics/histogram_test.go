@@ -203,31 +203,33 @@ func TestConcurrentRecord(t *testing.T) {
 
 func TestRecorderHistRegistry(t *testing.T) {
 	r := NewRecorder()
-	r.Observe("lat", 100)
-	r.Observe("lat", 200)
-	if s := r.HistSnapshot("lat"); s.Count != 2 {
-		t.Fatalf("count = %d", s.Count)
+	if hs := r.HistSnapshots(); len(hs) != 0 {
+		t.Fatalf("fresh recorder holds histograms: %v", hs)
 	}
-	if s := r.HistSnapshot("never"); s.Count != 0 || s.Name != "never" {
-		t.Fatalf("unknown histogram = %+v", s)
+	h := r.Hist(HistFSRead)
+	h.Record(100)
+	h.Record(200)
+	if r.Hist(HistFSRead) != h {
+		t.Fatal("Hist returned a second histogram for the same ID")
 	}
-	if hs := r.HistSnapshots(); len(hs) != 1 || hs["lat"].Count != 2 {
+	if s := r.HistSnapshot(HistFSRead); s.Count != 2 || s.Name != "fs.read_ns" {
+		t.Fatalf("fs.read_ns = %+v", s)
+	}
+	if s := r.HistSnapshot(HistFSWrite); s.Count != 0 || s.Name != "fs.write_ns" {
+		t.Fatalf("never-created histogram = %+v", s)
+	}
+	if hs := r.HistSnapshots(); len(hs) != 1 || hs[0].Name != "fs.read_ns" || hs[0].Count != 2 {
 		t.Fatalf("HistSnapshots = %v", hs)
-	}
-	r.Reset()
-	if s := r.HistSnapshot("lat"); s.Count != 0 {
-		t.Fatal("reset did not clear histogram")
 	}
 }
 
-// The Recorder's name→cell lookup is a sync.Map read; these benchmarks are
-// the scaling proof for moving off the single mutex (run with -bench and
-// -cpu to compare contention).
+// BenchmarkRecorderIncParallel prices one counter increment under
+// contention (run with -bench and -cpu): a fixed atomic slot, no lookup.
 func BenchmarkRecorderIncParallel(b *testing.B) {
 	r := NewRecorder()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			r.Inc("bench.counter")
+			r.Inc(CacheReadHit)
 		}
 	})
 }

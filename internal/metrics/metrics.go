@@ -2,306 +2,344 @@
 // layer of the storage stack. The evaluation in the paper compares
 // systems on normalized counter values (clflush per operation, disk
 // blocks written per transaction, ...), so counters are first-class here:
-// cheap atomic increments, snapshot/delta arithmetic, and stable names
-// shared by the experiment harness. On top of counters the package
-// provides lock-free log-bucketed latency histograms (Histogram), a
-// fixed-ring structured span tracer with a Chrome trace_event exporter
+// fixed atomic slots named by typed IDs, snapshot/delta arithmetic, and
+// stable names shared by the experiment harness. On top of counters the
+// package provides lock-free log-bucketed latency histograms (Histogram),
+// a fixed-ring structured span tracer with a Chrome trace_event exporter
 // (Tracer), and a Prometheus text exposition of everything a Recorder
 // holds (WritePrometheus / Handler) for live scraping.
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Canonical counter names. Components must use these constants so the
+// Counter names one counter slot of a Recorder. The set is closed: every
+// counter is a constant below with one entry in counterNames, so a
+// misspelt counter is a compile error rather than a series that reads 0.
+type Counter uint8
+
+// Canonical counters. Components must use these constants so the
 // experiment drivers can compute the paper's normalized quantities.
 const (
 	// NVM-level counters (charged by internal/pmem).
-	NVMCLFlush    = "nvm.clflush"     // cache lines flushed
-	NVMSFence     = "nvm.sfence"      // store fences executed
-	NVMBytesWrite = "nvm.bytes_write" // bytes stored (volatile stores)
-	NVMBytesRead  = "nvm.bytes_read"  // bytes loaded
-	NVMAtomic8    = "nvm.atomic8"     // 8-byte atomic stores
-	NVMAtomic16   = "nvm.atomic16"    // always 0; read by benchmark/run.go
+	NVMCLFlush    Counter = iota // cache lines flushed
+	NVMSFence                    // store fences executed
+	NVMBytesWrite                // bytes stored (volatile stores)
+	NVMBytesRead                 // bytes loaded
+	NVMAtomic8                   // 8-byte atomic stores
+	NVMAtomic16                  // always 0; read by benchmark/run.go
 
 	// Disk-level counters (charged by internal/blockdev). DiskQueueDepth is
 	// a ±gauge: +1 when a request enters a device, -1 when it leaves, so a
 	// Prometheus scrape sees how deep the in-flight window currently is.
-	DiskBlocksWrite = "disk.blocks_write"
-	DiskBlocksRead  = "disk.blocks_read"
-	DiskBytesWrite  = "disk.bytes_write"
-	DiskBytesRead   = "disk.bytes_read"
-	DiskQueueDepth  = "disk.queue_depth"
+	DiskBlocksWrite
+	DiskBlocksRead
+	DiskBytesWrite
+	DiskBytesRead
+	DiskQueueDepth
 
 	// Cache-manager counters (charged by internal/core and internal/classic).
-	CacheWriteHit   = "cache.write_hit"
-	CacheWriteMiss  = "cache.write_miss"
-	CacheReadHit    = "cache.read_hit"
-	CacheReadMiss   = "cache.read_miss"
-	CacheEvict      = "cache.evict"
-	CacheEvictDirty = "cache.evict_dirty"
-	CacheFillRace   = "cache.fill_race"        // miss fills that lost the install race or retried (internal/core)
-	CacheMetaWrite  = "cache.meta_block_write" // block-format metadata writes (Classic)
+	CacheWriteHit
+	CacheWriteMiss
+	CacheReadHit
+	CacheReadMiss
+	CacheEvict
+	CacheEvictDirty
+	CacheFillRace  // miss fills that lost the install race or retried (internal/core)
+	CacheMetaWrite // block-format metadata writes (Classic)
 	// Lock-free read-hit fast path (internal/core/readfast.go).
-	CacheReadHitFast  = "cache.read_hit_fast"   // hits served with zero locks
-	CacheReadHitSlow  = "cache.read_hit_slow"   // hits that fell back to the locked path
-	CacheSeqlockRetry = "cache.seqlock_retry"   // fast-path version-change retries
-	CacheTouchDrop    = "cache.touch_ring_drop" // LRU promotions dropped (ring full)
-	CacheTouchDrained = "cache.touch_drained"   // queued promotions applied to the exact list
+	CacheReadHitFast  // hits served with zero locks
+	CacheReadHitSlow  // hits that fell back to the locked path
+	CacheSeqlockRetry // fast-path version-change retries
+	CacheTouchDrop    // LRU promotions dropped (ring full)
+	CacheTouchDrained // queued promotions applied to the exact list
 	// Zero-copy read views (internal/core/view.go).
-	CacheViewZeroCopy  = "cache.view_zero_copy"  // views served by aliasing pinned NVM bytes
-	CacheViewCopied    = "cache.view_copied"     // views served as private copies (mid-seal fresh blocks)
-	CacheViewDeferFree = "cache.view_defer_free" // block frees deferred to a view's last unpin
-	// Scrape-time gauges published by the stack's /metrics handler: the
-	// backing values live outside the Recorder (the sharded index and the
-	// views-open atomic), so the handler Sets them at each scrape.
-	CacheIndexGrows = "cache.index_grows" // incremental index resizes since Open (gauge)
-	CacheViewsOpen  = "cache.views_open"  // live unclosed zero-copy views (gauge)
+	CacheViewZeroCopy  // views served by aliasing pinned NVM bytes
+	CacheViewCopied    // views served as private copies (mid-seal fresh blocks)
+	CacheViewDeferFree // block frees deferred to a view's last unpin
 	// Journal-area traffic through the Classic cache, counted separately
 	// so data-block hit rates are comparable across systems.
-	CacheJournalWriteHit  = "cache.journal_write_hit"
-	CacheJournalWriteMiss = "cache.journal_write_miss"
+	CacheJournalWriteHit
+	CacheJournalWriteMiss
 
 	// Transaction counters.
-	TxnCommit     = "txn.commit"
-	TxnAbort      = "txn.abort"
-	TxnBlocks     = "txn.blocks"          // data blocks committed
-	TxnCOWBlocks  = "txn.cow_blocks"      // blocks that needed a COW copy
-	TxnGroupSeals = "txn.group_seals"     // coalesced ring-buffer seals
-	TxnGroupSize  = "txn.group_size"      // transactions absorbed into seals (sum)
-	TxnAbsorbed   = "txn.absorbed_blocks" // duplicate blocks absorbed within a seal
-	// Multi-ring commit counters (internal/core/seal.go). Per-ring
-	// counters use RingSealName/RingQueueDepthName; RingQueueDepth* is a
-	// ±gauge (enqueue/dequeue deltas).
-	TxnCrossShard        = "txn.cross_shard"         // commits spanning more than one ring
-	TxnRingSealConflicts = "txn.ring_seal_conflicts" // ring locks a cross-ring seal found contended
-	JournalCommit        = "jbd.commit"              // journal transactions committed
-	JournalBlocks        = "jbd.log_blocks"          // log (data) blocks written to journal
-	JournalMeta          = "jbd.meta_blocks"         // descriptor/commit/revoke blocks
-	JournalCkptBlks      = "jbd.checkpoint_blks"     // blocks checkpointed to home location
+	TxnCommit
+	TxnAbort
+	TxnBlocks     // data blocks committed
+	TxnCOWBlocks  // blocks that needed a COW copy
+	TxnGroupSeals // coalesced ring-buffer seals
+	TxnGroupSize  // transactions absorbed into seals (sum)
+	TxnAbsorbed   // duplicate blocks absorbed within a seal
+	// Multi-ring commit counters (internal/core/seal.go). Per-ring seal
+	// counts and queue depths live in the cache's ring state and are read
+	// through Cache.Stats.
+	TxnCrossShard        // commits spanning more than one ring
+	TxnRingSealConflicts // ring locks a cross-ring seal found contended
+	JournalCommit        // journal transactions committed
+	JournalBlocks        // log (data) blocks written to journal
+	JournalMeta          // descriptor/commit/revoke blocks
+	JournalCkptBlks      // blocks checkpointed to home location
 
 	// Checkpoint counters (charged by internal/core's checkpoint writer).
-	CkptWrites      = "ckpt.writes"       // checkpoint frames persisted
-	CkptEntries     = "ckpt.entries"      // valid entries snapshotted, cumulative
-	CkptJournalRecs = "ckpt.journal_recs" // delta-journal records persisted
-
-	// Workload-level counters (charged by drivers).
-	OpsWrite = "ops.write"
-	OpsRead  = "ops.read"
-	OpsFile  = "ops.file" // whole file operations (Filebench accounting)
-	OpsTxn   = "ops.txn"  // OLTP transactions completed
+	CkptWrites      // checkpoint frames persisted
+	CkptEntries     // valid entries snapshotted, cumulative
+	CkptJournalRecs // delta-journal records persisted
 
 	// Network counters (charged by internal/cluster).
-	NetBytes    = "net.bytes"
-	NetMessages = "net.messages"
+	NetBytes
+	NetMessages
+
+	numCounters
 )
 
-// RingSealName returns the per-ring seal counter name for ring r
-// ("txn.ring_seal.<r>"): one increment per seal that stamped ring r.
-func RingSealName(r int) string { return fmt.Sprintf("txn.ring_seal.%d", r) }
+// counterNames is the one names table: the dotted registry name of each
+// counter, which WritePrometheus maps to "tinca_<name>".
+var counterNames = [numCounters]string{
+	NVMCLFlush:            "nvm.clflush",
+	NVMSFence:             "nvm.sfence",
+	NVMBytesWrite:         "nvm.bytes_write",
+	NVMBytesRead:          "nvm.bytes_read",
+	NVMAtomic8:            "nvm.atomic8",
+	NVMAtomic16:           "nvm.atomic16",
+	DiskBlocksWrite:       "disk.blocks_write",
+	DiskBlocksRead:        "disk.blocks_read",
+	DiskBytesWrite:        "disk.bytes_write",
+	DiskBytesRead:         "disk.bytes_read",
+	DiskQueueDepth:        "disk.queue_depth",
+	CacheWriteHit:         "cache.write_hit",
+	CacheWriteMiss:        "cache.write_miss",
+	CacheReadHit:          "cache.read_hit",
+	CacheReadMiss:         "cache.read_miss",
+	CacheEvict:            "cache.evict",
+	CacheEvictDirty:       "cache.evict_dirty",
+	CacheFillRace:         "cache.fill_race",
+	CacheMetaWrite:        "cache.meta_block_write",
+	CacheReadHitFast:      "cache.read_hit_fast",
+	CacheReadHitSlow:      "cache.read_hit_slow",
+	CacheSeqlockRetry:     "cache.seqlock_retry",
+	CacheTouchDrop:        "cache.touch_ring_drop",
+	CacheTouchDrained:     "cache.touch_drained",
+	CacheViewZeroCopy:     "cache.view_zero_copy",
+	CacheViewCopied:       "cache.view_copied",
+	CacheViewDeferFree:    "cache.view_defer_free",
+	CacheJournalWriteHit:  "cache.journal_write_hit",
+	CacheJournalWriteMiss: "cache.journal_write_miss",
+	TxnCommit:             "txn.commit",
+	TxnAbort:              "txn.abort",
+	TxnBlocks:             "txn.blocks",
+	TxnCOWBlocks:          "txn.cow_blocks",
+	TxnGroupSeals:         "txn.group_seals",
+	TxnGroupSize:          "txn.group_size",
+	TxnAbsorbed:           "txn.absorbed_blocks",
+	TxnCrossShard:         "txn.cross_shard",
+	TxnRingSealConflicts:  "txn.ring_seal_conflicts",
+	JournalCommit:         "jbd.commit",
+	JournalBlocks:         "jbd.log_blocks",
+	JournalMeta:           "jbd.meta_blocks",
+	JournalCkptBlks:       "jbd.checkpoint_blks",
+	CkptWrites:            "ckpt.writes",
+	CkptEntries:           "ckpt.entries",
+	CkptJournalRecs:       "ckpt.journal_recs",
+	NetBytes:              "net.bytes",
+	NetMessages:           "net.messages",
+}
 
-// RingQueueDepthName returns the per-ring commit-queue depth gauge name for
-// ring r ("ring.queue_depth.<r>"): +1 on enqueue, -1 when the seal claims
-// the request.
-func RingQueueDepthName(r int) string { return fmt.Sprintf("ring.queue_depth.%d", r) }
+// String returns the counter's registry name.
+func (c Counter) String() string { return counterNames[c] }
 
-// Canonical histogram names. Values are simulated nanoseconds unless the
-// name says otherwise. Commit-phase histograms are charged by
-// internal/core's group-commit pipeline (one sample per seal per phase);
-// jbd.* by the Classic journal; fs.* by the file-system operation layer.
+// Hist names one latency histogram of a Recorder. Values are simulated
+// nanoseconds unless the name says otherwise. Commit-phase histograms are
+// charged by internal/core's group-commit pipeline (one sample per seal
+// per phase); jbd.* by the Classic journal; fs.* by the file-system
+// operation layer.
+type Hist uint8
+
 const (
 	// Group-commit seal phases (internal/core/seal.go).
-	HistCommitWait    = "commit.wait_ns"    // leader batch-formation wait
-	HistCommitAbsorb  = "commit.absorb_ns"  // plan/merge/allocate (phase 0)
-	HistCommitData    = "commit.data_ns"    // NVM data writes (phase A)
-	HistCommitEntries = "commit.entries_ns" // log-role entry persists (phase B)
-	HistCommitRing    = "commit.ring_ns"    // ring records + Head persist (phase C)
-	HistCommitSwitch  = "commit.switch_ns"  // role switches (phase D)
-	HistCommitTail    = "commit.tail_ns"    // Tail flip + fence (phase E)
-	HistCommitSeal    = "commit.seal_ns"    // whole seal (phases 0–E)
-	HistCommitTotal   = "commit.total_ns"   // per-txn Commit latency (enqueue→ack)
+	HistCommitWait    Hist = iota // leader batch-formation wait
+	HistCommitAbsorb              // plan/merge/allocate (phase 0)
+	HistCommitData                // NVM data writes (phase A)
+	HistCommitEntries             // log-role entry persists (phase B)
+	HistCommitRing                // ring records + Head persist (phase C)
+	HistCommitSwitch              // role switches (phase D)
+	HistCommitTail                // Tail flip + fence (phase E)
+	HistCommitSeal                // whole seal (phases 0–E)
+	HistCommitTotal               // per-txn Commit latency (enqueue→ack)
 
 	// Recovery (internal/core).
-	HistRecovery = "recovery.ns" // one full recovery pass
+	HistRecovery // one full recovery pass
 	// Per-phase recovery breakdown (internal/core/recovery.go). Scan, undo
 	// and rebuild record one sample per recovery pass, zeros included;
 	// redo records only when the redo branch actually ran (a zero-length
 	// span for a branch that never executed pollutes trace timelines).
-	HistRecoveryScan    = "recovery.scan_ns"    // pointer load + entry-table scan
-	HistRecoveryRedo    = "recovery.redo_ns"    // completing interrupted role switches
-	HistRecoveryUndo    = "recovery.undo_ns"    // revocation + stray-log sweep
-	HistRecoveryRebuild = "recovery.rebuild_ns" // DRAM index/LRU/allocator rebuild
+	HistRecoveryScan    // pointer load + entry-table scan
+	HistRecoveryRedo    // completing interrupted role switches
+	HistRecoveryUndo    // revocation + stray-log sweep
+	HistRecoveryRebuild // DRAM index/LRU/allocator rebuild
 	// Checkpoint writer (internal/core/checkpoint.go): one sample per
 	// checkpoint frame persisted.
-	HistCheckpoint = "ckpt.write_ns"
+	HistCheckpoint
 
 	// Lock-free read path (internal/core/readfast.go): seqlock retries per
 	// successful fast hit that needed at least one retry (a count, not ns).
-	HistReadHitRetry = "read.hit_retry"
+	HistReadHitRetry
 
 	// NVM primitives (internal/pmem).
-	HistNVMFlushLines = "nvm.flush_lines"  // cache lines per CLFlush burst
-	HistNVMFenceGap   = "nvm.fence_gap_ns" // sim time between successive fences
+	HistNVMFlushLines // cache lines per CLFlush burst
+	HistNVMFenceGap   // sim time between successive fences
 
 	// Classic journal commit phases (internal/jbd).
-	HistJBDLog        = "jbd.log_ns"        // descriptor + log + revoke writes
-	HistJBDCommitBlk  = "jbd.commit_blk_ns" // commit-record write
-	HistJBDCheckpoint = "jbd.checkpoint_ns" // checkpoint passes
-	HistJBDCommit     = "jbd.commit_ns"     // whole CommitTxn
+	HistJBDLog        // descriptor + log + revoke writes
+	HistJBDCommitBlk  // commit-record write
+	HistJBDCheckpoint // checkpoint passes
+	HistJBDCommit     // whole CommitTxn
 
 	// File-system operations (internal/fs).
-	HistFSRead  = "fs.read_ns"  // read-only operations
-	HistFSWrite = "fs.write_ns" // mutating operations
+	HistFSRead  // read-only operations
+	HistFSWrite // mutating operations
+
+	numHists
 )
 
-// Recorder is a registry of named counters and latency histograms. Most
-// counters are monotonic; a few are used as ±gauges (see Set and the
-// RingQueueDepthName convention above). The zero value is not usable;
-// construct with NewRecorder. All methods are safe for concurrent use.
-//
-// The data path calls Add/Inc/Observe concurrently from every layer of
-// the stack, so the name→cell lookup is a sync.Map read (lock-free after
-// the first touch of a name); allocation happens only the first time a
-// name appears.
-type Recorder struct {
-	counters sync.Map // string -> *atomic.Int64
-	hists    sync.Map // string -> *Histogram
+var histNames = [numHists]string{
+	HistCommitWait:      "commit.wait_ns",
+	HistCommitAbsorb:    "commit.absorb_ns",
+	HistCommitData:      "commit.data_ns",
+	HistCommitEntries:   "commit.entries_ns",
+	HistCommitRing:      "commit.ring_ns",
+	HistCommitSwitch:    "commit.switch_ns",
+	HistCommitTail:      "commit.tail_ns",
+	HistCommitSeal:      "commit.seal_ns",
+	HistCommitTotal:     "commit.total_ns",
+	HistRecovery:        "recovery.ns",
+	HistRecoveryScan:    "recovery.scan_ns",
+	HistRecoveryRedo:    "recovery.redo_ns",
+	HistRecoveryUndo:    "recovery.undo_ns",
+	HistRecoveryRebuild: "recovery.rebuild_ns",
+	HistCheckpoint:      "ckpt.write_ns",
+	HistReadHitRetry:    "read.hit_retry",
+	HistNVMFlushLines:   "nvm.flush_lines",
+	HistNVMFenceGap:     "nvm.fence_gap_ns",
+	HistJBDLog:          "jbd.log_ns",
+	HistJBDCommitBlk:    "jbd.commit_blk_ns",
+	HistJBDCheckpoint:   "jbd.checkpoint_ns",
+	HistJBDCommit:       "jbd.commit_ns",
+	HistFSRead:          "fs.read_ns",
+	HistFSWrite:         "fs.write_ns",
 }
 
-// NewRecorder returns an empty counter registry.
+// String returns the histogram's registry name.
+func (h Hist) String() string { return histNames[h] }
+
+// counterOrder and histOrder list the IDs sorted by registry name, the
+// order WritePrometheus and HistSnapshots emit them in.
+var counterOrder, histOrder = byName[Counter](counterNames[:]), byName[Hist](histNames[:])
+
+func byName[ID Counter | Hist](names []string) []ID {
+	ids := make([]ID, len(names))
+	for i := range ids {
+		ids[i] = ID(i)
+	}
+	sort.Slice(ids, func(a, b int) bool { return names[ids[a]] < names[ids[b]] })
+	return ids
+}
+
+// Recorder holds one atomic slot per Counter and one lazily created
+// Histogram per Hist. Most counters are monotonic; DiskQueueDepth is a
+// ±gauge (mixed-sign Add deltas). The zero value is not usable; construct
+// with NewRecorder. All methods are safe for concurrent use, and Add, Inc
+// and Get are a single atomic operation on a fixed slot.
+type Recorder struct {
+	counters [numCounters]atomic.Int64
+	hists    [numHists]atomic.Pointer[Histogram]
+}
+
+// NewRecorder returns a registry with every counter at zero and no
+// histogram created yet.
 func NewRecorder() *Recorder {
 	return &Recorder{}
 }
 
-func (r *Recorder) counter(name string) *atomic.Int64 {
-	if c, ok := r.counters.Load(name); ok {
-		return c.(*atomic.Int64)
+// Add increments counter c by delta.
+func (r *Recorder) Add(c Counter, delta int64) { r.counters[c].Add(delta) }
+
+// Inc increments counter c by one.
+func (r *Recorder) Inc(c Counter) { r.counters[c].Add(1) }
+
+// Get returns the current value of counter c.
+func (r *Recorder) Get(c Counter) int64 { return r.counters[c].Load() }
+
+// Hist returns histogram h, creating it on first use, so a recorder whose
+// layers never observe holds no histogram. Hot paths should call this
+// once and hold the pointer; Record on the result is lock-free.
+func (r *Recorder) Hist(h Hist) *Histogram {
+	if p := r.hists[h].Load(); p != nil {
+		return p
 	}
-	c, _ := r.counters.LoadOrStore(name, new(atomic.Int64))
-	return c.(*atomic.Int64)
+	r.hists[h].CompareAndSwap(nil, NewHistogram(histNames[h]))
+	return r.hists[h].Load()
 }
 
-// Add increments the named counter by delta.
-func (r *Recorder) Add(name string, delta int64) { r.counter(name).Add(delta) }
-
-// Counter returns the named counter's cell, creating it on first use. Hot
-// paths (per-ring seal counters) call this once and hold the pointer, like
-// Hist; Add/Load on the result never touch the registry map.
-func (r *Recorder) Counter(name string) *atomic.Int64 { return r.counter(name) }
-
-// Inc increments the named counter by one.
-func (r *Recorder) Inc(name string) { r.counter(name).Add(1) }
-
-// Set overwrites the named counter, making it an explicit gauge. Counters
-// written with Set (or with mixed-sign Add deltas, as the per-ring queue
-// depths are) report a level, not a total; Snapshot.Sub deltas of gauges are
-// level changes and PerOp normalization of them is rarely meaningful.
-func (r *Recorder) Set(name string, v int64) { r.counter(name).Store(v) }
-
-// Get returns the current value of the named counter (zero if never used).
-func (r *Recorder) Get(name string) int64 {
-	if c, ok := r.counters.Load(name); ok {
-		return c.(*atomic.Int64).Load()
+// HistSnapshot copies histogram h's current state (an empty snapshot if
+// it was never created).
+func (r *Recorder) HistSnapshot(h Hist) HistSnapshot {
+	if p := r.hists[h].Load(); p != nil {
+		return p.Snapshot()
 	}
-	return 0
+	return HistSnapshot{Name: histNames[h]}
 }
 
-// Hist returns the named histogram, creating it on first use. Hot paths
-// should call this once and hold the pointer; Record on the result is
-// lock-free.
-func (r *Recorder) Hist(name string) *Histogram {
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram)
+// HistSnapshots copies every histogram created so far, ordered by name.
+func (r *Recorder) HistSnapshots() []HistSnapshot {
+	var out []HistSnapshot
+	for _, h := range histOrder {
+		if p := r.hists[h].Load(); p != nil {
+			out = append(out, p.Snapshot())
+		}
 	}
-	h, _ := r.hists.LoadOrStore(name, NewHistogram(name))
-	return h.(*Histogram)
-}
-
-// Observe records one value (conventionally nanoseconds) into the named
-// histogram.
-func (r *Recorder) Observe(name string, v int64) { r.Hist(name).Record(v) }
-
-// HistSnapshot copies the named histogram's current state (empty snapshot
-// if never used).
-func (r *Recorder) HistSnapshot(name string) HistSnapshot {
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram).Snapshot()
-	}
-	return HistSnapshot{Name: name}
-}
-
-// HistSnapshots copies every registered histogram, keyed by name.
-func (r *Recorder) HistSnapshots() map[string]HistSnapshot {
-	out := make(map[string]HistSnapshot)
-	r.hists.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Histogram).Snapshot()
-		return true
-	})
 	return out
 }
 
-// Reset zeroes all counters and histograms.
-func (r *Recorder) Reset() {
-	r.counters.Range(func(_, v any) bool {
-		v.(*atomic.Int64).Store(0)
-		return true
-	})
-	r.hists.Range(func(_, v any) bool {
-		v.(*Histogram).Reset()
-		return true
-	})
-}
-
-// Snapshot is an immutable copy of all counter values at one instant.
-type Snapshot map[string]int64
+// Snapshot is an immutable copy of every counter at one instant, indexed
+// by Counter. It is a plain value: copying, comparing and subtracting
+// snapshots allocate nothing.
+type Snapshot [numCounters]int64
 
 // Snapshot copies the current counter values.
 func (r *Recorder) Snapshot() Snapshot {
-	s := make(Snapshot)
-	r.counters.Range(func(k, v any) bool {
-		s[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
+	var s Snapshot
+	for i := range s {
+		s[i] = r.counters[i].Load()
+	}
 	return s
 }
 
-// Get returns the value of name in the snapshot, zero if absent.
-func (s Snapshot) Get(name string) int64 { return s[name] }
+// Get returns the value of counter c in the snapshot.
+func (s Snapshot) Get(c Counter) int64 { return s[c] }
 
-// Sub returns s - old, counter-wise. Counters absent from old are treated
-// as zero.
+// Sub returns s - old, counter-wise.
 func (s Snapshot) Sub(old Snapshot) Snapshot {
-	d := make(Snapshot, len(s))
-	for name, v := range s {
-		d[name] = v - old[name]
+	for i := range s {
+		s[i] -= old[i]
 	}
-	return d
+	return s
 }
 
-// PerOp divides counter name by the given operation count, returning 0 when
+// Add returns s + o, counter-wise (for summing recorders).
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	for i := range s {
+		s[i] += o[i]
+	}
+	return s
+}
+
+// PerOp divides counter c by the given operation count, returning 0 when
 // ops is zero.
-func (s Snapshot) PerOp(name string, ops int64) float64 {
+func (s Snapshot) PerOp(c Counter, ops int64) float64 {
 	if ops == 0 {
 		return 0
 	}
-	return float64(s[name]) / float64(ops)
-}
-
-// String renders the snapshot sorted by counter name, one per line.
-func (s Snapshot) String() string {
-	names := make([]string, 0, len(s))
-	for name := range s {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%-24s %12d\n", name, s[name])
-	}
-	return b.String()
+	return float64(s[c]) / float64(ops)
 }

@@ -12,8 +12,9 @@ import (
 // This file renders a Recorder in the Prometheus text exposition format
 // (version 0.0.4), so a long-running tincafs/tincabench can be scraped by
 // any Prometheus-compatible collector without importing client libraries.
-// Counter names keep their dotted registry form with dots mapped to
-// underscores and a "tinca_" prefix: "nvm.clflush" → "tinca_nvm_clflush".
+// Every counter is exposed, zeros included, so each scrape carries the same
+// series. Counter names keep their dotted registry form with dots mapped
+// to underscores and a "tinca_" prefix: "nvm.clflush" → "tinca_nvm_clflush".
 // Histograms are exposed in the native histogram text form: cumulative
 // "_bucket{le=...}" lines over the log-linear bucket upper bounds, plus
 // "_sum" and "_count".
@@ -33,33 +34,36 @@ func promName(name string) string {
 	return b.String()
 }
 
-// WritePrometheus renders every counter and histogram of r. labels, if
-// non-empty, is rendered verbatim inside the label braces of every sample
-// (e.g. `registry="exp"`).
+// WritePrometheus renders every counter and every created histogram of r.
+// labels, if non-empty, is rendered verbatim inside the label braces of
+// every sample (e.g. `registry="exp"`).
 func WritePrometheus(w io.Writer, r *Recorder, labels string) {
 	lb := ""
 	if labels != "" {
 		lb = "{" + labels + "}"
 	}
 	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
+	for _, c := range counterOrder {
+		pn := promName(c.String())
+		fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", pn, pn, lb, snap[c])
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", pn, pn, lb, snap[n])
+	for _, s := range r.HistSnapshots() {
+		writePromHistogram(w, s, labels)
 	}
+}
 
-	hists := r.HistSnapshots()
-	hnames := make([]string, 0, len(hists))
-	for n := range hists {
-		hnames = append(hnames, n)
-	}
-	sort.Strings(hnames)
-	for _, n := range hnames {
-		writePromHistogram(w, hists[n], labels)
+// WriteGauge renders one gauge family whose values live outside a
+// Recorder. With key empty the value is written unlabelled; otherwise
+// sample i carries the label key="i" (e.g. ring="0").
+func WriteGauge(w io.Writer, name, key string, vals ...int64) {
+	pn := promName(name)
+	fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
+	for i, v := range vals {
+		if key == "" {
+			fmt.Fprintf(w, "%s %d\n", pn, v)
+		} else {
+			fmt.Fprintf(w, "%s{%s=\"%d\"} %d\n", pn, key, i, v)
+		}
 	}
 }
 
@@ -99,8 +103,8 @@ var (
 )
 
 // Publish registers r under name for HTTP exposition, replacing any
-// previous recorder of that name. Publishing is cheap; nothing is read
-// until a scrape arrives.
+// previous recorder of that name; a nil r removes the name. Publishing is
+// cheap; nothing is read until a scrape arrives.
 func Publish(name string, r *Recorder) {
 	publishedMu.Lock()
 	defer publishedMu.Unlock()
@@ -110,9 +114,6 @@ func Publish(name string, r *Recorder) {
 	}
 	published[name] = r
 }
-
-// Unpublish removes a published recorder.
-func Unpublish(name string) { Publish(name, nil) }
 
 // WriteAllPrometheus renders every published recorder, each labelled with
 // registry="<name>".

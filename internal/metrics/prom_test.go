@@ -19,15 +19,16 @@ func TestPromName(t *testing.T) {
 
 func TestWritePrometheusCounters(t *testing.T) {
 	r := NewRecorder()
-	r.Add("nvm.clflush", 42)
-	r.Set("destage.queue_depth", 3)
+	r.Add(NVMCLFlush, 42)
+	r.Add(DiskQueueDepth, 3)
 	var b strings.Builder
 	WritePrometheus(&b, r, "")
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE tinca_nvm_clflush gauge",
 		"tinca_nvm_clflush 42",
-		"tinca_destage_queue_depth 3",
+		"tinca_disk_queue_depth 3",
+		"tinca_cache_evict 0", // untouched counters are exposed too
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -37,15 +38,15 @@ func TestWritePrometheusCounters(t *testing.T) {
 
 func TestWritePrometheusLabels(t *testing.T) {
 	r := NewRecorder()
-	r.Inc("a")
-	r.Observe("h", 10)
+	r.Inc(CacheReadHit)
+	r.Hist(HistFSRead).Record(10)
 	var b strings.Builder
 	WritePrometheus(&b, r, `registry="x"`)
 	out := b.String()
-	if !strings.Contains(out, `tinca_a{registry="x"} 1`) {
+	if !strings.Contains(out, `tinca_cache_read_hit{registry="x"} 1`) {
 		t.Fatalf("counter label missing:\n%s", out)
 	}
-	if !strings.Contains(out, `tinca_h_bucket{registry="x",le="10"} 1`) {
+	if !strings.Contains(out, `tinca_fs_read_ns_bucket{registry="x",le="10"} 1`) {
 		t.Fatalf("histogram label missing:\n%s", out)
 	}
 }
@@ -53,17 +54,17 @@ func TestWritePrometheusLabels(t *testing.T) {
 func TestWritePrometheusHistogramCumulative(t *testing.T) {
 	r := NewRecorder()
 	for _, v := range []int64{1, 2, 3, 1000, 100000} {
-		r.Observe("lat", v)
+		r.Hist(HistFSWrite).Record(v)
 	}
 	var b strings.Builder
 	WritePrometheus(&b, r, "")
 	out := b.String()
-	if !strings.Contains(out, "# TYPE tinca_lat histogram") {
+	if !strings.Contains(out, "# TYPE tinca_fs_write_ns histogram") {
 		t.Fatalf("no histogram TYPE line:\n%s", out)
 	}
 	// Bucket lines must be cumulative (non-decreasing) and end at +Inf
 	// with the total count.
-	re := regexp.MustCompile(`tinca_lat_bucket\{le="([^"]+)"\} (\d+)`)
+	re := regexp.MustCompile(`tinca_fs_write_ns_bucket\{le="([^"]+)"\} (\d+)`)
 	ms := re.FindAllStringSubmatch(out, -1)
 	if len(ms) < 4 {
 		t.Fatalf("too few bucket lines:\n%s", out)
@@ -79,19 +80,19 @@ func TestWritePrometheusHistogramCumulative(t *testing.T) {
 	if ms[len(ms)-1][1] != "+Inf" || ms[len(ms)-1][2] != "5" {
 		t.Fatalf("+Inf bucket wrong: %v", ms[len(ms)-1])
 	}
-	if !strings.Contains(out, "tinca_lat_count 5") {
+	if !strings.Contains(out, "tinca_fs_write_ns_count 5") {
 		t.Fatalf("count sample missing:\n%s", out)
 	}
-	if !strings.Contains(out, "tinca_lat_sum 101006") {
+	if !strings.Contains(out, "tinca_fs_write_ns_sum 101006") {
 		t.Fatalf("sum sample missing:\n%s", out)
 	}
 }
 
 func TestPublishAndHandler(t *testing.T) {
 	r := NewRecorder()
-	r.Inc("pub.counter")
+	r.Inc(NetMessages)
 	Publish("test-reg", r)
-	defer Unpublish("test-reg")
+	defer Publish("test-reg", nil)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -106,12 +107,12 @@ func TestPublishAndHandler(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	if !strings.Contains(out, `tinca_pub_counter{registry="test-reg"} 1`) {
+	if !strings.Contains(out, `tinca_net_messages{registry="test-reg"} 1`) {
 		t.Fatalf("published counter missing:\n%s", out)
 	}
 
-	// Unpublish removes it from subsequent scrapes.
-	Unpublish("test-reg")
+	// Publishing nil removes it from subsequent scrapes.
+	Publish("test-reg", nil)
 	var b strings.Builder
 	WriteAllPrometheus(&b)
 	if strings.Contains(b.String(), "test-reg") {
@@ -119,22 +120,31 @@ func TestPublishAndHandler(t *testing.T) {
 	}
 }
 
+// TestRecorderSetGauge checks the ±gauge convention: a gauge counter
+// moves by mixed-sign Add deltas, and Sub of two snapshots is the level
+// change.
 func TestRecorderSetGauge(t *testing.T) {
 	r := NewRecorder()
-	r.Set("g", 10)
-	r.Set("g", 7)
-	if got := r.Get("g"); got != 7 {
-		t.Fatalf("gauge = %d", got)
+	r.Add(DiskQueueDepth, 7)
+	r.Add(DiskQueueDepth, -3)
+	if got := r.Get(DiskQueueDepth); got != 4 {
+		t.Fatalf("gauge after +7-3 = %d", got)
 	}
-	// Mixed-sign Add keeps working as the ± gauge convention.
-	r.Add("g", -3)
-	if got := r.Get("g"); got != 4 {
-		t.Fatalf("gauge after -3 = %d", got)
-	}
-	// Sub deltas of gauges are level changes (possibly negative).
 	s0 := r.Snapshot()
-	r.Set("g", 1)
-	if d := r.Snapshot().Sub(s0); d.Get("g") != -3 {
-		t.Fatalf("gauge delta = %d", d.Get("g"))
+	r.Add(DiskQueueDepth, -3)
+	if d := r.Snapshot().Sub(s0); d.Get(DiskQueueDepth) != -3 {
+		t.Fatalf("gauge delta = %d", d.Get(DiskQueueDepth))
+	}
+}
+
+func TestWriteGauge(t *testing.T) {
+	var b strings.Builder
+	WriteGauge(&b, "cache.views_open", "", 2)
+	WriteGauge(&b, "txn.ring_seal", "ring", 5, 0)
+	want := "# TYPE tinca_cache_views_open gauge\ntinca_cache_views_open 2\n" +
+		"# TYPE tinca_txn_ring_seal gauge\n" +
+		"tinca_txn_ring_seal{ring=\"0\"} 5\ntinca_txn_ring_seal{ring=\"1\"} 0\n"
+	if got := b.String(); got != want {
+		t.Fatalf("WriteGauge wrote\n%s\nwant\n%s", got, want)
 	}
 }

@@ -16,7 +16,9 @@ import (
 //	/metrics       Prometheus 0.0.4 text exposition of the stack's
 //	               Recorder: every counter/gauge as tinca_<name>, every
 //	               latency histogram with cumulative buckets, _sum and
-//	               _count. Scrape it, or `curl` it and eyeball.
+//	               _count; on Tinca also the index-grows and views-open
+//	               gauges and the per-ring seal and queue-depth series
+//	               (label ring="<r>"). Scrape it, or `curl` it and eyeball.
 //	/trace         Chrome trace_event JSON of the tracer ring (load in
 //	               chrome://tracing or https://ui.perfetto.dev). 404
 //	               when the stack was built without Options.Tracer.
@@ -40,16 +42,18 @@ func (s *Stack) ServeMetrics(addr string) (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		// A few cache-level values live outside the Recorder (the sharded
-		// index and the views-open atomic); publish them as gauges at
-		// scrape time so Prometheus sees the full counter surface.
-		if c := s.TCache; c != nil {
-			st := c.Stats()
-			s.Rec.Set(metrics.CacheIndexGrows, st.IndexGrows)
-			s.Rec.Set(metrics.CacheViewsOpen, st.OpenViews)
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.WritePrometheus(w, s.Rec, "")
+		// A few cache-level values live outside the Recorder (the sharded
+		// index, the views-open atomic, the ring state); print them from
+		// Stats so Prometheus sees the full counter surface.
+		if c := s.TCache; c != nil {
+			st := c.Stats()
+			metrics.WriteGauge(w, "cache.index_grows", "", st.IndexGrows)
+			metrics.WriteGauge(w, "cache.views_open", "", st.OpenViews)
+			metrics.WriteGauge(w, "txn.ring_seal", "ring", st.RingSeals...)
+			metrics.WriteGauge(w, "ring.queue_depth", "ring", st.RingQueueDepth...)
+		}
 	})
 	mux.HandleFunc("/blackbox", func(w http.ResponseWriter, r *http.Request) {
 		c := s.TCache

@@ -103,6 +103,60 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServeMetricsRingSeries checks that /metrics carries what lives
+// outside the Recorder: one seal and one queue-depth sample per commit
+// ring, labelled ring="<r>", and the index-grows and views-open gauges,
+// each equal to what Stats reports.
+func TestServeMetricsRingSeries(t *testing.T) {
+	s, err := New(Config{Kind: Tinca, Options: core.Options{CommitRings: 4}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	for i := 0; i < 16; i++ {
+		if err := s.FS.WriteFile(fmt.Sprintf("/f%d", i), []byte(strings.Repeat("r", 9000))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := s.FS.Sync(); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+	}
+	addr, err := s.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeMetrics: %v", err)
+	}
+	code, body := get(t, "http://"+addr+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics status %d", code)
+	}
+	st := s.TCache.Stats()
+	if len(st.RingSeals) != 4 {
+		t.Fatalf("Stats has %d rings, want 4", len(st.RingSeals))
+	}
+	want := []string{
+		"# TYPE tinca_txn_ring_seal gauge",
+		"# TYPE tinca_ring_queue_depth gauge",
+		fmt.Sprintf("tinca_cache_index_grows %d\n", st.IndexGrows),
+		fmt.Sprintf("tinca_cache_views_open %d\n", st.OpenViews),
+	}
+	for r := 0; r < 4; r++ {
+		if st.RingSeals[r] == 0 {
+			t.Fatalf("ring %d never sealed: %v", r, st.RingSeals)
+		}
+		want = append(want,
+			fmt.Sprintf("tinca_txn_ring_seal{ring=\"%d\"} %d\n", r, st.RingSeals[r]),
+			fmt.Sprintf("tinca_ring_queue_depth{ring=\"%d\"} %d\n", r, st.RingQueueDepth[r]))
+	}
+	for _, w := range want {
+		if !strings.Contains(body, w) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(w))
+		}
+	}
+	if t.Failed() {
+		t.Logf("/metrics body:\n%s", body)
+	}
+}
+
 func TestServeMetricsWithoutTracer(t *testing.T) {
 	s, err := New(Config{Kind: Tinca, Options: core.Options{Observe: true}})
 	if err != nil {

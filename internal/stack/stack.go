@@ -393,9 +393,8 @@ func (d DeviceStats) Add(o DeviceStats) DeviceStats {
 	}
 }
 
-// Stats returns a typed snapshot of the stack's counters. It replaces
-// string-keyed Recorder lookups for the common cases; Rec remains
-// available for everything else.
+// Stats returns a typed snapshot of the stack's counters, read from Rec
+// and from the cache's own state.
 func (s *Stack) Stats() Stats {
 	st := Stats{Kind: s.Cfg.Kind, SimulatedNS: int64(s.Clock.Now())}
 	if s.TCache != nil {

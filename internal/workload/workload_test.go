@@ -61,7 +61,7 @@ func TestFioDeterministic(t *testing.T) {
 	a, b := run(), run()
 	for k, v := range a {
 		if b[k] != v {
-			t.Fatalf("non-deterministic counter %s: %d vs %d", k, v, b[k])
+			t.Fatalf("non-deterministic counter %s: %d vs %d", metrics.Counter(k), v, b[k])
 		}
 	}
 }

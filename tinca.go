@@ -50,8 +50,9 @@
 //	fmt.Printf("commits=%d seals=%d avg batch=%.1f\n",
 //		st.Cache.Commits, st.Cache.GroupSeals, st.Cache.AvgGroupSize())
 //
-// The string-keyed Recorder/Snapshot registry remains available (the
-// experiment drivers still use it) but new code should prefer Stats.
+// The Stats structs read a Recorder: one registry per stack whose
+// counters are fixed slots named by typed IDs, so every layer counts
+// with one atomic add and a misspelt counter does not compile.
 //
 // Deeper visibility is opt-in via StackConfig (DESIGN.md Section 9):
 // Observe enables latency histograms in every layer (commit pipeline
@@ -221,23 +222,14 @@ type Clock = sim.Clock
 // NewClock returns a clock at time zero.
 var NewClock = sim.NewClock
 
-// Recorder counts clflush/sfence/disk-block/transaction events.
-//
-// Deprecated: new code should prefer the typed stats accessors —
-// Cache.Stats, FS.Stats and Stack.Stats — which return exported structs
-// instead of string-keyed counters. The Recorder remains fully supported
-// for the experiment drivers and custom instrumentation.
+// Recorder is the counter and histogram registry the devices, caches and
+// file systems of one stack charge (clflush, sfence, disk blocks,
+// commits, ...). Pass it to NewNVM/NewDisk; read it through the typed
+// Stats accessors — Cache.Stats, FS.Stats and Stack.Stats.
 type Recorder = metrics.Recorder
 
-// NewRecorder returns an empty counter registry.
+// NewRecorder returns a registry with every counter at zero.
 var NewRecorder = metrics.NewRecorder
-
-// Snapshot is an immutable copy of counter values; Sub computes deltas.
-//
-// Deprecated: prefer the typed CacheStats/FSStats/StackStats structs
-// returned by the Stats accessors; Snapshot remains for delta-based
-// experiment drivers.
-type Snapshot = metrics.Snapshot
 
 // LatencySummary is a percentile digest (count/mean/p50/p95/p99/max, in
 // simulated ns) of one latency histogram; CacheStats and FSStats carry
